@@ -778,14 +778,11 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     )
 
     if args.source_model_check:
-        from .correlation import correlate_quadrature as _quad
-
-        tools = _tools_for(scenario)
         half = 0.5 * tau0 * scales.v_rel
         pair = DtePair(
             distribution=distribution_from_scenario(scenario),
             tau=tau0,
-            phi_tau=tools.pulse_phase,
+            phi_tau=phi_tau(scenario),
             species=scenario.species,
         )
         # scan a few phases at the envelope center to recover the fringe
@@ -794,7 +791,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         values = []
         for k in range(8):
             shift = lam * 2.0 * math.pi * k / 8.0
-            result = _quad(
+            result = correlate_quadrature(
                 pair,
                 InterferometerSetting(ell=half + shift),
                 InterferometerSetting(ell=-half),

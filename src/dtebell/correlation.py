@@ -18,7 +18,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .dissociation import FeshbachDistribution, GaussianMode, GaussianPair
+from .dissociation import (
+    FeshbachDistribution,
+    GaussianMode,
+    GaussianPair,
+    _gauss_legendre,
+)
 from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
 
 __all__ = [
@@ -274,19 +279,6 @@ def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: s
 # quadrature machinery
 
 
-def _leggauss(n: int):
-    cached = _leggauss._cache.get(n)
-    if cached is None:
-        from scipy.special import roots_legendre
-
-        cached = roots_legendre(n)
-        _leggauss._cache[n] = cached
-    return cached
-
-
-_leggauss._cache = {}
-
-
 def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
     """max-min of a*x - b*x^2 on [lo, hi]."""
     values = [a * lo - b * lo * lo, a * hi - b * hi * hi]
@@ -304,7 +296,7 @@ def _phase_nodes(span: float) -> int:
 
 def _gaussian_factor(mode_mean: float, mode_sigma: float, a: float, b: float, n: int) -> complex:
     """integral of N(x; mean, sigma) * exp(i(a x - b x^2)) over +-8.5 sigma."""
-    x_gl, w_gl = _leggauss(n)
+    x_gl, w_gl = _gauss_legendre(n)
     half = WINDOW_SIGMAS * mode_sigma
     x = mode_mean + half * x_gl
     dens = np.exp(-0.5 * ((x - mode_mean) / mode_sigma) ** 2) / (
@@ -386,7 +378,7 @@ def _feshbach_rel_integral(dist, u_values, a_lin, b_quad, level=1.0):
     result = np.zeros(len(u), dtype=complex)
     for size in np.unique(buckets):
         sel = buckets == size
-        gl_x, gl_w = _leggauss(int(size))
+        gl_x, gl_w = _gauss_legendre(int(size))
         half = 0.5 * width[:, sel][:, :, None]
         mid = 0.5 * (lo_e + hi_e)[:, sel][:, :, None]
         r = mid + half * gl_x
@@ -435,7 +427,7 @@ def _feshbach_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
     span = _quadratic_span(a_cm, b_cm, lo, hi) + kappa * (u_hi - u_lo)
     n_c, hit = _scaled_count(_phase_nodes(span), level)
     capped = capped or hit
-    gl_x, gl_w = _leggauss(n_c)
+    gl_x, gl_w = _gauss_legendre(n_c)
     half = WINDOW_SIGMAS * cm_sigma
     c = cm_mean + half * gl_x
     u_c = c * c / 4.0

@@ -155,6 +155,63 @@ class TestFeshbachDistribution:
         assert dist.r_hi() == pytest.approx(11.0, rel=1e-2)
 
 
+class TestLazyNormalization:
+    """The sinc^2 normalization is built on first use, once, in bounded memory."""
+
+    @pytest.fixture
+    def raw_calls(self, monkeypatch):
+        calls = []
+        original = dis.FeshbachDistribution._raw_integral
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(dis.FeshbachDistribution, "_raw_integral", counting)
+        return calls
+
+    def test_gaussian_route_never_normalizes(self, scenario, raw_calls):
+        from dtebell.correlation import DtePair, GaussianPairDistribution
+
+        fresh = dis.distribution_from_scenario(scenario)
+        gaussians = dis.gaussian_approximation(fresh)
+        for source in (GaussianPairDistribution(gaussians), fresh):
+            DtePair(
+                distribution=source,
+                tau=scenario.pulses.pulse_separation,
+                phi_tau=dis.phi_tau(scenario),
+                species=scenario.species,
+            )
+        assert raw_calls == []
+
+    def test_normalization_computed_once(self, scenario, raw_calls):
+        fresh = dis.distribution_from_scenario(scenario)
+        first = fresh.normalization
+        for _ in range(3):
+            assert fresh.normalization == first
+            assert fresh.norm_error_estimate < 1e-6
+        assert len(raw_calls) == 1
+
+    def test_normalization_peak_memory(self, scenario):
+        import tracemalloc
+
+        import scipy.special  # noqa: F401  (keep the import out of the trace)
+
+        tracemalloc.start()
+        try:
+            dis.distribution_from_scenario(scenario).normalization
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
+        u = np.linspace(0.0, 3e-3, 11)
+        blocked = dist._rel_integral(u, 24)
+        monkeypatch.setattr(dis, "U_ROWS_PER_BLOCK", len(u))
+        np.testing.assert_array_equal(blocked, dist._rel_integral(u, 24))
+
+
 class TestGaussianApproximation:
     def test_matches_scenario_scales(self, scenario, dist):
         pair = dis.gaussian_approximation(dist)
