@@ -700,6 +700,11 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
         f"events per setting = {config.events_per_setting}, seed = {config.seed}, "
         f"mode = {mode}\n"
     )
+    if estimate.outcome.exceeds_tsirelson:
+        stderr.write(
+            f"note: S_hat exceeds 2*sqrt(2) = {TSIRELSON_BOUND:.6f}, "
+            "a finite-sample fluctuation\n"
+        )
     return 0
 
 

@@ -19,10 +19,18 @@ from typing import Mapping
 import numpy as np
 
 from .dissociation import (
+    MAX_NODES,
+    MIN_NODES,
+    WINDOW_SIGMAS,
     FeshbachDistribution,
     GaussianMode,
     GaussianPair,
+    QuadratureError,
     _gauss_legendre,
+    _node_count,
+    _pair_integral,
+    _quadratic_span,
+    converge,
 )
 from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
 
@@ -42,19 +50,8 @@ __all__ = [
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# quadrature targets
+# quadrature target on each coincidence probability
 P_TARGET = 1e-6
-MIN_NODES = 32
-MAX_NODES = 4096
-WINDOW_SIGMAS = 8.5
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the target accuracy; carries the estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -279,21 +276,6 @@ def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: s
 # quadrature machinery
 
 
-def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
-    """max-min of a*x - b*x^2 on [lo, hi]."""
-    values = [a * lo - b * lo * lo, a * hi - b * hi * hi]
-    if b != 0.0:
-        vertex = a / (2.0 * b)
-        if lo < vertex < hi:
-            values.append(a * vertex - b * vertex * vertex)
-    return max(values) - min(values)
-
-
-def _phase_nodes(span: float) -> int:
-    # >= 8 nodes per radian of phase excursion across the window
-    return int(np.clip(math.ceil(8.0 * span), MIN_NODES, MAX_NODES))
-
-
 def _gaussian_factor(mode_mean: float, mode_sigma: float, a: float, b: float, n: int) -> complex:
     """integral of N(x; mean, sigma) * exp(i(a x - b x^2)) over +-8.5 sigma."""
     x_gl, w_gl = _gauss_legendre(n)
@@ -304,13 +286,6 @@ def _gaussian_factor(mode_mean: float, mode_sigma: float, a: float, b: float, n:
     )
     phase = np.exp(1j * (a * x - b * x * x))
     return complex(np.dot(w_gl * half, dens * phase))
-
-
-def _scaled_count(base: int, level: float) -> tuple[int, bool]:
-    n = int(math.ceil(base * level))
-    if n >= MAX_NODES:
-        return MAX_NODES, True
-    return max(n, MIN_NODES // 2), False
 
 
 def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
@@ -329,7 +304,7 @@ def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
     cm_mean = units.to_internal(cm.mean_p, "momentum")
     cm_sigma = units.to_internal(cm.sigma_p, "momentum")
     lo, hi = cm_mean - WINDOW_SIGMAS * cm_sigma, cm_mean + WINDOW_SIGMAS * cm_sigma
-    n_cm, capped = _scaled_count(_phase_nodes(_quadratic_span(a_cm, b_cm, lo, hi)), level)
+    n_cm, capped = _node_count(_quadratic_span(a_cm, b_cm, lo, hi), level, MIN_NODES, MAX_NODES)
     i_cm = _gaussian_factor(cm_mean, cm_sigma, a_cm, b_cm, n_cm)
 
     i_rel = 0.0 + 0.0j
@@ -337,110 +312,20 @@ def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
         mean = units.to_internal(mode.mean_p, "momentum")
         sigma = units.to_internal(mode.sigma_p, "momentum")
         lo, hi = mean - WINDOW_SIGMAS * sigma, mean + WINDOW_SIGMAS * sigma
-        n, hit = _scaled_count(_phase_nodes(_quadratic_span(a_rel, b_rel, lo, hi)), level)
+        n, hit = _node_count(_quadratic_span(a_rel, b_rel, lo, hi), level, MIN_NODES, MAX_NODES)
         capped = capped or hit
         i_rel += weight * _gaussian_factor(mean, sigma, a_rel, b_rel, n)
     return i_cm * i_rel, capped
 
 
-PANEL_NODE_CAP = 8192
-
-
-def _feshbach_rel_integral(dist, u_values, a_lin, b_quad, level=1.0):
-    """integral over r > 0 of 2 K(u, r) * exp(i(a r - b r^2)) dr.
-
-    K is the scaled squared-sinc kernel, even in r; the factor 2 folds
-    the mirror particle-label branch onto the detector frame.  Panels
-    follow the sinc zeros; per-panel node counts follow the local phase
-    excursion of a r - b r^2.  Returns (values, capped).
-    """
-    u = np.atleast_1d(np.asarray(u_values, dtype=float))
-    edges = dist.rel_panel_edges(u)
-    lo_e, hi_e = edges[:, :-1], edges[:, 1:]
-
-    def phase(r):
-        return a_lin * r - b_quad * r * r
-
-    f_lo, f_hi = phase(lo_e), phase(hi_e)
-    top = np.maximum(f_lo, f_hi)
-    bot = np.minimum(f_lo, f_hi)
-    if b_quad > 0.0:
-        vertex = a_lin / (2.0 * b_quad)
-        inside = (lo_e < vertex) & (vertex < hi_e)
-        top = np.where(inside, np.maximum(top, phase(vertex)), top)
-    # worst-case per-panel phase span across all u rows
-    span = (top - bot).max(axis=0)
-    needed = np.ceil(np.maximum(12, np.ceil(0.7 * span) + 12) * level).astype(int)
-    capped = bool((needed >= PANEL_NODE_CAP).any())
-    buckets = np.minimum(2 ** np.ceil(np.log2(needed)).astype(int), PANEL_NODE_CAP)
-
-    width = hi_e - lo_e
-    result = np.zeros(len(u), dtype=complex)
-    for size in np.unique(buckets):
-        sel = buckets == size
-        gl_x, gl_w = _gauss_legendre(int(size))
-        half = 0.5 * width[:, sel][:, :, None]
-        mid = 0.5 * (lo_e + hi_e)[:, sel][:, :, None]
-        r = mid + half * gl_x
-        kern = dist._scaled_kernel(u[:, None, None], r)
-        osc = 2.0 * np.exp(1j * (a_lin * r - b_quad * r * r))
-        result += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
-    return result, capped
-
-
 def _feshbach_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for the squared-sinc source, internal units.
-
-    The relative-line integral depends on p_cm only through u = (c/2)^2,
-    and carries no c-dependent phase; it is therefore sampled at Chebyshev
-    points in u and interpolated onto the outer momentum grid, which keeps
-    the cost at a dozen line integrals instead of one per outer node.
-    Returns (value, capped).
-    """
-    cm = dist.cm_state
-    p_ref = dist.p0
-    cm_mean = cm.mean_p / p_ref
-    cm_sigma = cm.sigma_p / p_ref
-    lo = cm_mean - WINDOW_SIGMAS * cm_sigma
-    hi = cm_mean + WINDOW_SIGMAS * cm_sigma
-    u_hi = max(lo * lo, hi * hi) / 4.0
-    u_lo = 0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi) / 4.0
-
-    # Chebyshev sampling of the relative-line integral in u
-    kappa = dist.kappa
-    cycles = (u_hi - u_lo) * kappa / (2.0 * math.pi)
-    n_u = int(math.ceil((math.ceil(7.0 * cycles) + 10) * level))
-    k = np.arange(n_u)
-    u_nodes = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * np.cos(
-        math.pi * (2.0 * k + 1.0) / (2.0 * n_u)
+    """Interference integral for the squared-sinc source, internal units;
+    returns (value, capped)."""
+    value, capped = _pair_integral(
+        dist, 0.5 * sl_int, 1.0 / (4.0 * m_int), dl_int, 1.0 / m_int, level
     )
-    b_rel = 1.0 / m_int
-    g_vals, capped = _feshbach_rel_integral(dist, u_nodes, dl_int, b_rel, level=level)
-    x_norm = (2.0 * u_nodes - (u_lo + u_hi)) / ((u_hi - u_lo) if u_hi > u_lo else 1.0)
-    deg = n_u - 1
-    coef_re = np.polynomial.chebyshev.chebfit(x_norm, g_vals.real, deg)
-    coef_im = np.polynomial.chebyshev.chebfit(x_norm, g_vals.imag, deg)
-
-    # outer integral over the c.m. momentum
-    a_cm = 0.5 * sl_int
-    b_cm = 1.0 / (4.0 * m_int)
-    span = _quadratic_span(a_cm, b_cm, lo, hi) + kappa * (u_hi - u_lo)
-    n_c, hit = _scaled_count(_phase_nodes(span), level)
-    capped = capped or hit
-    gl_x, gl_w = _gauss_legendre(n_c)
-    half = WINDOW_SIGMAS * cm_sigma
-    c = cm_mean + half * gl_x
-    u_c = c * c / 4.0
-    xc = (2.0 * u_c - (u_lo + u_hi)) / ((u_hi - u_lo) if u_hi > u_lo else 1.0)
-    g_interp = np.polynomial.chebyshev.chebval(xc, coef_re) + 1j * np.polynomial.chebyshev.chebval(
-        xc, coef_im
-    )
-    f_cm = np.exp(-0.5 * ((c - cm_mean) / cm_sigma) ** 2) / (
-        math.sqrt(2.0 * math.pi) * cm_sigma
-    )
-    phase = np.exp(1j * (a_cm * c - b_cm * c * c))
-    pref = dist.normalization * kappa * dist.b**2 / math.pi
-    return pref * complex(np.dot(gl_w * half, f_cm * phase * g_interp)), capped
+    pref = dist.normalization * dist.kappa * dist.b**2 / math.pi
+    return pref * value, capped
 
 
 def correlate_quadrature(
@@ -481,28 +366,12 @@ def correlate_quadrature(
         tail = dist.tail_bound()
 
     phase_ref = np.exp(-1j * pair.phi_tau)
-    # self-consistency: estimate each pass against a half-node run, so a
-    # node-count ceiling can never masquerade as convergence; the 1e-12
-    # floor covers double-precision summation noise
-    level = float(2**refine)
-    coarse, _ = compute(0.5 * level)
-    fine, capped = compute(level)
 
+    # the 1e-12 floor covers double-precision summation noise
     def estimate_for(a, b):
         return 0.25 * abs(a - b) + 0.25 * tail + 1e-12
 
-    estimate = estimate_for(fine, coarse)
-    while estimate > P_TARGET:
-        if capped or level >= 8.0 * 2**refine:
-            raise QuadratureError(
-                f"quadrature error estimate {estimate:.3e} exceeds {P_TARGET:.0e} "
-                "at the node-count ceiling",
-                estimate=estimate,
-            )
-        level *= 2.0
-        coarse = fine
-        fine, capped = compute(level)
-        estimate = estimate_for(fine, coarse)
+    fine, estimate = converge(compute, estimate_for, P_TARGET, float(2**refine))
     e_interference = float(np.real(phase_ref * fine))
     return _result_from_interference(
         e_interference, s1.theta, s2.theta, "Quadrature", estimate

@@ -52,9 +52,18 @@ TRUNCATION_LEVEL = 1e-10
 # drift budget for the interferometric phase, rad
 PHASE_BUDGET = 0.05
 
-# c^2/4 rows per block of the normalization tensor; one row is a few
-# (panels x nodes) temporaries, ~5 MB at 3137 panels and 24 nodes
-U_ROWS_PER_BLOCK = 4
+# c^2/4 rows per block of the sinc^2 line tensor (see _line_values)
+U_ROWS_PER_BLOCK = 2
+# c.m. window half-width in sigmas; node bounds of a window integral and
+# of one sinc^2 panel
+WINDOW_SIGMAS = 8.5
+MIN_NODES = 32
+MAX_NODES = 4096
+PANEL_NODE_CAP = 8192
+# a doubling loop stops at MAX_LEVEL times its starting level; the raw
+# normalization must agree with its half-level pass to NORM_TARGET
+MAX_LEVEL = 8.0
+NORM_TARGET = 3e-7
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,14 @@ def p0_from_fields(scenario: Scenario) -> float:
     Raises BelowThresholdError when that budget is not positive.
     """
     return _p0_from_fields(scenario)
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature failed to reach the target accuracy; carries the estimate."""
+
+    def __init__(self, message: str, estimate: float):
+        super().__init__(message)
+        self.estimate = estimate
 
 
 @functools.lru_cache(maxsize=128)
@@ -238,57 +255,20 @@ class FeshbachDistribution:
         denom = u + r * r - 1.0 + self.b
         return np.sinc(x / math.pi) ** 2 / (denom * denom)
 
-    def _rel_integral(self, u, nodes_per_panel: int = 12):
-        """2 * integral over r > 0 of the scaled kernel, per u value.
+    def _raw_integral(self):
+        """Full 2D integral at N = 1 plus its error estimate.
 
-        Each u row is summed on its own, so evaluating the (u, panel,
-        node) tensor U_ROWS_PER_BLOCK rows at a time bounds memory and
-        gives the same bits as one whole-tensor pass.
+        The zero-phase case of the interference integral: the same line
+        values and c.m. quadrature, refined by the same doubling loop.
         """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        gl_x, gl_w = _gauss_legendre(nodes_per_panel)
-        out = np.empty(len(u))
-        for start in range(0, len(u), U_ROWS_PER_BLOCK):
-            block = u[start:start + U_ROWS_PER_BLOCK]
-            edges = self.rel_panel_edges(block)
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])  # (nu, np)
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            r = mid[:, :, None] + half[:, :, None] * gl_x  # (nu, np, nn)
-            vals = self._scaled_kernel(block[:, None, None], r)
-            per_panel = (vals * gl_w).sum(axis=2) * half
-            out[start:start + len(block)] = 2.0 * per_panel.sum(axis=1)
-        return out
+        pref = self.kappa * self.b**2 / math.pi
 
-    def _raw_integral(self, nodes_per_panel: int = 12):
-        """Full 2D integral (normalization=1) plus a doubling error estimate."""
+        def compute(level):
+            value, capped = _pair_integral(self, 0.0, 0.0, 0.0, 0.0, level)
+            return pref * value.real, capped
 
-        def once(n_out, n_in):
-            gl_x, gl_w = _gauss_legendre(n_out)
-            cm = self.cm_state
-            c_mean = cm.mean_p / self.p0
-            c_sig = cm.sigma_p / self.p0
-            c = c_mean + 8.5 * c_sig * gl_x
-            w = 8.5 * c_sig * gl_w
-            f_cm = np.exp(-0.5 * ((c - c_mean) / c_sig) ** 2) / (
-                math.sqrt(2.0 * math.pi) * c_sig
-            )
-            inner = self._rel_integral(c * c / 4.0, n_in)
-            pref = self.kappa * self.b**2 / math.pi
-            return pref * float((w * f_cm * inner).sum())
-
-        # the inner integral oscillates in u = c^2/4 with period 2pi/kappa;
-        # resolve however many cycles the c.m. window spans
-        u_max = ((abs(self.cm_state.mean_p) + 8.5 * self.cm_state.sigma_p) / self.p0) ** 2 / 4.0
-        n_cycles = u_max * self.kappa / (2.0 * math.pi)
-        n_outer = max(48, int(math.ceil(8.0 * n_cycles)) + 32)
-        while True:
-            coarse = once(n_outer, nodes_per_panel)
-            fine = once(2 * n_outer, 2 * nodes_per_panel)
-            err = abs(fine - coarse)
-            if err < 3e-7 or n_outer >= 1536:
-                break
-            n_outer *= 2
-        return fine, err + self.tail_bound() * fine
+        raw, err = converge(compute, lambda fine, coarse: abs(fine - coarse), NORM_TARGET)
+        return raw, err + self.tail_bound() * raw
 
     # -- public evaluation --------------------------------------------------
 
@@ -310,6 +290,147 @@ class FeshbachDistribution:
 def feshbach_density(dist: FeshbachDistribution, p_cm, p_rel):
     """Module-level alias for :meth:`FeshbachDistribution.density`."""
     return dist.density(p_cm, p_rel)
+
+
+# ---------------------------------------------------------------------------
+# quadrature shared by the normalization and the correlation routes
+
+
+def converge(compute, estimate_for, target: float, level: float = 1.0):
+    """Double the level until estimate_for(pass, half-level pass) <= target.
+
+    ``compute(level)`` returns (value, capped).  Returns (value, estimate);
+    raises QuadratureError on a capped pass or past MAX_LEVEL times the
+    starting level, so a node ceiling never masquerades as convergence.
+    """
+    ceiling = MAX_LEVEL * level
+    coarse, _ = compute(0.5 * level)
+    fine, capped = compute(level)
+    estimate = estimate_for(fine, coarse)
+    while estimate > target:
+        if capped or level >= ceiling:
+            raise QuadratureError(
+                f"quadrature error estimate {estimate:.3e} exceeds {target:.0e} "
+                "at the node-count ceiling",
+                estimate=estimate,
+            )
+        level *= 2.0
+        coarse = fine
+        fine, capped = compute(level)
+        estimate = estimate_for(fine, coarse)
+    return fine, estimate
+
+
+def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
+    """max-min of a*x - b*x^2 on [lo, hi]."""
+    values = [a * lo - b * lo * lo, a * hi - b * hi * hi]
+    if b != 0.0:
+        vertex = a / (2.0 * b)
+        if lo < vertex < hi:
+            values.append(a * vertex - b * vertex * vertex)
+    return max(values) - min(values)
+
+
+def _node_count(span: float, level: float, floor: int, ceiling: int) -> tuple[int, bool]:
+    """(nodes, capped): >= 8 per radian of ``span``, clipped, scaled by level."""
+    base = int(np.clip(math.ceil(8.0 * span), floor, ceiling))
+    n = int(math.ceil(base * level))
+    if n >= ceiling:
+        return ceiling, True
+    return max(n, floor // 2), False
+
+
+def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, level=1.0):
+    """(values, capped): per u, 2 * integral over r > 0 of K(u, r) e^{i(a r - b r^2)} dr.
+
+    K is the scaled sinc^2 kernel; the 2 folds the mirror particle-label
+    branch onto the detector frame.  Panels follow the sinc zeros; node
+    buckets follow the worst phase excursion over all rows.  The (u,
+    panel, node) tensor is then summed U_ROWS_PER_BLOCK rows at a time.
+    Rows sum independently, so the bits do not change, except in a
+    one-row block: a lone trailing row joins the block before it.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    edges = dist.rel_panel_edges(u)
+    lo_e, hi_e = edges[:, :-1], edges[:, 1:]
+
+    def phase(r):
+        return a_lin * r - b_quad * r * r
+
+    f_lo, f_hi = phase(lo_e), phase(hi_e)
+    top = np.maximum(f_lo, f_hi)
+    bot = np.minimum(f_lo, f_hi)
+    if b_quad > 0.0:
+        vertex = a_lin / (2.0 * b_quad)
+        inside = (lo_e < vertex) & (vertex < hi_e)
+        top = np.where(inside, np.maximum(top, phase(vertex)), top)
+    span = (top - bot).max(axis=0)
+    needed = np.ceil(np.maximum(12, np.ceil(0.7 * span) + 12) * level).astype(int)
+    capped = bool((needed >= PANEL_NODE_CAP).any())
+    buckets = np.minimum(2 ** np.ceil(np.log2(needed)).astype(int), PANEL_NODE_CAP)
+
+    half_width = 0.5 * (hi_e - lo_e)
+    mid = 0.5 * (lo_e + hi_e)
+    result = np.zeros(len(u), dtype=complex)
+    starts = list(range(0, len(u), U_ROWS_PER_BLOCK))
+    if len(starts) > 1 and len(u) - starts[-1] == 1:
+        starts.pop()
+    for rows in map(slice, starts, starts[1:] + [len(u)]):
+        for size in np.unique(buckets):
+            sel = buckets == size
+            gl_x, gl_w = _gauss_legendre(int(size))
+            half = half_width[rows][:, sel][:, :, None]
+            r = mid[rows][:, sel][:, :, None] + half * gl_x
+            kern = dist._scaled_kernel(u[rows, None, None], r)
+            osc = 2.0 * np.exp(1j * phase(r))
+            result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
+    return result, capped
+
+
+def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
+    """(value, capped): integral of f_cm(c) e^{i(a_cm c - b_cm c^2)} G(c^2/4) dc.
+
+    G is _line_values at phase a_rel r - b_rel r^2; momenta in p0, N = 1,
+    no kappa b^2/pi prefactor.  G is sampled at Chebyshev points in u and
+    interpolated onto the c.m. grid: a dozen line integrals, not one per
+    c.m. node.
+    """
+    cm = dist.cm_state
+    cm_mean = cm.mean_p / dist.p0
+    cm_sigma = cm.sigma_p / dist.p0
+    lo = cm_mean - WINDOW_SIGMAS * cm_sigma
+    hi = cm_mean + WINDOW_SIGMAS * cm_sigma
+    u_hi = max(lo * lo, hi * hi) / 4.0
+    u_lo = 0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi) / 4.0
+    u_width = (u_hi - u_lo) if u_hi > u_lo else 1.0
+
+    # G oscillates in u with period 2 pi / kappa
+    kappa = dist.kappa
+    cycles = (u_hi - u_lo) * kappa / (2.0 * math.pi)
+    n_u = int(math.ceil((math.ceil(7.0 * cycles) + 10) * level))
+    k = np.arange(n_u)
+    u_nodes = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * np.cos(
+        math.pi * (2.0 * k + 1.0) / (2.0 * n_u)
+    )
+    g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level=level)
+    x_norm = (2.0 * u_nodes - (u_lo + u_hi)) / u_width
+    coef_re = np.polynomial.chebyshev.chebfit(x_norm, g_vals.real, n_u - 1)
+    coef_im = np.polynomial.chebyshev.chebfit(x_norm, g_vals.imag, n_u - 1)
+
+    span = _quadratic_span(a_cm, b_cm, lo, hi) + kappa * (u_hi - u_lo)
+    n_c, hit = _node_count(span, level, MIN_NODES, MAX_NODES)
+    gl_x, gl_w = _gauss_legendre(n_c)
+    half = WINDOW_SIGMAS * cm_sigma
+    c = cm_mean + half * gl_x
+    xc = (2.0 * (c * c / 4.0) - (u_lo + u_hi)) / u_width
+    g_interp = np.polynomial.chebyshev.chebval(xc, coef_re) + 1j * np.polynomial.chebyshev.chebval(
+        xc, coef_im
+    )
+    f_cm = np.exp(-0.5 * ((c - cm_mean) / cm_sigma) ** 2) / (
+        math.sqrt(2.0 * math.pi) * cm_sigma
+    )
+    phase = np.exp(1j * (a_cm * c - b_cm * c * c))
+    return complex(np.dot(gl_w * half, f_cm * phase * g_interp)), capped or hit
 
 
 def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:

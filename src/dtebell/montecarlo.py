@@ -17,7 +17,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .bell import TSIRELSON_BOUND, BellOutcome, ChshSettings
+from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult
 from .scenario import ValidationError
 
@@ -27,6 +27,7 @@ __all__ = [
     "OUTCOMES",
     "ChshEstimate",
     "CountTable",
+    "EstimateVerdict",
     "InsufficientDataError",
     "RunConfig",
     "estimate_chsh",
@@ -45,6 +46,10 @@ DISCARDED = "Discarded"
 _CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 _MAX_SEED = 2**64
+
+# events drawn per chunk of a pair's stream: run() memory stays bounded
+# for any event count (2**18 BeamSplitter draws are 4 MB)
+EVENT_CHUNK = 2**18
 
 
 class InsufficientDataError(ValidationError):
@@ -115,10 +120,38 @@ class CountTable:
 
 
 @dataclass(frozen=True)
+class EstimateVerdict:
+    """CHSH verdict of a finite sample.
+
+    Unlike BellOutcome, which guards model correlators, it accepts S_hat
+    up to the algebraic maximum 4: a finite sample can fluctuate past the
+    quantum bound, and exceeds_tsirelson says that it did.
+    """
+
+    s_value: float
+    visibility: float
+    settings: ChshSettings
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.s_value <= 4.0:
+            raise ValidationError(f"CHSH estimate {self.s_value} outside [0, 4]")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
+
+    @property
+    def violated(self) -> bool:
+        return self.s_value > 2.0
+
+    @property
+    def exceeds_tsirelson(self) -> bool:
+        return self.s_value > TSIRELSON_BOUND + _TSIRELSON_TOL
+
+
+@dataclass(frozen=True)
 class ChshEstimate:
     """CHSH point estimate with multinomial standard errors."""
 
-    outcome: BellOutcome
+    outcome: EstimateVerdict
     s_value: float
     stderr: float
     e_values: Tuple[float, float, float, float]
@@ -164,26 +197,34 @@ def run(
 ) -> CountTable:
     """Simulate all four setting pairs; deterministic given config.
 
-    Correlator errors (validation, quadrature failures) propagate.
+    Each pair's stream is drawn EVENT_CHUNK events at a time; the chunks
+    consume it exactly as one whole draw would, so the tallies do not
+    depend on the chunk size.  Correlator errors (validation, quadrature
+    failures) propagate.
     """
     counts = []
     discarded = []
     n = config.events_per_setting
     for index, (x, y, _sign) in enumerate(config.settings.pairs()):
-        vec = _probability_vector(correlator(x, y))
+        cum = np.cumsum(_probability_vector(correlator(x, y)))
         rng = pair_rng(config.seed, index)
-        if config.mode == "BeamSplitter":
-            u = rng.random((n, 2))
-            keep = u[:, 0] >= 0.5
-            port_u = u[keep, 1]
-        else:
-            port_u = rng.random(n)
-            keep = np.ones(n, dtype=bool)
-        cum = np.cumsum(vec)
-        idx = np.minimum(np.searchsorted(cum, port_u, side="right"), 3)
-        tally = np.bincount(idx, minlength=4)
-        counts.append(tuple(int(t) for t in tally))
-        discarded.append(int(n - keep.sum()))
+        # at_least[k]: kept events whose port index is k + 1 or more, the
+        # same tally as searchsorted(cum, port_u, side="right")
+        kept = 0
+        at_least = [0, 0, 0]
+        for start in range(0, n, EVENT_CHUNK):
+            size = min(EVENT_CHUNK, n - start)
+            if config.mode == "BeamSplitter":
+                u = rng.random((size, 2))
+                port_u = u[u[:, 0] >= 0.5, 1]
+            else:
+                port_u = rng.random(size)
+            kept += len(port_u)
+            for k in range(3):
+                at_least[k] += int(np.count_nonzero(port_u >= cum[k]))
+        edges = [kept, *at_least, 0]
+        counts.append(tuple(a - b for a, b in zip(edges, edges[1:])))
+        discarded.append(n - kept)
     return CountTable(
         counts=tuple(counts),
         discarded=tuple(discarded),
@@ -201,9 +242,8 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     the pair errors add in quadrature since the streams are independent.
     The outcome's visibility field carries the lower bound S/(2*sqrt(2))
     -- tallies alone cannot resolve the fringe amplitude.  A finite
-    sample can fluctuate past the quantum bound; such an estimate fails
-    BellOutcome validation and raises, flagging either absurd luck or a
-    broken pipeline.
+    sample can fluctuate past the quantum bound; the verdict then flags
+    exceeds_tsirelson instead of raising.
     """
     e_values = []
     variances = []
@@ -222,7 +262,7 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     s_signed = sum(sign * e for sign, e in zip(_CHSH_SIGNS, e_values))
     s_value = abs(s_signed)
     stderr = math.sqrt(sum(variances))
-    outcome = BellOutcome(
+    outcome = EstimateVerdict(
         s_value=s_value,
         visibility=min(1.0, s_value / TSIRELSON_BOUND),
         settings=counts.settings,

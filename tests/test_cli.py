@@ -426,6 +426,24 @@ class TestMonteCarlo:
         summary = parse_csv(out)[-1]
         assert summary["events"] == "300" and summary["seed"] == "9"
 
+    def test_fluctuation_past_tsirelson_exits_0(self):
+        """Five events at seed 15 give S_hat = 3.2 > 2*sqrt(2): a fluke of
+        the sample, reported like any other run."""
+        code, out, err = invoke("montecarlo", "--events", "5", "--seed", "15")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 5 and not any(row["error"] for row in rows)
+        for row in rows:
+            assert row["events"] == "5" and row["switch_mode"] == "Switched"
+        for row in rows[:4]:
+            assert row["discarded"] == "0"
+            counts = [float(row[key]) * 5 for key in ("P_pp", "P_pm", "P_mp", "P_mm")]
+            assert all(abs(c - round(c)) < 1e-6 for c in counts)
+            assert sum(round(c) for c in counts) == 5
+        assert float(rows[4]["S"]) > 2.0 * math.sqrt(2.0)
+        assert float(rows[4]["V"]) == 1.0
+        assert "exceeds 2*sqrt(2)" in err
+
     def test_bad_events_exit_2(self):
         code, _, err = invoke("montecarlo", "--events", "0")
         assert code == 2 and "--events" in err
@@ -483,6 +501,16 @@ class TestFeasibility:
         assert len(line) == 1
         amplitude = float(line[0].split("center: ")[1].split(" ")[0])
         assert 0.6 < amplitude < 1 / math.sqrt(2)
+
+    def test_capped_normalization_exits_1(self, monkeypatch):
+        import dtebell.dissociation as dis
+
+        monkeypatch.setattr(dis, "MAX_LEVEL", 1.0)
+        code, _, err = invoke(
+            "feasibility", "--steps", "3", "--source-model-check"
+        )
+        assert code == 1
+        assert "exceeds 3e-07" in err.splitlines()[-1]
 
     def test_bad_sweep_exits_2(self):
         code, _, err = invoke("feasibility", "--sweep", "field")

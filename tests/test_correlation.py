@@ -576,6 +576,38 @@ def test_feshbach_center_value(fesh, scenario, scales, phi_tau):
     assert res.e_value == pytest.approx(E_FESHBACH_CENTER, rel=1e-6)
 
 
+def test_feshbach_off_centre_peak_memory(fesh, scenario, scales, phi_tau, monkeypatch):
+    """3/8 of a fringe off centre the sinc^2 call climbs to level 2, whose
+    (u, panel, node) tensor must stay blocked."""
+    import tracemalloc
+
+    import dtebell.correlation as corr
+
+    levels = []
+    original = corr._pair_integral
+
+    def recording(*args):
+        levels.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(corr, "_pair_integral", recording)
+    ell1, ell2 = center_lengths(scales, 1.0)
+    shift = scales.lambda_bar_rel * 2.0 * math.pi * 3.0 / 8.0
+    pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    fesh.normalization  # cached before the trace
+    tracemalloc.start()
+    try:
+        res = correlate_quadrature(
+            pair, InterferometerSetting(ell=ell1 + shift), InterferometerSetting(ell=ell2)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(levels) == 2.0
+    assert res.quadrature_error_estimate < 1e-6
+    assert peak < 150 * 2**20
+
+
 def test_feshbach_vs_uniform_simpson(fesh, scenario):
     """Independent oracle for the panel scheme: uniform Simpson in r."""
     from scipy.integrate import simpson

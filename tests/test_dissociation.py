@@ -206,10 +206,41 @@ class TestLazyNormalization:
         assert peak < 100 * 2**20
 
     def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
+        # zero phase: the line values the normalization integrates
         u = np.linspace(0.0, 3e-3, 11)
-        blocked = dist._rel_integral(u, 24)
+        blocked, _ = dis._line_values(dist, u, 0.0, 0.0)
         monkeypatch.setattr(dis, "U_ROWS_PER_BLOCK", len(u))
-        np.testing.assert_array_equal(blocked, dist._rel_integral(u, 24))
+        np.testing.assert_array_equal(blocked, dis._line_values(dist, u, 0.0, 0.0)[0])
+
+    @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_u", [6, 7, 12, 24])
+    def test_blocked_interference_matches_one_block(self, dist, monkeypatch, n_u, level):
+        # a tenth of the bundled fringe-centre phase a r - b r^2 still mixes
+        # node buckets of 8 to 256 at a tenth of the cost; n_u = 7 ends
+        # on a lone row, which must join the block before it
+        u = np.linspace(0.0, 3e-3, n_u)
+        a_lin, b_quad = 542.3, 271.0
+        blocked, _ = dis._line_values(dist, u, a_lin, b_quad, level)
+        monkeypatch.setattr(dis, "U_ROWS_PER_BLOCK", n_u)
+        one_block, _ = dis._line_values(dist, u, a_lin, b_quad, level)
+        np.testing.assert_array_equal(blocked, one_block)
+
+    def test_normalization_matches_reference(self, dist):
+        # value of the former 48 -> 96 row outer Gauss-Legendre scheme
+        assert abs(dist.normalization - 0.9995039728673273) < dist.norm_error_estimate
+
+    def test_capped_normalization_raises(self, scenario, monkeypatch):
+        import dtebell
+        from dtebell import correlation
+
+        assert correlation.QuadratureError is dis.QuadratureError
+        assert dtebell.QuadratureError is dis.QuadratureError
+        # levels 0.5 and 1 disagree by ~1e-3, so a cap at level 1 must raise
+        monkeypatch.setattr(dis, "MAX_LEVEL", 1.0)
+        fresh = dis.distribution_from_scenario(scenario)
+        with pytest.raises(dis.QuadratureError) as excinfo:
+            fresh.normalization
+        assert excinfo.value.estimate > dis.NORM_TARGET
 
 
 class TestGaussianApproximation:

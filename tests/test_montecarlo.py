@@ -1,6 +1,7 @@
 """Finite-statistics run simulation and CHSH estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from dtebell.bell import (
 )
 from dtebell.correlation import CorrelationResult
 from dtebell.dissociation import distribution_from_scenario, gaussian_approximation, phi_tau
+import dtebell.montecarlo as mc
 from dtebell.montecarlo import (
     DISCARDED,
+    MODES,
     OUTCOMES,
     ChshEstimate,
     CountTable,
@@ -201,6 +204,35 @@ def test_run_matches_sequential_sampler():
             assert dropped == table.discarded[i]
 
 
+def _one_shot_tallies(correlator, config):
+    """Each pair's whole stream in one draw, tallied by searchsorted."""
+    counts, discarded = [], []
+    n = config.events_per_setting
+    for index, (x, y, _sign) in enumerate(config.settings.pairs()):
+        cum = np.cumsum([correlator(x, y).p[outcome] for outcome in OUTCOMES])
+        rng = pair_rng(config.seed, index)
+        if config.mode == "BeamSplitter":
+            u = rng.random((n, 2))
+            port_u = u[u[:, 0] >= 0.5, 1]
+        else:
+            port_u = rng.random(n)
+        idx = np.minimum(np.searchsorted(cum, port_u, side="right"), 3)
+        counts.append(tuple(int(t) for t in np.bincount(idx, minlength=4)))
+        discarded.append(n - len(port_u))
+    return tuple(counts), tuple(discarded)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("chunk", [1000, mc.EVENT_CHUNK])
+def test_chunked_run_matches_one_shot(reference_setup, monkeypatch, mode, chunk):
+    correlator, chsh_settings, _ = reference_setup
+    monkeypatch.setattr(mc, "EVENT_CHUNK", chunk)
+    # a ragged last chunk of 3 events
+    config = RunConfig(2 * chunk + 3, 5, mode, chsh_settings)
+    table = run(correlator, config)
+    assert (table.counts, table.discarded) == _one_shot_tallies(correlator, config)
+
+
 def test_run_propagates_correlator_errors():
     def failing(_x, _y):
         raise ValidationError("broken correlator")
@@ -233,8 +265,8 @@ def test_estimate_insufficient_data():
         estimate_chsh(table)
 
 
-def test_estimate_beyond_quantum_bound_raises():
-    # a fluke sample outside the quantum range fails outcome validation
+def test_estimate_beyond_quantum_bound_flagged():
+    # a fluke sample outside the quantum range is flagged, not rejected
     table = CountTable(
         counts=((5, 0, 0, 0), (0, 5, 0, 0), (5, 0, 0, 0), (5, 0, 0, 0)),
         discarded=(0,) * 4,
@@ -242,8 +274,12 @@ def test_estimate_beyond_quantum_bound_raises():
         mode="Switched",
         settings=TEXTBOOK,
     )
-    with pytest.raises(ValidationError):
-        estimate_chsh(table)
+    estimate = estimate_chsh(table)
+    assert estimate.s_value == 4.0
+    assert estimate.outcome.exceeds_tsirelson and estimate.outcome.violated
+    assert estimate.outcome.visibility == 1.0
+    with pytest.raises(ValidationError):  # beyond the algebraic maximum
+        replace(estimate.outcome, s_value=4.5)
 
 
 def test_spin_textbook_run_estimate():
@@ -339,11 +375,10 @@ def test_estimator_algebra(rows):
         (row[0] + row[3] - row[1] - row[2]) / sum(row) for row in rows
     ]
     s_expected = abs(e_expected[0] - e_expected[1] + e_expected[2] + e_expected[3])
-    if s_expected > TSIRELSON_BOUND + 1e-9:
-        with pytest.raises(ValidationError):
-            estimate_chsh(table)
-        return
     estimate = estimate_chsh(table)
+    assert estimate.outcome.exceeds_tsirelson == (s_expected > TSIRELSON_BOUND + 1e-9)
+    assert estimate.outcome.violated == (s_expected > 2.0)
+    assert estimate.outcome.visibility == min(1.0, s_expected / TSIRELSON_BOUND)
     assert estimate.e_values == tuple(e_expected)
     assert estimate.s_value == s_expected
     assert estimate.stderr == pytest.approx(
