@@ -26,11 +26,11 @@ from .dissociation import (
     GaussianMode,
     GaussianPair,
     QuadratureError,
+    _converge,
     _gauss_legendre,
     _node_count,
     _pair_integral,
     _quadratic_span,
-    converge,
 )
 from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
 
@@ -371,7 +371,7 @@ def correlate_quadrature(
     def estimate_for(a, b):
         return 0.25 * abs(a - b) + 0.25 * tail + 1e-12
 
-    fine, estimate = converge(compute, estimate_for, P_TARGET, float(2**refine))
+    fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine))
     e_interference = float(np.real(phase_ref * fine))
     return _result_from_interference(
         e_interference, s1.theta, s2.theta, "Quadrature", estimate

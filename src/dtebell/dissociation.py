@@ -267,7 +267,7 @@ class FeshbachDistribution:
             value, capped = _pair_integral(self, 0.0, 0.0, 0.0, 0.0, level)
             return pref * value.real, capped
 
-        raw, err = converge(compute, lambda fine, coarse: abs(fine - coarse), NORM_TARGET)
+        raw, err = _converge(compute, lambda fine, coarse: abs(fine - coarse), NORM_TARGET)
         return raw, err + self.tail_bound() * raw
 
     # -- public evaluation --------------------------------------------------
@@ -296,7 +296,7 @@ def feshbach_density(dist: FeshbachDistribution, p_cm, p_rel):
 # quadrature shared by the normalization and the correlation routes
 
 
-def converge(compute, estimate_for, target: float, level: float = 1.0):
+def _converge(compute, estimate_for, target: float, level: float = 1.0):
     """Double the level until estimate_for(pass, half-level pass) <= target.
 
     ``compute(level)`` returns (value, capped).  Returns (value, estimate);
