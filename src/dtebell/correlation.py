@@ -340,8 +340,12 @@ def correlate_quadrature(
     is the real part of the phase-weighted distribution average against
     exp(-i phi_tau).
 
-    ``refine`` forces that many extra node doublings beyond the adaptive
-    schedule (testing hook for the self-consistency property).
+    ``quadrature_error_estimate`` bounds the error of the returned
+    probabilities: a quarter of the difference to the half-level pass,
+    rate-corrected when that alone misses P_TARGET, plus the truncated
+    tail mass and a rounding floor.  ``refine`` forces that many extra
+    node doublings beyond the adaptive schedule (testing hook for the
+    self-consistency property).
     """
     dist = pair.distribution
     if isinstance(dist, GaussianPairDistribution):
@@ -368,10 +372,10 @@ def correlate_quadrature(
     phase_ref = np.exp(-1j * pair.phi_tau)
 
     # the 1e-12 floor covers double-precision summation noise
-    def estimate_for(a, b):
-        return 0.25 * abs(a - b) + 0.25 * tail + 1e-12
+    def estimate_for(error):
+        return 0.25 * error + 0.25 * tail + 1e-12
 
-    fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine))
+    fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine), rate=True)
     e_interference = float(np.real(phase_ref * fine))
     return _result_from_interference(
         e_interference, s1.theta, s2.theta, "Quadrature", estimate

@@ -227,7 +227,7 @@ class FeshbachDistribution:
 
     # -- quadrature scaffolding --------------------------------------------
 
-    def rel_panel_edges(self, u, n_extra: int = 0):
+    def rel_panel_edges(self, u):
         """Panel edges in r > 0 aligned with the sinc zeros x = k*pi.
 
         ``u`` is an array of c^2/4 values; returns edges of shape
@@ -267,7 +267,7 @@ class FeshbachDistribution:
             value, capped = _pair_integral(self, 0.0, 0.0, 0.0, 0.0, level)
             return pref * value.real, capped
 
-        raw, err = _converge(compute, lambda fine, coarse: abs(fine - coarse), NORM_TARGET)
+        raw, err = _converge(compute, lambda error: error, NORM_TARGET)
         return raw, err + self.tail_bound() * raw
 
     # -- public evaluation --------------------------------------------------
@@ -296,18 +296,32 @@ def feshbach_density(dist: FeshbachDistribution, p_cm, p_rel):
 # quadrature shared by the normalization and the correlation routes
 
 
-def _converge(compute, estimate_for, target: float, level: float = 1.0):
-    """Double the level until estimate_for(pass, half-level pass) <= target.
+def _converge(compute, estimate_for, target: float, level: float = 1.0, rate: bool = False):
+    """Double the level until estimate_for(error) <= target.
 
-    ``compute(level)`` returns (value, capped).  Returns (value, estimate);
-    raises QuadratureError on a capped pass or past MAX_LEVEL times the
-    starting level, so a node ceiling never masquerades as convergence.
+    ``compute(level)`` returns (value, capped); ``error`` is the
+    difference between the pass at ``level`` and the half-level pass.
+    With ``rate`` that difference is rate-corrected (_rate_corrected)
+    when it misses the target on an uncapped pass; at the starting level
+    this costs one quarter-level pass, after that the previous doubling
+    supplies the rate.  Returns (value, estimate); raises QuadratureError
+    on a capped pass or past MAX_LEVEL times the starting level, so a
+    node ceiling never masquerades as convergence.
     """
     ceiling = MAX_LEVEL * level
     coarse, _ = compute(0.5 * level)
     fine, capped = compute(level)
-    estimate = estimate_for(fine, coarse)
-    while estimate > target:
+    previous = None  # |coarse - the pass below it|, once known
+    while True:
+        error = abs(fine - coarse)
+        estimate = estimate_for(error)
+        if rate and estimate > target and not capped:
+            if previous is None:
+                coarser, _ = compute(0.25 * level)
+                previous = abs(coarse - coarser)
+            estimate = estimate_for(_rate_corrected(error, previous))
+        if estimate <= target:
+            return fine, estimate
         if capped or level >= ceiling:
             raise QuadratureError(
                 f"quadrature error estimate {estimate:.3e} exceeds {target:.0e} "
@@ -315,10 +329,22 @@ def _converge(compute, estimate_for, target: float, level: float = 1.0):
                 estimate=estimate,
             )
         level *= 2.0
-        coarse = fine
+        coarse, previous = fine, error
         fine, capped = compute(level)
-        estimate = estimate_for(fine, coarse)
-    return fine, estimate
+
+
+def _rate_corrected(error: float, previous: float) -> float:
+    """Error of the finer of two passes whose difference is ``error``.
+
+    ``previous`` is the difference one doubling earlier.  If each later
+    difference shrinks by at least rho = error/previous, their sum, the
+    error left in the finer pass, is error * rho/(1 - rho).  Passes that
+    contract by less than half (or not at all) keep the plain
+    difference, so the correction never raises an estimate.
+    """
+    if error < 0.5 * previous:
+        return error * error / (previous - error)
+    return error
 
 
 def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:

@@ -149,7 +149,8 @@ class EstimateVerdict:
 
 @dataclass(frozen=True)
 class ChshEstimate:
-    """CHSH point estimate with multinomial standard errors."""
+    """CHSH point estimate with multinomial standard errors (Wilson-score
+    at a pair whose E_hat is +-1; see estimate_chsh)."""
 
     outcome: EstimateVerdict
     s_value: float
@@ -240,6 +241,9 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     E_hat = (n_pp + n_mm - n_pm - n_mp) / n_kept per pair, combined with
     the CHSH signs; var(E_hat) = (1 - E_hat^2)/n_kept (multinomial), and
     the pair errors add in quadrature since the streams are independent.
+    That variance vanishes at E_hat = +-1, so there the standard error is
+    the distance 2/(n_kept + 1) from E_hat to the far end of the z = 1
+    Wilson (1927) score interval for p = (1 + E)/2.
     The outcome's visibility field carries the lower bound S/(2*sqrt(2))
     -- tallies alone cannot resolve the fringe amplitude.  A finite
     sample can fluctuate past the quantum bound; the verdict then flags
@@ -257,7 +261,10 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
             )
         e_hat = (n_pp + n_mm - n_pm - n_mp) / kept
         e_values.append(e_hat)
-        variances.append((1.0 - e_hat * e_hat) / kept)
+        if abs(e_hat) == 1.0:
+            variances.append((2.0 / (kept + 1)) ** 2)
+        else:
+            variances.append((1.0 - e_hat * e_hat) / kept)
         kept_list.append(kept)
     s_signed = sum(sign * e for sign, e in zip(_CHSH_SIGNS, e_values))
     s_value = abs(s_signed)

@@ -444,6 +444,15 @@ class TestMonteCarlo:
         assert float(rows[4]["V"]) == 1.0
         assert "exceeds 2*sqrt(2)" in err
 
+    def test_degenerate_pair_has_wilson_stderr(self):
+        """Both a' pairs of seed 15 tally E = 1 from 5 events; their
+        stderr is 2/(5 + 1), not the 0 of (1 - E^2)/n."""
+        code, out, _ = invoke("montecarlo", "--events", "5", "--seed", "15")
+        assert code == 0
+        for line in out.splitlines()[3:5]:
+            assert line.startswith("montecarlo_a_prime_b")
+            assert line.split(",")[-2] == "0.3333333333333333"
+
     def test_bad_events_exit_2(self):
         code, _, err = invoke("montecarlo", "--events", "0")
         assert code == 2 and "--events" in err

@@ -576,36 +576,105 @@ def test_feshbach_center_value(fesh, scenario, scales, phi_tau):
     assert res.e_value == pytest.approx(E_FESHBACH_CENTER, rel=1e-6)
 
 
-def test_feshbach_off_centre_peak_memory(fesh, scenario, scales, phi_tau, monkeypatch):
-    """3/8 of a fringe off centre the sinc^2 call climbs to level 2, whose
-    (u, panel, node) tensor must stay blocked."""
-    import tracemalloc
-
+def _record_passes(monkeypatch, name):
+    """Log {level: value} of every pass made through correlation.<name>,
+    a (value, capped) function that takes the level last."""
     import dtebell.correlation as corr
 
-    levels = []
-    original = corr._pair_integral
+    passes = {}
+    original = getattr(corr, name)
 
     def recording(*args):
-        levels.append(args[-1])
-        return original(*args)
+        value, capped = original(*args)
+        passes[args[-1]] = value
+        return value, capped
 
-    monkeypatch.setattr(corr, "_pair_integral", recording)
+    monkeypatch.setattr(corr, name, recording)
+    return passes
+
+
+def _sinc2_settings(scales, eighths):
+    """Settings ``eighths`` of a fringe off the envelope centre, tau = 1 s."""
     ell1, ell2 = center_lengths(scales, 1.0)
-    shift = scales.lambda_bar_rel * 2.0 * math.pi * 3.0 / 8.0
+    shift = scales.lambda_bar_rel * 2.0 * math.pi * eighths / 8.0
+    return InterferometerSetting(ell=ell1 + shift), InterferometerSetting(ell=ell2)
+
+
+@pytest.fixture(scope="module")
+def sinc2_level2(fesh, scenario, scales, phi_tau):
+    """Sinc^2 calls forced to level 2 (refine=1) at the fringe centre and
+    3/8 fringe off it: {eighths: (result, {level: pass}, traced peak)}."""
+    import tracemalloc
+
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     fesh.normalization  # cached before the trace
-    tracemalloc.start()
-    try:
-        res = correlate_quadrature(
-            pair, InterferometerSetting(ell=ell1 + shift), InterferometerSetting(ell=ell2)
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert max(levels) == 2.0
+    calls = {}
+    for eighths in (0, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            passes = _record_passes(mp, "_pair_integral")
+            tracemalloc.start()
+            try:
+                res = correlate_quadrature(pair, *_sinc2_settings(scales, eighths), refine=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        calls[eighths] = (res, passes, peak)
+    return calls
+
+
+def test_feshbach_off_centre_peak_memory(sinc2_level2):
+    """A level-2 sinc^2 call 3/8 of a fringe off centre: its (u, panel,
+    node) tensor must stay blocked."""
+    res, passes, peak = sinc2_level2[3]
+    assert max(passes) == 2.0
     assert res.quadrature_error_estimate < 1e-6
     assert peak < 150 * 2**20
+
+
+def _assert_estimate_describes(res, reference, passes, tail):
+    """The estimate bounds the distance to a finer reference and is no
+    larger than the pass-difference estimate of the returned pass."""
+    for key in SIGN_PAIRS:
+        assert abs(res.p[key] - reference.p[key]) <= res.quadrature_error_estimate
+    level = max(passes)
+    plain = 0.25 * abs(passes[level] - passes[0.5 * level]) + 0.25 * tail + 1e-12
+    assert res.quadrature_error_estimate <= plain
+
+
+@pytest.mark.parametrize("eighths", [0, 3])
+def test_feshbach_estimate_describes_returned_pass(
+    fesh, scenario, scales, phi_tau, sinc2_level2, eighths, monkeypatch
+):
+    pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    passes = _record_passes(monkeypatch, "_feshbach_interference")
+    res = correlate_quadrature(pair, *_sinc2_settings(scales, eighths))
+    # level 1 has converged; only a quarter-level pass may be added
+    assert max(passes) == 1.0
+    _assert_estimate_describes(res, sinc2_level2[eighths][0], passes, fesh.tail_bound())
+
+
+@pytest.mark.parametrize(
+    "d1, d2, tau",
+    [
+        (0.0, 0.0, 1.0),
+        (8.0e-7, 0.0, 1.0),
+        (2.0e-6, 0.0, 1.0),
+        (1.0e-6, -3.0e-6, 1.0),
+        (0.0, 1.5e-6, 0.4),
+        (-4.0e-6, 2.5e-6, 1.7),
+    ],
+)
+def test_gaussian_estimate_describes_returned_pass(
+    gdist, scenario, scales, phi_tau, d1, d2, tau, monkeypatch
+):
+    s1 = InterferometerSetting(ell=0.5 * tau * scales.v_rel + d1)
+    s2 = InterferometerSetting(ell=-0.5 * tau * scales.v_rel + d2)
+    pair = DtePair(distribution=gdist, tau=tau, phi_tau=phi_tau, species=scenario.species)
+    reference = correlate_quadrature(pair, s1, s2, refine=2)
+    passes = _record_passes(monkeypatch, "_gaussian_interference")
+    res = correlate_quadrature(pair, s1, s2)
+    tail = 2.0 * math.erfc(8.5 / math.sqrt(2.0))
+    _assert_estimate_describes(res, reference, passes, tail)
 
 
 def test_feshbach_vs_uniform_simpson(fesh, scenario):

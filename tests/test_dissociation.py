@@ -243,6 +243,58 @@ class TestLazyNormalization:
         assert excinfo.value.estimate > dis.NORM_TARGET
 
 
+class TestConverge:
+    """The doubling loop on synthetic passes {level: value}."""
+
+    @staticmethod
+    def run(values, target, rate, capped_from=math.inf):
+        levels = []
+
+        def compute(level):
+            levels.append(level)
+            return values[level], level >= capped_from
+
+        value, estimate = dis._converge(compute, lambda error: error, target, rate=rate)
+        return value, estimate, levels
+
+    # differences 1e-4, 1e-6, 1e-8: each doubling shrinks by rho = 1e-2
+    FAST = {0.25: 1.0 + 1.0101e-4, 0.5: 1.0 + 1.01e-6, 1.0: 1.0 + 1e-8, 2.0: 1.0}
+
+    def test_rate_stops_at_the_converged_pass(self):
+        value, estimate, levels = self.run(self.FAST, 5e-7, rate=True)
+        assert value == self.FAST[1.0] and levels == [0.5, 1.0, 0.25]
+        # 1e-6 * rho / (1 - rho), up to the rounding of the passes
+        assert estimate == pytest.approx(1e-6 / 99.0, rel=1e-6)
+        # the rate-corrected estimate still bounds the true error of L1
+        assert estimate >= self.FAST[1.0] - 1.0
+
+    def test_plain_difference_without_rate(self):
+        value, estimate, levels = self.run(self.FAST, 5e-7, rate=False)
+        assert value == self.FAST[2.0] and levels == [0.5, 1.0, 2.0]
+        assert estimate == pytest.approx(1e-8, rel=1e-6)
+
+    def test_no_quarter_pass_when_the_plain_difference_suffices(self):
+        value, estimate, levels = self.run(self.FAST, 2e-6, rate=True)
+        assert levels == [0.5, 1.0] and estimate == abs(self.FAST[1.0] - self.FAST[0.5])
+
+    def test_passes_that_do_not_contract_keep_the_plain_difference(self):
+        # differences 1e-6, 1e-6, 1e-9: rho = 1 at level 1, so it escalates
+        slow = {0.25: 1.0 - 1e-6, 0.5: 1.0, 1.0: 1.0 + 1e-6, 2.0: 1.0 + 1.001e-6}
+        value, estimate, levels = self.run(slow, 5e-10, rate=True)
+        assert value == slow[2.0] and levels == [0.5, 1.0, 0.25, 2.0]
+        # at level 2 the level-1 difference supplies rho = 1e-3
+        assert estimate == pytest.approx(1e-9 * 1e-3 / (1.0 - 1e-3), rel=1e-3)
+
+    def test_capped_pass_is_never_rate_corrected(self):
+        with pytest.raises(dis.QuadratureError) as excinfo:
+            self.run(self.FAST, 5e-7, rate=True, capped_from=1.0)
+        assert excinfo.value.estimate == abs(self.FAST[1.0] - self.FAST[0.5])
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_correction_never_raises_the_difference(self, error, previous):
+        assert 0.0 <= dis._rate_corrected(error, previous) <= error
+
+
 class TestGaussianApproximation:
     def test_matches_scenario_scales(self, scenario, dist):
         pair = dis.gaussian_approximation(dist)

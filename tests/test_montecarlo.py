@@ -249,7 +249,9 @@ def test_estimate_all_plus_plus():
     estimate = estimate_chsh(table)
     assert estimate.e_values == (1.0, 1.0, 1.0, 1.0)
     assert estimate.s_value == 2.0  # |1 - 1 + 1 + 1|
-    assert estimate.stderr == 0.0
+    # E_hat = 1 is not exact: 2/(n + 1) from the z = 1 Wilson interval
+    assert estimate.e_stderr == (0.25,) * 4
+    assert estimate.stderr == 0.5
     assert not estimate.outcome.violated
 
 
@@ -381,10 +383,11 @@ def test_estimator_algebra(rows):
     assert estimate.outcome.visibility == min(1.0, s_expected / TSIRELSON_BOUND)
     assert estimate.e_values == tuple(e_expected)
     assert estimate.s_value == s_expected
-    assert estimate.stderr == pytest.approx(
-        math.sqrt(sum((1 - e * e) / sum(row) for e, row in zip(e_expected, rows))),
-        rel=1e-12,
-    )
+    variances = [
+        (2.0 / (sum(row) + 1)) ** 2 if abs(e) == 1.0 else (1 - e * e) / sum(row)
+        for e, row in zip(e_expected, rows)
+    ]
+    assert estimate.stderr == pytest.approx(math.sqrt(sum(variances)), rel=1e-12)
     assert all(-1.0 <= e <= 1.0 for e in estimate.e_values)
 
 
