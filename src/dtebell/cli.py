@@ -50,8 +50,8 @@ from .correlation import (
     GaussianPairDistribution,
     InterferometerSetting,
     QuadratureError,
+    _closed_form_result,
     closed_form_parts,
-    correlate_closed_form,
     correlate_quadrature,
 )
 from .dissociation import (
@@ -448,12 +448,10 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
         ell2 = row["ell2_um"] * 1e-6
         species = tools.scenario.species
         if method == "closed":
-            result = correlate_closed_form(
+            prefactor, envelope, phase, _ = closed_form_parts(
                 tools.gaussians, species, tools.tau, tools.pulse_phase, ell1, ell2
             )
-            prefactor, envelope, _, _ = closed_form_parts(
-                tools.gaussians, species, tools.tau, tools.pulse_phase, ell1, ell2
-            )
+            result = _closed_form_result(prefactor, envelope, phase)
             row["V"] = prefactor * envelope
         else:
             pair = DtePair(

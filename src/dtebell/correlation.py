@@ -31,6 +31,7 @@ from .dissociation import (
     _node_count,
     _pair_integral,
     _quadratic_span,
+    _tail_cut,
 )
 from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
 
@@ -343,7 +344,11 @@ def correlate_quadrature(
     ``quadrature_error_estimate`` bounds the error of the returned
     probabilities: a quarter of the difference to the half-level pass,
     rate-corrected when that alone misses P_TARGET, plus the truncated
-    tail mass and a rounding floor.  ``refine`` forces that many extra
+    tail mass and a rounding floor.  On the sinc^2 route the tail term
+    also carries the bound of dissociation._tail_cut: each line integral
+    stops where its phase has no stationary point left, and that
+    non-stationary-phase bound on the dropped part (at most an eighth of
+    the envelope tail) is charged here.  ``refine`` forces that many extra
     node doublings beyond the adaptive schedule (testing hook for the
     self-consistency property).
     """
@@ -367,7 +372,7 @@ def correlate_quadrature(
         tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
     else:
         compute = lambda level: _feshbach_interference(dist, units, m_int, sl_int, dl_int, level)
-        tail = dist.tail_bound()
+        tail = dist.tail_bound() + _tail_cut(dist, dl_int, 1.0 / m_int)[1]
 
     phase_ref = np.exp(-1j * pair.phi_tau)
 
@@ -456,6 +461,11 @@ def correlate_closed_form(
     prefactor, envelope, phase, _ = closed_form_parts(
         gaussians, species, tau, phi_tau, ell1, ell2
     )
+    return _closed_form_result(prefactor, envelope, phase)
+
+
+def _closed_form_result(prefactor: float, envelope: float, phase: float) -> CorrelationResult:
+    """Closed-form result at theta = pi/4 from closed_form_parts."""
     e_interference = prefactor * envelope * math.cos(phase)
     return _result_from_interference(
         e_interference, math.pi / 4.0, math.pi / 4.0, "ClosedForm", 0.0

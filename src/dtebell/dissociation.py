@@ -366,7 +366,7 @@ def _node_count(span: float, level: float, floor: int, ceiling: int) -> tuple[in
     return max(n, floor // 2), False
 
 
-def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, level=1.0):
+def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     """(values, capped): per u, 2 * integral over r > 0 of K(u, r) e^{i(a r - b r^2)} dr.
 
     K is the scaled sinc^2 kernel; the 2 folds the mirror particle-label
@@ -375,9 +375,17 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
     panel, node) tensor is then summed U_ROWS_PER_BLOCK rows at a time.
     Rows sum independently, so the bits do not change, except in a
     one-row block: a lone trailing row joins the block before it.
+
+    With ``r_cut`` (from _tail_cut) the integral stops at r = r_cut:
+    panel edges are clipped there and panels wholly above it are not
+    evaluated.  Without it the line runs to the truncation edge r_hi.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     edges = dist.rel_panel_edges(u)
+    if r_cut is not None:
+        # edges ascend along each row, so the kept panels are a prefix
+        kept = int((edges[:, :-1] < r_cut).any(axis=0).sum())
+        edges = np.minimum(edges[:, : kept + 1], r_cut)
     lo_e, hi_e = edges[:, :-1], edges[:, 1:]
 
     def phase(r):
@@ -413,37 +421,110 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
     return result, capped
 
 
-def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
-    """(value, capped): integral of f_cm(c) e^{i(a_cm c - b_cm c^2)} G(c^2/4) dc.
-
-    G is _line_values at phase a_rel r - b_rel r^2; momenta in p0, N = 1,
-    no kappa b^2/pi prefactor.  G is sampled at Chebyshev points in u and
-    interpolated onto the c.m. grid: a dozen line integrals, not one per
-    c.m. node.
-    """
-    cm = dist.cm_state
-    cm_mean = cm.mean_p / dist.p0
-    cm_sigma = cm.sigma_p / dist.p0
+def _cm_window(dist: FeshbachDistribution):
+    """(lo, hi, u_lo, u_hi, rows): the c.m. window in c = p_cm/p0, its
+    range in u = c^2/4, and the Chebyshev rows in u per unit level."""
+    cm_mean = dist.cm_state.mean_p / dist.p0
+    cm_sigma = dist.cm_state.sigma_p / dist.p0
     lo = cm_mean - WINDOW_SIGMAS * cm_sigma
     hi = cm_mean + WINDOW_SIGMAS * cm_sigma
     u_hi = max(lo * lo, hi * hi) / 4.0
     u_lo = 0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi) / 4.0
+    # G oscillates in u with period 2 pi / kappa
+    cycles = (u_hi - u_lo) * dist.kappa / (2.0 * math.pi)
+    return lo, hi, u_lo, u_hi, math.ceil(7.0 * cycles) + 10
+
+
+def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
+    """(R or None, bound): where the line integrals of a pass at ``level``
+    stop for the phase a r - b r^2, and what stopping costs the
+    interference value (normalized, kappa b^2/pi prefactor included).
+
+    With sinc^2 x = (1 - cos 2x)/(2 x^2) the integrand is a sum of
+    h(r) e^{i psi_j(r)}, weights 1, 1/2, 1/2, where h = 1/(2 x^2 (x/kappa
+    + b_env)^2) and psi_j = a r - b r^2 + {0, +2x, -2x}; each psi_j' is
+    linear in r.  Past an R where x > 0 and every |psi_j'| is nonzero
+    and nondecreasing, h/|psi_j'| decreases and integration by parts
+    gives |integral from R of h e^{i psi_j}| <= 2 h(R)/|psi_j'(R)|
+    (non-stationary phase; Stein, Harmonic Analysis, 1993, ch. VIII).
+    psi_j' does not depend on u and h is largest at the window's u_lo,
+    so that row bounds every row.  The label fold (2), the prefactor
+    N kappa b_env^2/pi and the Lebesgue constant (2/pi) ln(n + 1) + 1 of
+    the pass's n Chebyshev rows in u carry it to the interference value;
+    the c.m. weights sum to the Gaussian's window mass, one to rounding.
+
+    R is the smallest admissible radius whose bound is at most an eighth
+    of tail_bound(), so every pass, at any level, stays within that
+    eighth: it is the returned ``bound`` whenever the phase admits a cut,
+    even where this level's bound at r_hi misses it and R is None.  With
+    no admissible radius (for example at zero phase) nothing is cut and
+    the result is (None, 0.0).
+    """
+    kappa, b_env = dist.kappa, dist.b
+    _, _, u_lo, _, rows = _cm_window(dist)
+    r_lo = math.sqrt(max(0.0, 1.0 - u_lo))  # x > 0 above it
+    slopes = (-2.0 * b, -2.0 * b + 4.0 * kappa, -2.0 * b - 4.0 * kappa)
+    for slope in slopes:
+        if slope == 0.0:
+            if a == 0.0:
+                return None, 0.0
+        else:
+            # |a + slope r| grows from zero at r = -a/slope on
+            r_lo = max(r_lo, -a / slope)
+    r_hi = dist.r_hi(u_lo)
+    if r_lo >= r_hi:
+        return None, 0.0
+
+    lebesgue = 2.0 / math.pi * math.log(math.ceil(rows * level) + 1.0) + 1.0
+    # 4: the label fold times the 2 of integration by parts
+    scale = 4.0 * dist.normalization * kappa * b_env**2 / math.pi * lebesgue
+
+    def bound(r):
+        x = kappa * (u_lo + r * r - 1.0)
+        h = 1.0 / (2.0 * x * x * (x / kappa + b_env) ** 2)
+        return scale * h * sum(w / abs(a + s * r) for w, s in zip((1.0, 0.5, 0.5), slopes))
+
+    target = 0.125 * dist.tail_bound()
+    if bound(r_hi) > target:
+        return None, target
+    # the bound decreases on (r_lo, r_hi]: bisect for its smallest passing radius
+    for _ in range(64):
+        mid = 0.5 * (r_lo + r_hi)
+        if not r_lo < mid < r_hi:
+            break
+        if bound(mid) <= target:
+            r_hi = mid
+        else:
+            r_lo = mid
+    return r_hi, target
+
+
+def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
+    """(value, capped): integral of f_cm(c) e^{i(a_cm c - b_cm c^2)} G(c^2/4) dc.
+
+    G is _line_values at phase a_rel r - b_rel r^2, cut where _tail_cut
+    allows; momenta in p0, N = 1, no kappa b^2/pi prefactor.  G is
+    sampled at Chebyshev points in u and interpolated onto the c.m.
+    grid: a dozen line integrals, not one per c.m. node.
+    """
+    cm = dist.cm_state
+    cm_mean = cm.mean_p / dist.p0
+    cm_sigma = cm.sigma_p / dist.p0
+    lo, hi, u_lo, u_hi, rows = _cm_window(dist)
     u_width = (u_hi - u_lo) if u_hi > u_lo else 1.0
 
-    # G oscillates in u with period 2 pi / kappa
-    kappa = dist.kappa
-    cycles = (u_hi - u_lo) * kappa / (2.0 * math.pi)
-    n_u = int(math.ceil((math.ceil(7.0 * cycles) + 10) * level))
+    n_u = int(math.ceil(rows * level))
     k = np.arange(n_u)
     u_nodes = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * np.cos(
         math.pi * (2.0 * k + 1.0) / (2.0 * n_u)
     )
-    g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level=level)
+    r_cut, _ = _tail_cut(dist, a_rel, b_rel, level)
+    g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level, r_cut)
     x_norm = (2.0 * u_nodes - (u_lo + u_hi)) / u_width
     coef_re = np.polynomial.chebyshev.chebfit(x_norm, g_vals.real, n_u - 1)
     coef_im = np.polynomial.chebyshev.chebfit(x_norm, g_vals.imag, n_u - 1)
 
-    span = _quadratic_span(a_cm, b_cm, lo, hi) + kappa * (u_hi - u_lo)
+    span = _quadratic_span(a_cm, b_cm, lo, hi) + dist.kappa * (u_hi - u_lo)
     n_c, hit = _node_count(span, level, MIN_NODES, MAX_NODES)
     gl_x, gl_w = _gauss_legendre(n_c)
     half = WINDOW_SIGMAS * cm_sigma

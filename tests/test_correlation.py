@@ -28,6 +28,7 @@ from dtebell.correlation import (
 from dtebell.dissociation import (
     GaussianMode,
     GaussianPair,
+    _tail_cut,
     distribution_from_scenario,
     gaussian_approximation,
 )
@@ -331,6 +332,82 @@ def test_quadrature_matches_closed_form_center(gdist, gaussians, scenario, scale
     assert quad.quadrature_error_estimate < 1e-6
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-9)
+
+
+def _uncut(monkeypatch):
+    import dtebell.dissociation as dis
+
+    monkeypatch.setattr(dis, "_tail_cut", lambda *args: (None, 0.0))
+
+
+@pytest.mark.parametrize(
+    "tau, offset_um, eighths, level",
+    [(1.0, 0.0, k, 1.0) for k in range(8)]
+    + [(1.0, 0.0, 0, 2.0)]
+    + [(0.05, 0.0, 0, 1.0), (2.0, 0.0, 0, 1.0)]
+    + [(1.0, -200.0, 0, 1.0), (1.0, 3000.0, 0, 1.0)],
+)
+def test_sinc2_tail_cut_within_its_bound(fesh, scenario, scales, tau, offset_um, eighths, level):
+    """The cut line integral differs from the full one by at most the
+    bound charged for it, at the check phases, other tau and arm offsets
+    that move the stationary point."""
+    from dtebell.correlation import _feshbach_interference
+
+    units = ScaledUnits(momentum=fesh.p0, time=tau)
+    m_int = units.to_internal(scenario.species.atom_mass, "mass")
+    shift = scales.lambda_bar_rel * 2.0 * math.pi * eighths / 8.0
+    dl_int = units.to_internal(tau * scales.v_rel + shift + offset_um * 1e-6, "length")
+    r_cut, bound = _tail_cut(fesh, dl_int, 1.0 / m_int, level)
+    assert r_cut is not None and r_cut < fesh.r_hi()
+    cut, _ = _feshbach_interference(fesh, units, m_int, 0.0, dl_int, level)
+    with pytest.MonkeyPatch.context() as mp:
+        _uncut(mp)
+        full, _ = _feshbach_interference(fesh, units, m_int, 0.0, dl_int, level)
+    assert abs(cut - full) <= bound
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.01)])
+def test_sinc2_line_without_admissible_cut_is_unchanged(fesh, a, b, monkeypatch):
+    """Zero phase, and a stationary point beyond the truncation edge,
+    leave nothing to cut: the result is the full one, bit for bit."""
+    import dtebell.dissociation as dis
+
+    assert _tail_cut(fesh, a, b) == (None, 0.0)
+    kept, _ = dis._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
+    _uncut(monkeypatch)
+    full, _ = dis._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
+    assert kept == full
+
+
+@pytest.mark.parametrize("eighths", [0, 3])
+def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, monkeypatch):
+    """Machine-independent guard on the cost of a sinc^2 call: its line
+    integrals evaluate under a tenth of the panels of rel_panel_edges."""
+    import dtebell.dissociation as dis
+
+    fesh.normalization  # computed before counting
+    rows = panels = 0
+    line_values = dis._line_values
+    scaled_kernel = dis.FeshbachDistribution._scaled_kernel
+
+    def counting_lines(dist, u, *args):
+        nonlocal rows
+        rows += len(u)
+        return line_values(dist, u, *args)
+
+    def counting_kernel(dist, u, r):
+        nonlocal panels
+        panels += r.shape[0] * r.shape[1]
+        return scaled_kernel(dist, u, r)
+
+    monkeypatch.setattr(dis, "_line_values", counting_lines)
+    monkeypatch.setattr(dis.FeshbachDistribution, "_scaled_kernel", counting_kernel)
+    pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    correlate_quadrature(pair, *_sinc2_settings(scales, eighths))
+    all_panels = fesh.rel_panel_edges([0.0]).shape[1] - 1
+    assert all_panels == 3136
+    assert rows > 0
+    assert panels / rows < 0.1 * all_panels
 
 
 @pytest.mark.parametrize(
@@ -641,16 +718,29 @@ def _assert_estimate_describes(res, reference, passes, tail):
     assert res.quadrature_error_estimate <= plain
 
 
+def _rel_phase(dist, scenario, s1, s2, tau=1.0):
+    """(a, b) of the relative-momentum phase a r - b r^2 that
+    correlate_quadrature integrates, momenta in p0."""
+    units = ScaledUnits(momentum=dist.p0, time=tau)
+    m_int = units.to_internal(scenario.species.atom_mass, "mass")
+    return units.to_internal(s1.ell - s2.ell, "length"), 1.0 / m_int
+
+
 @pytest.mark.parametrize("eighths", [0, 3])
 def test_feshbach_estimate_describes_returned_pass(
     fesh, scenario, scales, phi_tau, sinc2_level2, eighths, monkeypatch
 ):
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     passes = _record_passes(monkeypatch, "_feshbach_interference")
-    res = correlate_quadrature(pair, *_sinc2_settings(scales, eighths))
+    settings = _sinc2_settings(scales, eighths)
+    res = correlate_quadrature(pair, *settings)
     # level 1 has converged; only a quarter-level pass may be added
     assert max(passes) == 1.0
-    _assert_estimate_describes(res, sinc2_level2[eighths][0], passes, fesh.tail_bound())
+    # the route's tail term: envelope tail plus the charge for the cut line
+    _, cut_bound = _tail_cut(fesh, *_rel_phase(fesh, scenario, *settings))
+    assert cut_bound > 0.0
+    tail = fesh.tail_bound() + cut_bound
+    _assert_estimate_describes(res, sinc2_level2[eighths][0], passes, tail)
 
 
 @pytest.mark.parametrize(
