@@ -304,6 +304,94 @@ def seed_settings(
     return best
 
 
+def _bounded_minimize(func, x1: float, x2: float, xatol: float):
+    """Brent's bounded minimiser (Brent 1973, ch. 5): golden-section steps
+    plus parabolic steps on [x1, x2], stopping once both bracket ends lie
+    within 2 (xatol/3 + sqrt(eps)|x|) of the best point x, or after 500
+    calls.
+
+    A transcription of scipy's ``_minimize_scalar_bounded`` (scipy 1.17,
+    ``minimize_scalar(method="bounded")``): the same steps and bracket
+    updates, so on finite doubles it visits the same abscissae and
+    returns the same bits.  Returns (x, f(x)) of the best point, as
+    Python floats.
+    """
+    a, b, xatol = float(x1), float(x2), float(xatol)
+    maxfun = 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = float(func(x))
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    d = xm - xf
+                    rat = tol1 * ((d > 0) - (d < 0) + (d == 0))
+            else:
+                golden = True
+
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + ((rat > 0) - (rat < 0) + (rat == 0)) * max(abs(rat), tol1)
+        fu = float(func(x))
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf, fx
+
+
 def optimize_settings(
     correlator: Callable[[object, object], CorrelationResult],
     initial: ChshSettings,
@@ -317,15 +405,14 @@ def optimize_settings(
     Each pass scans one coordinate on a grid spanning ``2 * local_scale``
     to either side of its current value (clipped to ``constraints`` --
     one (lo, hi) pair for all coordinates or a sequence of four), then
-    refines the best grid cell with a bounded scalar search.  The grid
-    step keeps the refinement from tunneling to a neighboring fringe.
+    refines the best grid cell with a bounded Brent search
+    (``_bounded_minimize``).  The grid step keeps the refinement from
+    tunneling to a neighboring fringe.
     ``local_scale`` defaults to the larger same-side spacing
     |a - a_prime|, |b - b_prime|, which for phase-derived seeds is a
     fraction of the fringe period.  Local search only: the result is the
     nearest optimum, deterministic given the initial settings.
     """
-    from scipy.optimize import minimize_scalar
-
     values = [
         s.ell if isinstance(s, InterferometerSetting) else float(s)
         for s in initial.as_tuple()
@@ -392,13 +479,13 @@ def optimize_settings(
             k = int(np.argmax(scores))
             b_lo = grid[max(k - 1, 0)]
             b_hi = grid[min(k + 1, n_grid - 1)]
-            res = minimize_scalar(
-                lambda x: -at(float(x)),
-                bounds=(b_lo, b_hi),
-                method="bounded",
-                options={"xatol": max(abs(values[i]) * 1e-12, (b_hi - b_lo) * 1e-9)},
+            x_min, f_min = _bounded_minimize(
+                lambda x: -at(x),
+                b_lo,
+                b_hi,
+                xatol=max(abs(values[i]) * 1e-12, (b_hi - b_lo) * 1e-9),
             )
-            candidates = [(scores[k], float(grid[k])), (-res.fun, float(res.x))]
+            candidates = [(scores[k], float(grid[k])), (-f_min, float(x_min))]
             cand_best, cand_x = max(candidates)
             if cand_best > best:
                 best = cand_best

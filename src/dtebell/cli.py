@@ -534,6 +534,26 @@ def _settings_from_um(document: ConfigDocument, settings_um) -> ChshSettings:
     )
 
 
+_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
+
+
+def _chosen_settings(document: ConfigDocument, tools: _ScenarioTools, settings_um):
+    """Closed-form correlator and the CHSH settings to evaluate it at:
+    the ``--settings`` lengths (um) if given, else seeded and optimized."""
+    species = tools.scenario.species
+    correlator = closed_form_correlator(
+        tools.gaussians, species, tools.tau, tools.pulse_phase
+    )
+    if settings_um is not None:
+        chosen = _settings_from_um(document, settings_um)
+    else:
+        chosen = optimize_settings(
+            correlator,
+            seed_settings(tools.gaussians, species, tools.tau, tools.pulse_phase),
+        ).settings
+    return correlator, chosen
+
+
 def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
                            optimize: bool):
     if tau_override is not None:
@@ -543,19 +563,8 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
     scenario = document.to_scenario()
     tools = _tools_for(scenario)
     scales = scales_from_scenario(scenario)
-    correlator = closed_form_correlator(
-        tools.gaussians, scenario.species, tools.tau, tools.pulse_phase
-    )
+    correlator, chosen = _chosen_settings(document, tools, settings_um)
     inter = document.values["interferometer"]
-    if settings_um is not None:
-        chosen = _settings_from_um(document, settings_um)
-    else:
-        chosen = optimize_settings(
-            correlator,
-            seed_settings(
-                tools.gaussians, scenario.species, tools.tau, tools.pulse_phase
-            ),
-        ).settings
     period = 2.0 * math.pi * scales.lambda_bar_rel
     outcome = chsh_value(correlator, chosen, fringe_period=period)
 
@@ -567,8 +576,7 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
     um_pairs = [(um[0], um[2]), (um[0], um[3]), (um[1], um[2]), (um[1], um[3])]
 
     rows = []
-    pair_names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
-    for name, (x, y, _sign), (u1, u2) in zip(pair_names, chosen.pairs(), um_pairs):
+    for name, (x, y, _sign), (u1, u2) in zip(_PAIR_NAMES, chosen.pairs(), um_pairs):
         result = correlator(x, y)
         rows.append(
             {
@@ -628,20 +636,8 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
         document = document.replace("run", "events", int(args.events))
     if args.seed is not None:
         document = document.replace("run", "seed", int(args.seed))
-    scenario = document.to_scenario()
-    tools = _tools_for(scenario)
-    correlator = closed_form_correlator(
-        tools.gaussians, scenario.species, tools.tau, tools.pulse_phase
-    )
-    if args.settings is not None:
-        chosen = _settings_from_um(document, args.settings)
-    else:
-        chosen = optimize_settings(
-            correlator,
-            seed_settings(
-                tools.gaussians, scenario.species, tools.tau, tools.pulse_phase
-            ),
-        ).settings
+    tools = _tools_for(document.to_scenario())
+    correlator, chosen = _chosen_settings(document, tools, args.settings)
     mode = document.get("interferometer", "mode")
     config = RunConfig(
         events_per_setting=document.events,
@@ -654,8 +650,7 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
 
     inter = document.values["interferometer"]
     rows = []
-    pair_names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
-    for i, (name, (x, y, _sign)) in enumerate(zip(pair_names, chosen.pairs())):
+    for i, (name, (x, y, _sign)) in enumerate(zip(_PAIR_NAMES, chosen.pairs())):
         kept = table.kept(i)
         rows.append(
             {

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from dtebell.bell import (
     TSIRELSON_BOUND,
+    _bounded_minimize,
     BellOutcome,
     ChshSettings,
     chsh_value,
@@ -372,6 +373,46 @@ def test_optimize_tau2_no_violation(scenario):
     assert not result.outcome.violated
     assert visibility(scales2, 2.0) < 1.0 / math.sqrt(2.0)
     assert not feasible(scales2, 2.0)
+
+
+# ------------------------------------------------- bounded Brent search
+
+
+def _line_function(kind, c, k):
+    if kind == "cosine":
+        return lambda x: -math.cos(k * (x - c))
+    if kind == "quartic":
+        return lambda x: (x - c) ** 4 - k * (x - c) ** 2
+    return lambda x: k * x  # linear: minimized at a bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(1e-6, 10.0),
+    log_xatol=st.floats(-14.0, -1.0),
+    kind=st.sampled_from(["cosine", "quartic", "linear"]),
+    c_frac=st.floats(-0.5, 1.5),
+    k=st.floats(-3.0, 3.0).filter(lambda k: abs(k) > 1e-3),
+)
+def test_bounded_search_matches_scipy(lo, width, log_xatol, kind, c_frac, k):
+    hi = lo + width
+    xatol = 10.0**log_xatol
+    g = _line_function(kind, lo + c_frac * width, k)
+    res = minimize_scalar(
+        lambda x: g(float(x)), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+    )
+    x, fx = _bounded_minimize(g, lo, hi, xatol)
+    assert (x.hex(), fx.hex()) == (float(res.x).hex(), float(res.fun).hex())
+
+
+def test_bounded_search_matches_scipy_at_maxfun():
+    # |x| with a vanishing xatol keeps shrinking the bracket towards 0
+    # until the 500-call limit stops both searches.
+    res = minimize_scalar(abs, bounds=(-1.0, 2.0), method="bounded", options={"xatol": 1e-300})
+    assert res.nfev == 500 and res.status == 1
+    x, fx = _bounded_minimize(abs, -1.0, 2.0, 1e-300)
+    assert (x.hex(), fx.hex()) == (float(res.x).hex(), float(res.fun).hex())
 
 
 # ------------------------------------------------- dense grid-search oracle

@@ -35,3 +35,25 @@ def test_python_m_dtebell():
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)
+
+
+def _scipy_modules_after(*argv):
+    """Run one CLI command in a fresh interpreter; list the scipy modules it loaded."""
+    code = (
+        "import io, json, sys; from dtebell.cli import main; "
+        f"rc = main({list(argv)!r}, stdout=io.StringIO(), stderr=io.StringIO()); "
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout)
+    assert rc == 0
+    return modules
+
+
+def test_bell_optimize_leaves_scipy_optimize_unloaded():
+    assert "scipy.optimize" not in _scipy_modules_after("bell", "--optimize")
+
+
+def test_montecarlo_loads_no_scipy():
+    assert _scipy_modules_after("montecarlo", "--events", "5", "--seed", "1") == []
