@@ -197,15 +197,13 @@ def _shift(setting, delta: float):
     return setting + delta
 
 
-def _fringe_amplitude(correlator, settings: ChshSettings, period: float, n: int = 32) -> float:
-    """Amplitude of E while sliding the first setting over one fringe period.
+def _fringe_amplitude(correlator, a, b, period: float, n: int = 32) -> float:
+    """Amplitude of E(a, b) while sliding ``a`` over one fringe period.
 
-    First DFT bin of the sampled trace: exact for a pure cosine at any
+    First DFT bin of the n-point trace: exact for a pure cosine at any
     phase, and insensitive to the slow envelope drift across the period.
     """
-    values = np.array(
-        [correlator(_shift(settings.a, period * k / n), settings.b).e_value for k in range(n)]
-    )
+    values = np.array([correlator(_shift(a, period * k / n), b).e_value for k in range(n)])
     phases = np.exp(-2j * np.pi * np.arange(n) / n)
     return float(2.0 * abs(np.sum(values * phases)) / n)
 
@@ -228,7 +226,7 @@ def chsh_value(
     if fringe_period is not None:
         if fringe_period <= 0.0:
             raise ValidationError("fringe_period must be positive")
-        vis = _fringe_amplitude(correlator, settings, fringe_period)
+        vis = _fringe_amplitude(correlator, settings.a, settings.b, fringe_period)
     else:
         vis = s / TSIRELSON_BOUND
     vis = min(1.0, max(0.0, vis))

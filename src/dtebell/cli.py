@@ -29,14 +29,15 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bell import (
     ChshSettings,
     TSIRELSON_BOUND,
+    _fringe_amplitude,
     chsh_value,
     closed_form_correlator,
     feasible,
@@ -60,18 +61,17 @@ from .dissociation import (
     phase_stability,
     phi_tau,
 )
-from .montecarlo import RunConfig, estimate_chsh
+from .montecarlo import OUTCOMES, RunConfig, estimate_chsh
 from .montecarlo import run as run_events
-from .scenario import (
+from .scenario import (  # the config names are re-exported for dtebell.cli callers
+    BUNDLED_DEFAULTS,
+    CONFIG_SCHEMA,
     BelowThresholdError,
-    CONSTANTS,
-    InterferometerBlock,
-    PulseSequence,
-    Resonance,
+    ConfigDocument,
+    ConfigError,
     Scenario,
-    Species,
-    TrapGuide,
     ValidationError,
+    load_config,
     scales_from_scenario,
 )
 
@@ -84,202 +84,6 @@ __all__ = [
     "load_config",
     "main",
 ]
-
-
-class ConfigError(ValidationError):
-    """Config document or command usage problem (exit code 2)."""
-
-
-# section -> key -> type tag ("float", "int", "str")
-CONFIG_SCHEMA: Mapping[str, Mapping[str, str]] = {
-    "scenario": {
-        "mass_amu": "float",
-        "omega_guide_hz": "float",
-        "omega_trap_hz": "float",
-        "trap_depth_nK": "float",
-    },
-    "resonance": {
-        "width_mG": "float",
-        "moment_diff_muB": "float",
-        "a_bg_a0": "float",
-        "position_mG": "float",
-    },
-    "pulses": {
-        "base_field_mG": "float",
-        "height_mG": "float",
-        "duration_ms": "float",
-        "separation_s": "float",
-    },
-    "interferometer": {
-        "ell1_um": "float",
-        "ell2_um": "float",
-        "theta1_deg": "float",
-        "theta2_deg": "float",
-        "mode": "str",
-    },
-    "run": {
-        "events": "int",
-        "seed": "int",
-    },
-}
-
-# the bundled lithium-6 scenario; must match data/paper-li6.cfg
-BUNDLED_DEFAULTS: Mapping[str, Mapping[str, object]] = {
-    "scenario": {
-        "mass_amu": 6.0151228,
-        "omega_guide_hz": 300.0,
-        "omega_trap_hz": 0.5,
-        "trap_depth_nK": 100.0,
-    },
-    "resonance": {
-        "width_mG": 1.0,
-        "moment_diff_muB": 0.01,
-        "a_bg_a0": 100.0,
-        "position_mG": 543250.0,
-    },
-    "pulses": {
-        "base_field_mG": 543200.0,
-        "height_mG": 400.0,
-        "duration_ms": 60.0,
-        "separation_s": 1.0,
-    },
-    "interferometer": {
-        "ell1_um": 5349.3635026632135,
-        "ell2_um": -5349.3635026632135,
-        "theta1_deg": 45.0,
-        "theta2_deg": 45.0,
-        "mode": "Switched",
-    },
-    "run": {
-        "events": 10000,
-        "seed": 1,
-    },
-}
-
-MILLIGAUSS = 1e-7  # tesla
-
-
-@dataclass(frozen=True)
-class ConfigDocument:
-    """Validated lab-unit parameter document."""
-
-    values: Mapping[str, Mapping[str, object]]
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
-
-    def replace(self, section: str, key: str, value) -> "ConfigDocument":
-        merged = {name: dict(body) for name, body in self.values.items()}
-        merged[section][key] = value
-        return ConfigDocument(values=merged)
-
-    def to_scenario(self) -> Scenario:
-        """Convert to SI once; physical validation happens downstream."""
-        v = self.values
-        c = CONSTANTS
-        species = Species(
-            name="config", atom_mass=v["scenario"]["mass_amu"] * c.atomic_mass_unit
-        )
-        trap_guide = TrapGuide(
-            omega_trap=2.0 * math.pi * v["scenario"]["omega_trap_hz"],
-            omega_guide=2.0 * math.pi * v["scenario"]["omega_guide_hz"],
-            trap_depth=c.k_boltzmann * v["scenario"]["trap_depth_nK"] * 1e-9,
-        )
-        resonance = Resonance(
-            width=v["resonance"]["width_mG"] * MILLIGAUSS,
-            moment_difference=v["resonance"]["moment_diff_muB"] * c.bohr_magneton,
-            background_scattering_length=v["resonance"]["a_bg_a0"] * c.bohr_radius,
-            position=v["resonance"]["position_mG"] * MILLIGAUSS,
-        )
-        pulses = PulseSequence(
-            base_field=v["pulses"]["base_field_mG"] * MILLIGAUSS,
-            pulse_height=v["pulses"]["height_mG"] * MILLIGAUSS,
-            pulse_duration=v["pulses"]["duration_ms"] * 1e-3,
-            pulse_separation=v["pulses"]["separation_s"],
-        )
-        interferometer = InterferometerBlock(
-            ell1=v["interferometer"]["ell1_um"] * 1e-6,
-            ell2=v["interferometer"]["ell2_um"] * 1e-6,
-            theta1=math.radians(v["interferometer"]["theta1_deg"]),
-            theta2=math.radians(v["interferometer"]["theta2_deg"]),
-            mode=v["interferometer"]["mode"],
-        )
-        return Scenario(
-            species=species,
-            trap_guide=trap_guide,
-            resonance=resonance,
-            pulses=pulses,
-            interferometer=interferometer,
-        )
-
-    @property
-    def events(self) -> int:
-        return self.values["run"]["events"]
-
-    @property
-    def seed(self) -> int:
-        return self.values["run"]["seed"]
-
-
-def _convert(section: str, key: str, raw: str):
-    kind = CONFIG_SCHEMA[section][key]
-    try:
-        if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("not finite")
-            return value
-        if kind == "int":
-            return int(raw)
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({exc})") from exc
-
-
-def load_config(path: Optional[str] = None) -> ConfigDocument:
-    """Parse and validate a config file; None loads the bundled scenario.
-
-    Missing sections and keys take the bundled values, so a document can
-    override a single parameter.
-    """
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys carry unit suffixes like _nK; keep case
-    if path is None:
-        text = (
-            resources.files("dtebell").joinpath("data/paper-li6.cfg").read_text("utf-8")
-        )
-        parser.read_string(text)
-    else:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            try:
-                parser.read_file(handle)
-            except configparser.Error as exc:
-                raise ConfigError(f"malformed config {path}: {exc}") from exc
-
-    values = {name: dict(body) for name, body in BUNDLED_DEFAULTS.items()}
-    for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            values[section][key] = _convert(section, key, raw)
-    document = ConfigDocument(values=values)
-    mode = document.get("interferometer", "mode")
-    if mode not in ("Switched", "BeamSplitter"):
-        raise ConfigError(
-            f"invalid value for interferometer.mode: {mode!r} "
-            "(expected Switched or BeamSplitter)"
-        )
-    if document.events < 1:
-        raise ConfigError(f"run.events must be >= 1, got {document.events}")
-    if not 0 <= document.seed < 2**64:
-        raise ConfigError(f"run.seed must fit in 64 bits, got {document.seed}")
-    return document
 
 
 # --------------------------------------------------------------- CSV output
@@ -334,6 +138,32 @@ def _write_csv(stream, columns, rows) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_format_cell(row.get(name)) for name in columns])
+
+
+def _row(document: ConfigDocument, source: str, **cells) -> dict:
+    """A RESULT_COLUMNS row echoing the document's tau and switch mode;
+    rows other than summaries also echo both analyzer angles."""
+    inter = document.values["interferometer"]
+    row = {
+        "source": source,
+        "tau_s": document.get("pulses", "separation_s"),
+        "switch_mode": inter["mode"],
+    }
+    if not source.endswith("_summary"):
+        row["theta1_deg"] = inter["theta1_deg"]
+        row["theta2_deg"] = inter["theta2_deg"]
+    row.update(cells)
+    return row
+
+
+_P_CELLS = dict(zip(("P_pp", "P_pm", "P_mp", "P_mm"), OUTCOMES))
+
+
+def _correlation_cells(probability, e_value: float) -> dict:
+    """The P_pp ... E cells; ``probability(s1, s2)`` gives each P."""
+    cells = {name: probability(*outcome) for name, outcome in _P_CELLS.items()}
+    cells["E"] = e_value
+    return cells
 
 
 def _thread_count() -> int:
@@ -412,40 +242,36 @@ def _tools_for(scenario: Scenario) -> _ScenarioTools:
     )
 
 
+_SCAN_KEYS = {
+    "ell1": ("interferometer", "ell1_um"),
+    "ell2": ("interferometer", "ell2_um"),
+    "tau": ("pulses", "separation_s"),
+    "field": ("pulses", "base_field_mG"),
+}
+
+
+def _require_45_degrees(document: ConfigDocument) -> None:
+    """The closed form covers 45-degree analyzers only."""
+    inter = document.values["interferometer"]
+    for key in ("theta1_deg", "theta2_deg"):
+        if not math.isclose(inter[key] % 180.0, 45.0, abs_tol=1e-9):
+            raise ConfigError(
+                f"closed-form evaluation requires interferometer.{key} = 45; "
+                f"got {inter[key]} (scan --method quad takes any angle)"
+            )
+
+
 def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
                 axis: str, value: float, method: str) -> dict:
     """One grid point; computation errors land in the row's error cell."""
+    document = document.replace(*_SCAN_KEYS[axis], value)
     inter = document.values["interferometer"]
-    row = {
-        "source": "scan",
-        "axis": axis,
-        "axis_value": float(value),
-        "ell1_um": inter["ell1_um"],
-        "ell2_um": inter["ell2_um"],
-        "tau_s": document.get("pulses", "separation_s"),
-        "theta1_deg": inter["theta1_deg"],
-        "theta2_deg": inter["theta2_deg"],
-        "switch_mode": inter["mode"],
-        "method": method,
-    }
+    row = _row(document, "scan", axis=axis, axis_value=value, ell1_um=inter["ell1_um"],
+               ell2_um=inter["ell2_um"], method=method)
     try:
-        if axis == "ell1":
-            row["ell1_um"] = float(value)
-            tools = base
-        elif axis == "ell2":
-            row["ell2_um"] = float(value)
-            tools = base
-        elif axis == "tau":
-            row["tau_s"] = float(value)
-            tools = _tools_for(
-                document.replace("pulses", "separation_s", float(value)).to_scenario()
-            )
-        else:  # field
-            tools = _tools_for(
-                document.replace("pulses", "base_field_mG", float(value)).to_scenario()
-            )
-        ell1 = row["ell1_um"] * 1e-6
-        ell2 = row["ell2_um"] * 1e-6
+        tools = base if base is not None else _tools_for(document.to_scenario())
+        ell1 = inter["ell1_um"] / 1e6
+        ell2 = inter["ell2_um"] / 1e6
         species = tools.scenario.species
         if method == "closed":
             prefactor, envelope, phase, _ = closed_form_parts(
@@ -460,26 +286,18 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
                 phi_tau=tools.pulse_phase,
                 species=species,
             )
-            theta1 = math.radians(row["theta1_deg"])
-            theta2 = math.radians(row["theta2_deg"])
-            mode = row["switch_mode"]
+            mode = inter["mode"]
             result = correlate_quadrature(
                 pair,
-                InterferometerSetting(ell=ell1, theta=theta1, switch_mode=mode),
-                InterferometerSetting(ell=ell2, theta=theta2, switch_mode=mode),
+                InterferometerSetting(ell=ell1, theta=math.radians(inter["theta1_deg"]),
+                                      switch_mode=mode),
+                InterferometerSetting(ell=ell2, theta=math.radians(inter["theta2_deg"]),
+                                      switch_mode=mode),
             )
     except (ValidationError, QuadratureError) as exc:
         row["error"] = str(exc).replace("\n", " ")
         return row
-    row.update(
-        {
-            "P_pp": result.probability(1, 1),
-            "P_pm": result.probability(1, -1),
-            "P_mp": result.probability(-1, 1),
-            "P_mm": result.probability(-1, -1),
-            "E": result.e_value,
-        }
-    )
+    row.update(_correlation_cells(result.probability, result.e_value))
     return row
 
 
@@ -492,13 +310,7 @@ def cmd_scan(args, stdout, stderr) -> int:
     if args.start == args.stop:
         raise ConfigError("scan range is degenerate (start == stop)")
     if args.method == "closed":
-        inter = document.values["interferometer"]
-        for key in ("theta1_deg", "theta2_deg"):
-            if not math.isclose(inter[key] % 180.0, 45.0, abs_tol=1e-9):
-                raise ConfigError(
-                    f"method=closed requires interferometer.{key} = 45; "
-                    f"got {inter[key]} (use method=quad)"
-                )
+        _require_45_degrees(document)
     base = None
     if args.axis in ("ell1", "ell2"):
         base = _tools_for(document.to_scenario())
@@ -514,43 +326,33 @@ def cmd_scan(args, stdout, stderr) -> int:
 # --------------------------------------------------------------------- bell
 
 
-def _settings_from_um(document: ConfigDocument, settings_um) -> ChshSettings:
-    """Four arm lengths in um -> ChshSettings; a and a' use side-1 angles."""
-    inter = document.values["interferometer"]
-    for key in ("theta1_deg", "theta2_deg"):
-        if not math.isclose(inter[key] % 180.0, 45.0, abs_tol=1e-9):
-            raise ConfigError(
-                f"closed-form evaluation requires interferometer.{key} = 45; "
-                f"got {inter[key]}"
-            )
-    mode = document.get("interferometer", "mode")
-    thetas = [math.radians(inter["theta1_deg"])] * 2
-    thetas += [math.radians(inter["theta2_deg"])] * 2
-    return ChshSettings(
-        *(
-            InterferometerSetting(ell=u * 1e-6, theta=theta, switch_mode=mode)
-            for u, theta in zip(settings_um, thetas)
-        )
-    )
-
-
 _PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
 def _chosen_settings(document: ConfigDocument, tools: _ScenarioTools, settings_um):
     """Closed-form correlator and the CHSH settings to evaluate it at:
-    the ``--settings`` lengths (um) if given, else seeded and optimized."""
+    the ``--settings`` lengths (um) if given, else seeded and optimized.
+    Lengths are CHSH order a a' b b'; a and a' take the side-1 angle."""
+    _require_45_degrees(document)
     species = tools.scenario.species
     correlator = closed_form_correlator(
         tools.gaussians, species, tools.tau, tools.pulse_phase
     )
-    if settings_um is not None:
-        chosen = _settings_from_um(document, settings_um)
-    else:
+    if settings_um is None:
         chosen = optimize_settings(
             correlator,
             seed_settings(tools.gaussians, species, tools.tau, tools.pulse_phase),
         ).settings
+        return correlator, chosen
+    inter = document.values["interferometer"]
+    thetas = [math.radians(inter["theta1_deg"])] * 2
+    thetas += [math.radians(inter["theta2_deg"])] * 2
+    chosen = ChshSettings(
+        *(
+            InterferometerSetting(ell=u / 1e6, theta=theta, switch_mode=inter["mode"])
+            for u, theta in zip(settings_um, thetas)
+        )
+    )
     return correlator, chosen
 
 
@@ -564,7 +366,6 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
     tools = _tools_for(scenario)
     scales = scales_from_scenario(scenario)
     correlator, chosen = _chosen_settings(document, tools, settings_um)
-    inter = document.values["interferometer"]
     period = 2.0 * math.pi * scales.lambda_bar_rel
     outcome = chsh_value(correlator, chosen, fringe_period=period)
 
@@ -579,31 +380,12 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
     for name, (x, y, _sign), (u1, u2) in zip(_PAIR_NAMES, chosen.pairs(), um_pairs):
         result = correlator(x, y)
         rows.append(
-            {
-                "source": f"bell_{name}",
-                "ell1_um": u1,
-                "ell2_um": u2,
-                "tau_s": tools.tau,
-                "theta1_deg": inter["theta1_deg"],
-                "theta2_deg": inter["theta2_deg"],
-                "switch_mode": inter["mode"],
-                "method": "closed",
-                "P_pp": result.probability(1, 1),
-                "P_pm": result.probability(1, -1),
-                "P_mp": result.probability(-1, 1),
-                "P_mm": result.probability(-1, -1),
-                "E": result.e_value,
-            }
+            _row(document, f"bell_{name}", ell1_um=u1, ell2_um=u2, method="closed",
+                 **_correlation_cells(result.probability, result.e_value))
         )
     rows.append(
-        {
-            "source": "bell_summary",
-            "tau_s": tools.tau,
-            "switch_mode": inter["mode"],
-            "method": "optimize" if optimize else "settings",
-            "S": outcome.s_value,
-            "V": outcome.visibility,
-        }
+        _row(document, "bell_summary", method="optimize" if optimize else "settings",
+             S=outcome.s_value, V=outcome.visibility)
     )
     return rows, outcome, chosen
 
@@ -648,43 +430,20 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
     table = run_events(correlator, config)
     estimate = estimate_chsh(table)
 
-    inter = document.values["interferometer"]
+    run_cells = {"method": "montecarlo", "events": config.events_per_setting,
+                 "seed": config.seed}
     rows = []
     for i, (name, (x, y, _sign)) in enumerate(zip(_PAIR_NAMES, chosen.pairs())):
         kept = table.kept(i)
         rows.append(
-            {
-                "source": f"montecarlo_{name}",
-                "ell1_um": x.ell * 1e6,
-                "ell2_um": y.ell * 1e6,
-                "tau_s": tools.tau,
-                "theta1_deg": inter["theta1_deg"],
-                "theta2_deg": inter["theta2_deg"],
-                "switch_mode": mode,
-                "method": "montecarlo",
-                "events": config.events_per_setting,
-                "seed": config.seed,
-                "discarded": table.discarded[i],
-                "P_pp": table.counts[i][0] / kept,
-                "P_pm": table.counts[i][1] / kept,
-                "P_mp": table.counts[i][2] / kept,
-                "P_mm": table.counts[i][3] / kept,
-                "E": estimate.e_values[i],
-                "stderr": estimate.e_stderr[i],
-            }
+            _row(document, f"montecarlo_{name}", ell1_um=x.ell * 1e6, ell2_um=y.ell * 1e6,
+                 discarded=table.discarded[i], stderr=estimate.e_stderr[i], **run_cells,
+                 **_correlation_cells(lambda *outcome: table.count(i, outcome) / kept,
+                                      estimate.e_values[i]))
         )
     rows.append(
-        {
-            "source": "montecarlo_summary",
-            "tau_s": tools.tau,
-            "switch_mode": mode,
-            "method": "montecarlo",
-            "events": config.events_per_setting,
-            "seed": config.seed,
-            "S": estimate.s_value,
-            "V": estimate.outcome.visibility,
-            "stderr": estimate.stderr,
-        }
+        _row(document, "montecarlo_summary", S=estimate.s_value,
+             V=estimate.outcome.visibility, stderr=estimate.stderr, **run_cells)
     )
     _write_csv(stdout, RESULT_COLUMNS, rows)
     stderr.write(
@@ -776,27 +535,22 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     )
 
     if args.source_model_check:
-        half = 0.5 * tau0 * scales.v_rel
         pair = DtePair(
             distribution=distribution_from_scenario(scenario),
             tau=tau0,
             phi_tau=phi_tau(scenario),
             species=scenario.species,
         )
-        # scan a few phases at the envelope center to recover the fringe
-        # amplitude of the true two-pulse source
-        lam = scales.lambda_bar_rel
-        values = []
-        for k in range(8):
-            shift = lam * 2.0 * math.pi * k / 8.0
-            result = correlate_quadrature(
-                pair,
-                InterferometerSetting(ell=half + shift),
-                InterferometerSetting(ell=-half),
-            )
-            values.append(result.e_value)
-        phases = np.exp(-2j * np.pi * np.arange(8) / 8.0)
-        amplitude = float(2.0 * abs(np.dot(values, phases)) / 8.0)
+        # slide side 1 over one fringe at the envelope center to recover
+        # the fringe amplitude of the true two-pulse source
+        half = 0.5 * tau0 * scales.v_rel
+        amplitude = _fringe_amplitude(
+            partial(correlate_quadrature, pair),
+            InterferometerSetting(ell=half),
+            InterferometerSetting(ell=-half),
+            2.0 * math.pi * scales.lambda_bar_rel,
+            n=8,
+        )
         gaussian_v = visibility(scales, tau0)
         stderr.write(
             f"two-pulse source fringe amplitude at center: {amplitude:.6f} "

@@ -33,7 +33,6 @@ __all__ = [
     "FeshbachDistribution",
     "StabilityReport",
     "DissociationSummary",
-    "p0_from_fields",
     "feshbach_density",
     "distribution_from_scenario",
     "gaussian_approximation",
@@ -90,16 +89,6 @@ class GaussianPair:
 
     cm: GaussianMode
     rel: GaussianMode
-
-
-def p0_from_fields(scenario: Scenario) -> float:
-    """Mean relative momentum from the field protocol.
-
-    p0^2/m equals the magnetic energy above resonance at the pulse top,
-    minus twice the trap depth and the transverse zero-point energy.
-    Raises BelowThresholdError when that budget is not positive.
-    """
-    return _p0_from_fields(scenario)
 
 
 class QuadratureError(RuntimeError):

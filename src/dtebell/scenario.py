@@ -1,17 +1,27 @@
 """Experimental scenario description and derived dispersion scales.
 
-Everything crossing the public API is SI.  Internally the oscillatory
+Everything crossing the public API is SI, except the lab-unit config
+documents at the end of this module.  Internally the oscillatory
 integrals are evaluated in scenario-adapted units (momenta in units of
 the relative-motion momentum, times in units of the interrogation time,
 lengths in units of the reduced fringe wavelength); :class:`ScaledUnits`
 performs the conversions and keeps hbar exactly 1 on the inside.
+
+Config documents (:func:`load_config`) reach SI only through
+:meth:`ConfigDocument.to_scenario`.  The bundled data/paper-li6.cfg is the
+one copy of the lithium-6 reference numbers; :func:`reference_scenario`
+is that file in SI.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from importlib import resources
+from typing import Mapping, Optional
 
 __all__ = [
     "ValidationError",
@@ -29,6 +39,10 @@ __all__ = [
     "SINC_WIDTH_FACTOR",
     "derive_scales",
     "scales_from_scenario",
+    "CONFIG_SCHEMA",
+    "ConfigError",
+    "ConfigDocument",
+    "load_config",
     "reference_scenario",
 ]
 
@@ -373,8 +387,184 @@ class ScaledUnits:
         return self.constants.hbar / (self.momentum * self.length)
 
 
+# ------------------------------------------------ lab-unit config documents
+
+
+class ConfigError(ValidationError):
+    """Config document or command usage problem (exit code 2)."""
+
+
+# section -> key -> type tag ("float", "int", "str")
+CONFIG_SCHEMA: Mapping[str, Mapping[str, str]] = {
+    "scenario": {
+        "mass_amu": "float",
+        "omega_guide_hz": "float",
+        "omega_trap_hz": "float",
+        "trap_depth_nK": "float",
+    },
+    "resonance": {
+        "width_mG": "float",
+        "moment_diff_muB": "float",
+        "a_bg_a0": "float",
+        "position_mG": "float",
+    },
+    "pulses": {
+        "base_field_mG": "float",
+        "height_mG": "float",
+        "duration_ms": "float",
+        "separation_s": "float",
+    },
+    "interferometer": {
+        "ell1_um": "float",
+        "ell2_um": "float",
+        "theta1_deg": "float",
+        "theta2_deg": "float",
+        "mode": "str",
+    },
+    "run": {
+        "events": "int",
+        "seed": "int",
+    },
+}
+
+
+@dataclass(frozen=True)
+class ConfigDocument:
+    """Validated lab-unit parameter document."""
+
+    values: Mapping[str, Mapping[str, object]]
+
+    def get(self, section: str, key: str):
+        return self.values[section][key]
+
+    def replace(self, section: str, key: str, value) -> "ConfigDocument":
+        # documents are never changed in place, so untouched sections are shared
+        merged = {**self.values, section: {**self.values[section], key: value}}
+        return ConfigDocument(values=merged)
+
+    def to_scenario(self) -> Scenario:
+        """Convert to SI once; physical validation happens downstream.
+
+        mG, nK, ms and um are exact powers of ten of SI units; dividing
+        by the power keeps each value correctly rounded: 400 mG becomes
+        4e-05 T, where multiplying by the inexact 1e-7 gives
+        3.9999999999999996e-05.
+        """
+        scenario, resonance, pulses, inter = (
+            self.values[name] for name in ("scenario", "resonance", "pulses", "interferometer")
+        )
+        c = CONSTANTS
+        return Scenario(
+            species=Species(
+                name="config", atom_mass=scenario["mass_amu"] * c.atomic_mass_unit
+            ),
+            trap_guide=TrapGuide(
+                omega_trap=2.0 * math.pi * scenario["omega_trap_hz"],
+                omega_guide=2.0 * math.pi * scenario["omega_guide_hz"],
+                trap_depth=c.k_boltzmann * (scenario["trap_depth_nK"] / 1e9),
+            ),
+            resonance=Resonance(
+                width=resonance["width_mG"] / 1e7,
+                moment_difference=resonance["moment_diff_muB"] * c.bohr_magneton,
+                background_scattering_length=resonance["a_bg_a0"] * c.bohr_radius,
+                position=resonance["position_mG"] / 1e7,
+            ),
+            pulses=PulseSequence(
+                base_field=pulses["base_field_mG"] / 1e7,
+                pulse_height=pulses["height_mG"] / 1e7,
+                pulse_duration=pulses["duration_ms"] / 1e3,
+                pulse_separation=pulses["separation_s"],
+            ),
+            interferometer=InterferometerBlock(
+                ell1=inter["ell1_um"] / 1e6,
+                ell2=inter["ell2_um"] / 1e6,
+                theta1=math.radians(inter["theta1_deg"]),
+                theta2=math.radians(inter["theta2_deg"]),
+                mode=inter["mode"],
+            ),
+        )
+
+    @property
+    def events(self) -> int:
+        return self.values["run"]["events"]
+
+    @property
+    def seed(self) -> int:
+        return self.values["run"]["seed"]
+
+
+def _convert(section: str, key: str, raw: str):
+    kind = CONFIG_SCHEMA[section][key]
+    try:
+        if kind == "float":
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not finite")
+            return value
+        if kind == "int":
+            return int(raw)
+        return raw.strip()
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({exc})") from exc
+
+
+def _parse(text: str, source: str) -> dict:
+    """Sections and typed values of one INI document, names checked."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys carry unit suffixes like _nK; keep case
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config {source}: {exc}") from exc
+    values: dict = {}
+    for section in parser.sections():
+        if section not in CONFIG_SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in CONFIG_SCHEMA[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            values.setdefault(section, {})[key] = _convert(section, key, raw)
+    return values
+
+
+# The bundled lithium-6 scenario, data/paper-li6.cfg: the one copy of the
+# reference numbers.  Every document is this one with a file laid over it.
+BUNDLED_DEFAULTS: Mapping[str, Mapping[str, object]] = _parse(
+    resources.files("dtebell").joinpath("data/paper-li6.cfg").read_text("utf-8"),
+    "paper-li6.cfg",
+)
+
+
+def load_config(path: Optional[str] = None) -> ConfigDocument:
+    """Parse and validate a config file; None loads the bundled scenario.
+
+    Missing sections and keys take the bundled values, so a document can
+    override a single parameter.
+    """
+    values = {name: dict(body) for name, body in BUNDLED_DEFAULTS.items()}
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for section, body in _parse(text, path).items():
+            values[section].update(body)
+    document = ConfigDocument(values=values)
+    mode = document.get("interferometer", "mode")
+    if mode not in ("Switched", "BeamSplitter"):
+        raise ConfigError(
+            f"invalid value for interferometer.mode: {mode!r} "
+            "(expected Switched or BeamSplitter)"
+        )
+    if document.events < 1:
+        raise ConfigError(f"run.events must be >= 1, got {document.events}")
+    if not 0 <= document.seed < 2**64:
+        raise ConfigError(f"run.seed must fit in 64 bits, got {document.seed}")
+    return document
+
+
 def reference_scenario() -> Scenario:
-    """The bundled lithium-6 scenario (same numbers as data/paper-li6.cfg).
+    """The bundled lithium-6 scenario: data/paper-li6.cfg in SI.
 
     Feshbach molecules of 6Li in a shallow 0.5 Hz, 100 nK trap inside a
     300 Hz waveguide, dissociated at a narrow resonance (1 mG width,
@@ -383,33 +573,4 @@ def reference_scenario() -> Scenario:
     Defaults to a symmetric switched interferometer with arms at half
     the separation the atoms acquire during that second.
     """
-    c = CONSTANTS
-    species = Species(name="Li6", atom_mass=6.0151228 * c.atomic_mass_unit)
-    trap_guide = TrapGuide(
-        omega_trap=2.0 * math.pi * 0.5,
-        omega_guide=2.0 * math.pi * 300.0,
-        trap_depth=c.k_boltzmann * 100e-9,
-    )
-    resonance = Resonance(
-        width=1e-7,                         # 1 mG in T
-        moment_difference=0.01 * c.bohr_magneton,
-        background_scattering_length=100.0 * c.bohr_radius,
-        position=543.25e-4,                 # 543.25 G in T
-    )
-    pulses = PulseSequence(
-        base_field=543.20e-4,
-        pulse_height=400e-7,
-        pulse_duration=60e-3,
-        pulse_separation=1.0,
-    )
-    base = Scenario(species=species, trap_guide=trap_guide,
-                    resonance=resonance, pulses=pulses)
-    scales = scales_from_scenario(base)
-    half_sep = scales.v_rel * pulses.pulse_separation / 2.0
-    interferometer = InterferometerBlock(
-        ell1=half_sep, ell2=-half_sep,
-        theta1=math.pi / 4.0, theta2=math.pi / 4.0,
-        mode="Switched",
-    )
-    return Scenario(species=species, trap_guide=trap_guide, resonance=resonance,
-                    pulses=pulses, interferometer=interferometer)
+    return load_config(None).to_scenario()

@@ -334,6 +334,13 @@ class TestBell:
         code, _, err = invoke("bell", "--optimize", "--tau", "-1")
         assert code == 2 and "--tau" in err
 
+    def test_optimize_rejects_tilted_analyzers(self, tmp_path):
+        # the closed form behind --optimize models 45-degree analyzers only
+        path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
+        code, out, err = invoke("bell", path, "--optimize")
+        assert code == 2 and out == ""
+        assert "theta1_deg" in err
+
 
 # --------------------------------------------------------------- montecarlo
 
@@ -379,6 +386,12 @@ class TestMonteCarlo:
                 assert float(row[key]) == pytest.approx(
                     table.counts[i][j] / kept, abs=1e-12
                 )
+
+    def test_rejects_tilted_analyzers(self, tmp_path):
+        path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
+        code, out, err = invoke("montecarlo", path, "--events", "100")
+        assert code == 2 and out == ""
+        assert "theta1_deg" in err
 
     def test_byte_identical_reruns(self):
         first = invoke("montecarlo", "--events", "500", "--seed", "7")

@@ -1,3 +1,6 @@
+import dataclasses
+import io
+import json
 import math
 import warnings
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtebell import load_config
 from dtebell.scenario import (
     CONSTANTS,
     BelowThresholdError,
@@ -102,6 +106,48 @@ def test_reference_scenario_scales():
     assert scales.t_rel == pytest.approx(T_REL_REF, rel=1e-8)
     assert scales.t_cm == pytest.approx(T_CM_REF, rel=1e-12)
     assert scales.lambda_bar_rel == pytest.approx(LAMBDA_BAR_REF, rel=1e-8)
+
+
+def _leaves(value, path="scenario"):
+    """(path, value) for every non-dataclass field, depth first."""
+    if not dataclasses.is_dataclass(value):
+        return [(path, value)]
+    leaves = []
+    for f in dataclasses.fields(value):
+        leaves += _leaves(getattr(value, f.name), f"{path}.{f.name}")
+    return leaves
+
+
+class TestSingleSource:
+    """data/paper-li6.cfg is the one copy of the reference numbers."""
+
+    def test_reference_scenario_is_the_bundled_cfg(self):
+        reference = _leaves(reference_scenario())
+        converted = _leaves(load_config(None).to_scenario())
+        assert [path for path, _ in reference] == [path for path, _ in converted]
+        for (path, a), (_, b) in zip(reference, converted):
+            if isinstance(a, float):
+                assert a.hex() == b.hex(), path
+            else:
+                assert a == b, path
+
+    def test_lab_units_convert_correctly_rounded(self):
+        scenario = load_config(None).to_scenario()
+        assert scenario.pulses.pulse_height == 4e-05  # 400 mG
+        assert scenario.resonance.width == 1e-07  # 1 mG
+        assert scenario.pulses.pulse_duration == 0.06  # 60 ms
+        assert scenario.trap_guide.trap_depth == CONSTANTS.k_boltzmann * 1e-07  # 100 nK
+
+    def test_cli_scales_match_the_library_reference(self):
+        from dtebell.cli import main
+
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["scales", "--json"], out, err) == 0
+        payload = json.loads(out.getvalue())
+        # test_bell.py's V_REF, PRODUCT_REF and LAMBDA_RATIO_REF
+        assert payload["visibility"] == 0.7178682251780976
+        assert payload["dispersion_product"] == 3.765486346780854
+        assert payload["lambda_ratio"] == 0.0001844796005393443
 
 
 def test_reference_dispersion_times_magnitudes():
