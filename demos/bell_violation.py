@@ -36,10 +36,7 @@ def analyze(document, label):
     )
     seeded = seed_settings(gaussians, scenario.species, tau, pulse_phase)
     best = optimize_settings(correlator, seeded)
-    outcome = chsh_value(
-        correlator, best.settings,
-        fringe_period=2 * math.pi * scales.lambda_bar_rel,
-    )
+    outcome = chsh_value(correlator, best.settings)
 
     v = visibility(scales, tau)
     ceiling = 2 * math.sqrt(2) * v

@@ -148,7 +148,8 @@ def spin_reference_correlation(phi1: float, phi2: float) -> CorrelationResult:
     p = {(s1, s2): 0.25 * (1.0 + s1 * s2 * e) for s1 in (1, -1) for s2 in (1, -1)}
     e_value = p[(1, 1)] - p[(1, -1)] - p[(-1, 1)] + p[(-1, -1)]
     return CorrelationResult(
-        p=p, e_value=e_value, method="ClosedForm", quadrature_error_estimate=0.0
+        p=p, e_value=e_value, method="ClosedForm", quadrature_error_estimate=0.0,
+        visibility=1.0,
     )
 
 
@@ -182,55 +183,29 @@ def feasible(
     )
 
 
-def _signed_chsh(correlator, settings: ChshSettings) -> float:
-    total = 0.0
+def _signed_chsh(correlator, settings: ChshSettings, results=None) -> float:
+    """Signed CHSH sum; the correlator results are appended to ``results``."""
+    total = 0.0  # a plain loop: sum() rounds differently from Python 3.12 on
     for x, y, sign in settings.pairs():
-        total += sign * correlator(x, y).e_value
+        result = correlator(x, y)
+        if results is not None:
+            results.append(result)
+        total += sign * result.e_value
     return total
-
-
-def _shift(setting, delta: float):
-    if isinstance(setting, InterferometerSetting):
-        return InterferometerSetting(
-            ell=setting.ell + delta, theta=setting.theta, switch_mode=setting.switch_mode
-        )
-    return setting + delta
-
-
-def _fringe_amplitude(correlator, a, b, period: float, n: int = 32) -> float:
-    """Amplitude of E(a, b) while sliding ``a`` over one fringe period.
-
-    First DFT bin of the n-point trace: exact for a pure cosine at any
-    phase, and insensitive to the slow envelope drift across the period.
-    """
-    values = np.array([correlator(_shift(a, period * k / n), b).e_value for k in range(n)])
-    phases = np.exp(-2j * np.pi * np.arange(n) / n)
-    return float(2.0 * abs(np.sum(values * phases)) / n)
 
 
 def chsh_value(
     correlator: Callable[[object, object], CorrelationResult],
     settings: ChshSettings,
-    fringe_period: Optional[float] = None,
 ) -> BellOutcome:
     """CHSH combination S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
 
-    The visibility estimate scans the correlator over one fringe period
-    around the first setting (2*pi for angle settings).  Without a known
-    period in length mode it falls back to the lower bound S/(2*sqrt(2)).
+    The visibility is the fringe amplitude the correlator reports at
+    (a, b).
     """
-    signed = _signed_chsh(correlator, settings)
-    s = abs(signed)
-    if fringe_period is None and not settings.length_mode:
-        fringe_period = 2.0 * math.pi
-    if fringe_period is not None:
-        if fringe_period <= 0.0:
-            raise ValidationError("fringe_period must be positive")
-        vis = _fringe_amplitude(correlator, settings.a, settings.b, fringe_period)
-    else:
-        vis = s / TSIRELSON_BOUND
-    vis = min(1.0, max(0.0, vis))
-    return BellOutcome(s_value=s, visibility=vis, settings=settings)
+    results = []
+    s = abs(_signed_chsh(correlator, settings, results))
+    return BellOutcome(s_value=s, visibility=results[0].visibility, settings=settings)
 
 
 def _wrap_near_zero(angle: float) -> float:
@@ -493,11 +468,10 @@ def optimize_settings(
             break
 
     settings = rebuild(values)
-    s_value = abs(_signed_chsh(correlator, settings))
     outcome = chsh_value(correlator, settings)
     return OptimizationResult(
         settings=settings,
-        s_value=s_value,
+        s_value=outcome.s_value,
         outcome=outcome,
         converged=converged,
         sweeps=sweeps_done,

@@ -15,8 +15,12 @@ with repr, so every emitted number parses back to the exact binary value.
 
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
 usage failure.  Identical (config, flags, seed) produce byte-identical
-output.  DTEBELL_THREADS > 1 computes scan rows in a thread pool
-(emission order is unchanged); --seed overrides the config seed.
+output; --seed overrides the config seed.
+
+V is the fringe amplitude of E at the row's settings on every route:
+the correlator's own visibility on scan rows, and on the bell summary
+row its value at the first pair (a, b).  Monte Carlo summaries carry the
+lower bound S_hat/(2*sqrt(2)) instead.
 """
 
 from __future__ import annotations
@@ -25,11 +29,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from .bell import (
     ChshSettings,
     TSIRELSON_BOUND,
-    _fringe_amplitude,
     chsh_value,
     closed_form_correlator,
     feasible,
@@ -51,8 +51,7 @@ from .correlation import (
     GaussianPairDistribution,
     InterferometerSetting,
     QuadratureError,
-    _closed_form_result,
-    closed_form_parts,
+    correlate_closed_form,
     correlate_quadrature,
 )
 from .dissociation import (
@@ -166,25 +165,6 @@ def _correlation_cells(probability, e_value: float) -> dict:
     return cells
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DTEBELL_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DTEBELL_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError(f"DTEBELL_THREADS must be >= 1, got {count}")
-    return count
-
-
-def _map_rows(function, items):
-    threads = _thread_count()
-    if threads == 1:
-        return [function(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(function, items))
-
-
 # ------------------------------------------------------------------- scales
 
 
@@ -274,11 +254,9 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
         ell2 = inter["ell2_um"] / 1e6
         species = tools.scenario.species
         if method == "closed":
-            prefactor, envelope, phase, _ = closed_form_parts(
+            result = correlate_closed_form(
                 tools.gaussians, species, tools.tau, tools.pulse_phase, ell1, ell2
             )
-            result = _closed_form_result(prefactor, envelope, phase)
-            row["V"] = prefactor * envelope
         else:
             pair = DtePair(
                 distribution=GaussianPairDistribution(modes=tools.gaussians),
@@ -298,6 +276,7 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
         row["error"] = str(exc).replace("\n", " ")
         return row
     row.update(_correlation_cells(result.probability, result.e_value))
+    row["V"] = result.visibility
     return row
 
 
@@ -315,10 +294,8 @@ def cmd_scan(args, stdout, stderr) -> int:
     if args.axis in ("ell1", "ell2"):
         base = _tools_for(document.to_scenario())
     grid = np.linspace(args.start, args.stop, args.steps)
-    rows = _map_rows(
-        lambda value: _scan_point(document, base, args.axis, float(value), args.method),
-        grid,
-    )
+    rows = [_scan_point(document, base, args.axis, float(value), args.method)
+            for value in grid]
     _write_csv(stdout, RESULT_COLUMNS, rows)
     return 0
 
@@ -362,12 +339,9 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
         if not (tau_override > 0 and math.isfinite(tau_override)):
             raise ConfigError(f"--tau must be positive and finite, got {tau_override}")
         document = document.replace("pulses", "separation_s", float(tau_override))
-    scenario = document.to_scenario()
-    tools = _tools_for(scenario)
-    scales = scales_from_scenario(scenario)
+    tools = _tools_for(document.to_scenario())
     correlator, chosen = _chosen_settings(document, tools, settings_um)
-    period = 2.0 * math.pi * scales.lambda_bar_rel
-    outcome = chsh_value(correlator, chosen, fringe_period=period)
+    outcome = chsh_value(correlator, chosen)
 
     # echo --settings inputs exactly; the m <-> um round trip is lossy
     if settings_um is not None:
@@ -541,16 +515,12 @@ def cmd_feasibility(args, stdout, stderr) -> int:
             phi_tau=phi_tau(scenario),
             species=scenario.species,
         )
-        # slide side 1 over one fringe at the envelope center to recover
-        # the fringe amplitude of the true two-pulse source
+        # the fringe amplitude of the true two-pulse source at the
+        # envelope center
         half = 0.5 * tau0 * scales.v_rel
-        amplitude = _fringe_amplitude(
-            partial(correlate_quadrature, pair),
-            InterferometerSetting(ell=half),
-            InterferometerSetting(ell=-half),
-            2.0 * math.pi * scales.lambda_bar_rel,
-            n=8,
-        )
+        amplitude = correlate_quadrature(
+            pair, InterferometerSetting(ell=half), InterferometerSetting(ell=-half)
+        ).visibility
         gaussian_v = visibility(scales, tau0)
         stderr.write(
             f"two-pulse source fringe amplitude at center: {amplitude:.6f} "

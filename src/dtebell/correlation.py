@@ -196,12 +196,18 @@ class DtePair:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Four coincidence probabilities plus their correlation value."""
+    """Four coincidence probabilities plus their correlation value.
+
+    ``visibility`` is the fringe amplitude of E at this setting pair,
+    |sin2t1 sin2t2| * |I| for the complex interference integral I, so
+    that |E - cos2t1 cos2t2| <= visibility.
+    """
 
     p: Mapping
     e_value: float
     method: str
     quadrature_error_estimate: float
+    visibility: float
     generalized_theta: bool = False
 
     def __post_init__(self) -> None:
@@ -211,6 +217,8 @@ class CorrelationResult:
         for key, value in self.p.items():
             if not (-1e-9 <= value <= 1.0 + 1e-9):
                 raise ValidationError(f"P{key} = {value} outside [0, 1]")
+        if not (0.0 <= self.visibility <= 1.0):
+            raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
         if self.method not in ("Quadrature", "ClosedForm"):
             raise ValidationError(f"unknown method {self.method!r}")
 
@@ -220,6 +228,7 @@ class CorrelationResult:
 
 def _result_from_interference(
     e_interference: float,
+    amplitude: float,
     theta1: float,
     theta2: float,
     method: str,
@@ -229,6 +238,8 @@ def _result_from_interference(
 
     The first term is the non-interfering mirror/splitter imbalance; it
     vanishes at theta = pi/4 where the standard form is recovered.
+    ``amplitude`` is |I| >= |e_int|; scaled by |sin2t1 sin2t2| it is the
+    result's visibility.
     """
     c_term = math.cos(2.0 * theta1) * math.cos(2.0 * theta2)
     s_term = math.sin(2.0 * theta1) * math.sin(2.0 * theta2)
@@ -236,7 +247,10 @@ def _result_from_interference(
     # worse is a real bug upstream
     if abs(e_interference) > 1.0 + 1e-9:
         raise ValidationError(f"interference term {e_interference} outside [-1, 1]")
+    if amplitude > 1.0 + 1e-9:
+        raise ValidationError(f"interference amplitude {amplitude} above 1")
     e_interference = min(1.0, max(-1.0, e_interference))
+    amplitude = min(1.0, amplitude)
     combined = c_term + s_term * e_interference
     p = {}
     for s1, s2 in SIGN_PAIRS:
@@ -249,6 +263,7 @@ def _result_from_interference(
         e_value=e_value,
         method=method,
         quadrature_error_estimate=estimate,
+        visibility=abs(s_term) * amplitude,
         generalized_theta=generalized,
     )
 
@@ -383,7 +398,7 @@ def correlate_quadrature(
     fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine), rate=True)
     e_interference = float(np.real(phase_ref * fine))
     return _result_from_interference(
-        e_interference, s1.theta, s2.theta, "Quadrature", estimate
+        e_interference, abs(fine), s1.theta, s2.theta, "Quadrature", estimate
     )
 
 
@@ -451,9 +466,10 @@ def correlate_closed_form(
     """Gaussian closed form of the coincidence probabilities at theta = pi/4.
 
     E = prefactor * envelope * cos(phase) with the parts documented in
-    closed_form_parts.  ``signs`` optionally names one (s1, s2) outcome of
-    interest; the result always carries all four probabilities, the
-    argument is validated for convenience in calling code.
+    closed_form_parts, and the visibility is prefactor * envelope.
+    ``signs`` optionally names one (s1, s2) outcome of interest; the
+    result always carries all four probabilities, the argument is
+    validated for convenience in calling code.
     """
     if signs is not None:
         if tuple(signs) not in SIGN_PAIRS:
@@ -461,14 +477,9 @@ def correlate_closed_form(
     prefactor, envelope, phase, _ = closed_form_parts(
         gaussians, species, tau, phi_tau, ell1, ell2
     )
-    return _closed_form_result(prefactor, envelope, phase)
-
-
-def _closed_form_result(prefactor: float, envelope: float, phase: float) -> CorrelationResult:
-    """Closed-form result at theta = pi/4 from closed_form_parts."""
-    e_interference = prefactor * envelope * math.cos(phase)
     return _result_from_interference(
-        e_interference, math.pi / 4.0, math.pi / 4.0, "ClosedForm", 0.0
+        prefactor * envelope * math.cos(phase), prefactor * envelope,
+        math.pi / 4.0, math.pi / 4.0, "ClosedForm", 0.0,
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -543,10 +542,13 @@ def load_config(path: Optional[str] = None) -> ConfigDocument:
     """
     values = {name: dict(body) for name, body in BUNDLED_DEFAULTS.items()}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for section, body in _parse(text, path).items():
             values[section].update(body)
     document = ConfigDocument(values=values)

@@ -118,8 +118,7 @@ class TestFringeCenterVisibility:
                                               shipped_scenario):
         """The amplitude of an actually scanned fringe, not just the formula."""
         correlator, settings, _ = reference_pipeline
-        period = 2 * math.pi * scales_from_scenario(shipped_scenario).lambda_bar_rel
-        outcome = chsh_value(correlator, settings, fringe_period=period)
+        outcome = chsh_value(correlator, settings)
         assert outcome.visibility == pytest.approx(0.72, abs=0.01)
         assert outcome.visibility > 1.0 / math.sqrt(2.0)
 

@@ -305,13 +305,30 @@ def test_optimized_settings_near_fringe_center(optimized, scales):
             assert abs((ell1 - ell2) - center_diff) < 1.5 * period
 
 
-def test_optimizer_visibility_scan(reference_correlator, optimized, scales):
-    period = 2.0 * math.pi * scales.lambda_bar_rel
-    outcome = chsh_value(reference_correlator, optimized.settings, fringe_period=period)
+def test_optimizer_visibility_scan(reference_correlator, optimized,
+                                   scenario, gaussians, pulse_phase):
+    outcome = chsh_value(reference_correlator, optimized.settings)
     assert outcome.visibility == pytest.approx(V_REF, abs=5e-4)
-    # without a known period the estimate falls back to the S lower bound
-    fallback = chsh_value(reference_correlator, optimized.settings)
-    assert fallback.visibility == pytest.approx(optimized.s_value / TSIRELSON_BOUND, abs=1e-12)
+    # the visibility is the closed-form fringe amplitude at (a, b)
+    prefactor, envelope, _, _ = closed_form_parts(
+        gaussians, scenario.species, scenario.pulses.pulse_separation, pulse_phase,
+        optimized.settings.a.ell, optimized.settings.b.ell,
+    )
+    assert outcome.visibility == prefactor * envelope
+
+
+def test_chsh_value_makes_four_correlator_calls(reference_correlator, optimized):
+    for correlator, chsh in ((spin_correlator, TEXTBOOK),
+                             (reference_correlator, optimized.settings)):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return correlator(x, y)
+
+        outcome = chsh_value(counted, chsh)
+        assert calls == [(x, y) for x, y, _ in chsh.pairs()]
+        assert outcome.visibility == correlator(chsh.a, chsh.b).visibility
 
 
 def test_optimize_no_dispersion_recovers_tsirelson(scenario, gaussians, pulse_phase):

@@ -80,6 +80,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/no/such/file.cfg")
 
+    def test_directory_as_config_exits_2(self, tmp_path):
+        code, _, err = invoke("scales", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_undecodable_config_exits_2(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"[pulses]\nseparation_s = 1.0\xff\n")
+        code, _, err = invoke("scales", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+
     def test_schema_covers_defaults(self):
         assert {s: set(v) for s, v in CONFIG_SCHEMA.items()} == {
             s: set(v) for s, v in BUNDLED_DEFAULTS.items()
@@ -261,22 +273,6 @@ class TestScan:
         for row in parse_csv(out):
             assert row["error"] == ""
             assert abs(float(row["E"])) <= 1.0
-
-    def test_thread_pool_output_identical(self, monkeypatch):
-        args = ("scan", "--axis", "ell1", "--start", "5330", "--stop", "5370",
-                "--steps", "8")
-        _, serial, _ = invoke(*args)
-        monkeypatch.setenv("DTEBELL_THREADS", "4")
-        _, threaded, _ = invoke(*args)
-        assert threaded == serial
-
-    def test_bad_thread_env_exits_2(self, monkeypatch):
-        monkeypatch.setenv("DTEBELL_THREADS", "many")
-        code, _, err = invoke(
-            "scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
-            "--steps", "2",
-        )
-        assert code == 2 and "DTEBELL_THREADS" in err
 
 
 # --------------------------------------------------------------------- bell
@@ -523,6 +519,23 @@ class TestFeasibility:
         assert len(line) == 1
         amplitude = float(line[0].split("center: ")[1].split(" ")[0])
         assert 0.6 < amplitude < 1 / math.sqrt(2)
+
+    def test_source_model_check_is_one_sinc2_call(self, monkeypatch):
+        import dtebell.cli as cli
+
+        original = cli.correlate_quadrature
+        results = []
+
+        def counted(pair, *args, **kwargs):
+            result = original(pair, *args, **kwargs)
+            results.append((type(pair.distribution).__name__, result))
+            return result
+
+        monkeypatch.setattr(cli, "correlate_quadrature", counted)
+        code, _, err = invoke("feasibility", "--steps", "3", "--source-model-check")
+        assert code == 0
+        assert [route for route, _ in results] == ["FeshbachDistribution"]
+        assert f"center: {results[0][1].visibility:.6f} " in err
 
     def test_capped_normalization_exits_1(self, monkeypatch):
         import dtebell.dissociation as dis

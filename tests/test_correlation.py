@@ -198,12 +198,13 @@ def test_result_validation():
     with pytest.raises(ValidationError):
         CorrelationResult(
             p={k: 0.3 for k in SIGN_PAIRS}, e_value=0.0, method="ClosedForm",
-            quadrature_error_estimate=0.0,
+            quadrature_error_estimate=0.0, visibility=0.0,
         )
     with pytest.raises(ValidationError):
         CorrelationResult(
             p={(1, 1): 1.2, (1, -1): -0.2, (-1, 1): 0.0, (-1, -1): 0.0},
             e_value=0.0, method="ClosedForm", quadrature_error_estimate=0.0,
+            visibility=0.0,
         )
 
 
@@ -432,6 +433,40 @@ def test_quadrature_matches_closed_form_offsets(
     closed = correlate_closed_form(gaussians, scenario.species, tau, phi_tau, ell1, ell2)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
+
+
+def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, gaussians, scenario, scales):
+    """Both routes report the same |I| at any setting pair, and it bounds
+    the fringe: |E - cos2t1 cos2t2| <= visibility, also off 45 degrees."""
+    rng = np.random.default_rng(12)
+    period = 2.0 * math.pi * scales.lambda_bar_rel
+    species = scenario.species
+    for _ in range(20):
+        tau = rng.uniform(0.4, 1.8)
+        pulse_phase = rng.uniform(0.0, 2.0 * math.pi)
+        ell1 = 0.5 * tau * scales.v_rel + rng.uniform(-3.0, 3.0) * period
+        ell2 = -0.5 * tau * scales.v_rel + rng.uniform(-3.0, 3.0) * period
+        theta1, theta2 = rng.uniform(0.0, 0.5 * math.pi, 2)
+        pair = DtePair(distribution=gdist, tau=tau, phi_tau=pulse_phase, species=species)
+        prefactor, envelope, _, _ = closed_form_parts(
+            gaussians, species, tau, pulse_phase, ell1, ell2
+        )
+        closed = correlate_closed_form(gaussians, species, tau, pulse_phase, ell1, ell2)
+        quad = correlate_quadrature(
+            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        )
+        tilted = correlate_quadrature(
+            pair,
+            InterferometerSetting(ell=ell1, theta=theta1),
+            InterferometerSetting(ell=ell2, theta=theta2),
+        )
+        assert closed.visibility == prefactor * envelope
+        assert abs(quad.visibility - prefactor * envelope) <= 1e-6
+        quarter = math.pi / 4.0
+        for result, t1, t2 in ((closed, quarter, quarter), (quad, quarter, quarter),
+                               (tilted, theta1, theta2)):
+            untilted = math.cos(2.0 * t1) * math.cos(2.0 * t2)
+            assert abs(result.e_value - untilted) <= result.visibility + 1e-12
 
 
 def test_quadrature_at_origin(gdist, gaussians, scenario, phi_tau):

@@ -30,6 +30,16 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    code = (
+        "import sys, dtebell.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'concurrent'])"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_python_m_dtebell():
     proc = run_python("-W", "default", "-m", "dtebell", "scales", "--json")
     assert proc.returncode == 0, proc.stderr
