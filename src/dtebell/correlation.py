@@ -27,11 +27,9 @@ from .dissociation import (
     GaussianPair,
     QuadratureError,
     _converge,
-    _gauss_legendre,
-    _node_count,
     _pair_integral,
-    _quadratic_span,
     _tail_cut,
+    _window_integral,
 )
 from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
 
@@ -292,45 +290,25 @@ def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: s
 # quadrature machinery
 
 
-def _gaussian_factor(mode_mean: float, mode_sigma: float, a: float, b: float, n: int) -> complex:
-    """integral of N(x; mean, sigma) * exp(i(a x - b x^2)) over +-8.5 sigma."""
-    x_gl, w_gl = _gauss_legendre(n)
-    half = WINDOW_SIGMAS * mode_sigma
-    x = mode_mean + half * x_gl
-    dens = np.exp(-0.5 * ((x - mode_mean) / mode_sigma) ** 2) / (
-        math.sqrt(2.0 * math.pi) * mode_sigma
-    )
-    phase = np.exp(1j * (a * x - b * x * x))
-    return complex(np.dot(w_gl * half, dens * phase))
-
-
 def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
     """Interference integral for a separable Gaussian pair, internal units.
 
     ``level`` scales every node count; returns (value, capped) where
-    capped means some factor ran at the per-dimension ceiling and raising
-    the level further cannot improve it.
+    capped means some factor's node count sits at MAX_NODES, so raising
+    the level further adds no nodes there.
     """
-    cm = dist.modes.cm
-    b_cm = 1.0 / (4.0 * m_int)
-    b_rel = 1.0 / m_int
-    a_cm = 0.5 * sl_int
-    a_rel = dl_int
 
-    cm_mean = units.to_internal(cm.mean_p, "momentum")
-    cm_sigma = units.to_internal(cm.sigma_p, "momentum")
-    lo, hi = cm_mean - WINDOW_SIGMAS * cm_sigma, cm_mean + WINDOW_SIGMAS * cm_sigma
-    n_cm, capped = _node_count(_quadratic_span(a_cm, b_cm, lo, hi), level, MIN_NODES, MAX_NODES)
-    i_cm = _gaussian_factor(cm_mean, cm_sigma, a_cm, b_cm, n_cm)
-
-    i_rel = 0.0 + 0.0j
-    for weight, mode in dist.detector_branches:
+    def factor(mode, a, b):
         mean = units.to_internal(mode.mean_p, "momentum")
         sigma = units.to_internal(mode.sigma_p, "momentum")
-        lo, hi = mean - WINDOW_SIGMAS * sigma, mean + WINDOW_SIGMAS * sigma
-        n, hit = _node_count(_quadratic_span(a_rel, b_rel, lo, hi), level, MIN_NODES, MAX_NODES)
+        return _window_integral(mean, sigma, a, b, level, MIN_NODES, MAX_NODES)
+
+    i_cm, capped = factor(dist.modes.cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
+    i_rel = 0.0 + 0.0j
+    for weight, mode in dist.detector_branches:
+        value, hit = factor(mode, dl_int, 1.0 / m_int)
         capped = capped or hit
-        i_rel += weight * _gaussian_factor(mean, sigma, a_rel, b_rel, n)
+        i_rel += weight * value
     return i_cm * i_rel, capped
 
 
@@ -365,7 +343,9 @@ def correlate_quadrature(
     non-stationary-phase bound on the dropped part (at most an eighth of
     the envelope tail) is charged here.  ``refine`` forces that many extra
     node doublings beyond the adaptive schedule (testing hook for the
-    self-consistency property).
+    self-consistency property).  The returned pass differs from its
+    half-level pass in every node count; where a node cap rules that out,
+    QuadratureError is raised (dissociation._converge).
     """
     dist = pair.distribution
     if isinstance(dist, GaussianPairDistribution):

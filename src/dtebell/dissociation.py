@@ -99,7 +99,7 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-@functools.lru_cache(maxsize=128)
+@functools.cache
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only.
 
@@ -288,17 +288,22 @@ def feshbach_density(dist: FeshbachDistribution, p_cm, p_rel):
 def _converge(compute, estimate_for, target: float, level: float = 1.0, rate: bool = False):
     """Double the level until estimate_for(error) <= target.
 
-    ``compute(level)`` returns (value, capped); ``error`` is the
-    difference between the pass at ``level`` and the half-level pass.
-    With ``rate`` that difference is rate-corrected (_rate_corrected)
-    when it misses the target on an uncapped pass; at the starting level
-    this costs one quarter-level pass, after that the previous doubling
-    supplies the rate.  Returns (value, estimate); raises QuadratureError
-    on a capped pass or past MAX_LEVEL times the starting level, so a
-    node ceiling never masquerades as convergence.
+    ``compute(level)`` returns (value, capped): capped means some node
+    count is at its cap (_node_count), where doubling adds no nodes.
+    ``error`` is the difference between the pass at ``level`` and the
+    half-level pass.  With ``rate`` that difference is rate-corrected
+    (_rate_corrected) when it misses the target on an uncapped pass; at
+    the starting level this costs one quarter-level pass, after that the
+    previous doubling supplies the rate.  Returns (value, estimate).  A
+    capped half-level pass raises QuadratureError (estimate inf), as do
+    a capped pass that misses the target and a pass past MAX_LEVEL times
+    the starting level, so every accepted pass differs from its
+    half-level pass in every node count.
     """
     ceiling = MAX_LEVEL * level
-    coarse, _ = compute(0.5 * level)
+    coarse, capped = compute(0.5 * level)
+    if capped:
+        raise QuadratureError("half-level pass at the node-count cap", estimate=math.inf)
     fine, capped = compute(level)
     previous = None  # |coarse - the pass below it|, once known
     while True:
@@ -346,13 +351,34 @@ def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
     return max(values) - min(values)
 
 
-def _node_count(span: float, level: float, floor: int, ceiling: int) -> tuple[int, bool]:
-    """(nodes, capped): >= 8 per radian of ``span``, clipped, scaled by level."""
-    base = int(np.clip(math.ceil(8.0 * span), floor, ceiling))
-    n = int(math.ceil(base * level))
-    if n >= ceiling:
-        return ceiling, True
-    return max(n, floor // 2), False
+def _node_count(need, level: float, cap: int):
+    """(nodes, capped): the power of two >= min(need, cap) * level, at most
+    ``cap`` (itself a power of two); vectorised over ``need``.
+
+    capped means nodes == cap: doubling the level adds no nodes.  Since
+    the need is clipped before scaling, a pass at half a starting level
+    >= 1 is never capped, and nodes(2 level) = min(2 nodes(level), cap).
+    """
+    mantissa, exponent = np.frexp(np.minimum(need, cap) * level)
+    nodes = np.minimum(np.ldexp(1.0, exponent - (mantissa == 0.5)), cap).astype(int)
+    return nodes, nodes == cap
+
+
+def _window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weight=None):
+    """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
+    over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
+    per radian of phase range plus ``extra_span`` (what ``weight`` adds),
+    at least ``floor``, and _node_count sizes it at ``level``."""
+    half = WINDOW_SIGMAS * sigma
+    span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
+    n, capped = _node_count(max(math.ceil(8.0 * span), floor), level, cap)
+    gl_x, gl_w = _gauss_legendre(int(n))
+    x = mean + half * gl_x
+    dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    integrand = dens * np.exp(1j * (a * x - b * x * x))
+    if weight is not None:
+        integrand = integrand * weight(x)
+    return complex(np.dot(gl_w * half, integrand)), bool(capped)
 
 
 def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
@@ -360,10 +386,11 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
 
     K is the scaled sinc^2 kernel; the 2 folds the mirror particle-label
     branch onto the detector frame.  Panels follow the sinc zeros; node
-    buckets follow the worst phase excursion over all rows.  The (u,
-    panel, node) tensor is then summed U_ROWS_PER_BLOCK rows at a time.
-    Rows sum independently, so the bits do not change, except in a
-    one-row block: a lone trailing row joins the block before it.
+    counts (_node_count) follow each panel's worst phase excursion over
+    all rows, and capped means some panel is at PANEL_NODE_CAP.  The (u,
+    panel, node) tensor is summed U_ROWS_PER_BLOCK rows at a time.  Rows
+    sum independently, so the bits do not change, except in a one-row
+    block: a lone trailing row joins the block before it.
 
     With ``r_cut`` (from _tail_cut) the integral stops at r = r_cut:
     panel edges are clipped there and panels wholly above it are not
@@ -388,9 +415,7 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
         inside = (lo_e < vertex) & (vertex < hi_e)
         top = np.where(inside, np.maximum(top, phase(vertex)), top)
     span = (top - bot).max(axis=0)
-    needed = np.ceil(np.maximum(12, np.ceil(0.7 * span) + 12) * level).astype(int)
-    capped = bool((needed >= PANEL_NODE_CAP).any())
-    buckets = np.minimum(2 ** np.ceil(np.log2(needed)).astype(int), PANEL_NODE_CAP)
+    buckets, capped = _node_count(np.ceil(0.7 * span) + 12, level, PANEL_NODE_CAP)
 
     half_width = 0.5 * (hi_e - lo_e)
     mid = 0.5 * (lo_e + hi_e)
@@ -407,12 +432,12 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
             kern = dist._scaled_kernel(u[rows, None, None], r)
             osc = 2.0 * np.exp(1j * phase(r))
             result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
-    return result, capped
+    return result, bool(capped.any())
 
 
 def _cm_window(dist: FeshbachDistribution):
-    """(lo, hi, u_lo, u_hi, rows): the c.m. window in c = p_cm/p0, its
-    range in u = c^2/4, and the Chebyshev rows in u per unit level."""
+    """(u_lo, u_hi, rows): the range in u = c^2/4 of the c.m. window in
+    c = p_cm/p0, and the Chebyshev rows in u per unit level."""
     cm_mean = dist.cm_state.mean_p / dist.p0
     cm_sigma = dist.cm_state.sigma_p / dist.p0
     lo = cm_mean - WINDOW_SIGMAS * cm_sigma
@@ -421,7 +446,7 @@ def _cm_window(dist: FeshbachDistribution):
     u_lo = 0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi) / 4.0
     # G oscillates in u with period 2 pi / kappa
     cycles = (u_hi - u_lo) * dist.kappa / (2.0 * math.pi)
-    return lo, hi, u_lo, u_hi, math.ceil(7.0 * cycles) + 10
+    return u_lo, u_hi, math.ceil(7.0 * cycles) + 10
 
 
 def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
@@ -450,7 +475,7 @@ def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
     the result is (None, 0.0).
     """
     kappa, b_env = dist.kappa, dist.b
-    _, _, u_lo, _, rows = _cm_window(dist)
+    u_lo, _, rows = _cm_window(dist)
     r_lo = math.sqrt(max(0.0, 1.0 - u_lo))  # x > 0 above it
     slopes = (-2.0 * b, -2.0 * b + 4.0 * kappa, -2.0 * b - 4.0 * kappa)
     for slope in slopes:
@@ -496,10 +521,7 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     sampled at Chebyshev points in u and interpolated onto the c.m.
     grid: a dozen line integrals, not one per c.m. node.
     """
-    cm = dist.cm_state
-    cm_mean = cm.mean_p / dist.p0
-    cm_sigma = cm.sigma_p / dist.p0
-    lo, hi, u_lo, u_hi, rows = _cm_window(dist)
+    u_lo, u_hi, rows = _cm_window(dist)
     u_width = (u_hi - u_lo) if u_hi > u_lo else 1.0
 
     n_u = int(math.ceil(rows * level))
@@ -509,24 +531,21 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     )
     r_cut, _ = _tail_cut(dist, a_rel, b_rel, level)
     g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level, r_cut)
+    cheb = np.polynomial.chebyshev
     x_norm = (2.0 * u_nodes - (u_lo + u_hi)) / u_width
-    coef_re = np.polynomial.chebyshev.chebfit(x_norm, g_vals.real, n_u - 1)
-    coef_im = np.polynomial.chebyshev.chebfit(x_norm, g_vals.imag, n_u - 1)
+    coef_re = cheb.chebfit(x_norm, g_vals.real, n_u - 1)
+    coef_im = cheb.chebfit(x_norm, g_vals.imag, n_u - 1)
 
-    span = _quadratic_span(a_cm, b_cm, lo, hi) + dist.kappa * (u_hi - u_lo)
-    n_c, hit = _node_count(span, level, MIN_NODES, MAX_NODES)
-    gl_x, gl_w = _gauss_legendre(n_c)
-    half = WINDOW_SIGMAS * cm_sigma
-    c = cm_mean + half * gl_x
-    xc = (2.0 * (c * c / 4.0) - (u_lo + u_hi)) / u_width
-    g_interp = np.polynomial.chebyshev.chebval(xc, coef_re) + 1j * np.polynomial.chebyshev.chebval(
-        xc, coef_im
+    def g_interp(c):
+        xc = (2.0 * (c * c / 4.0) - (u_lo + u_hi)) / u_width
+        return cheb.chebval(xc, coef_re) + 1j * cheb.chebval(xc, coef_im)
+
+    cm_mean, cm_sigma = dist.cm_state.mean_p / dist.p0, dist.cm_state.sigma_p / dist.p0
+    value, hit = _window_integral(
+        cm_mean, cm_sigma, a_cm, b_cm, level, MIN_NODES, MAX_NODES, dist.kappa * (u_hi - u_lo),
+        g_interp,
     )
-    f_cm = np.exp(-0.5 * ((c - cm_mean) / cm_sigma) ** 2) / (
-        math.sqrt(2.0 * math.pi) * cm_sigma
-    )
-    phase = np.exp(1j * (a_cm * c - b_cm * c * c))
-    return complex(np.dot(gl_w * half, f_cm * phase * g_interp)), capped or hit
+    return value, capped or hit
 
 
 def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:

@@ -743,6 +743,27 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
     assert peak < 150 * 2**20
 
 
+def test_quadrature_asks_for_power_of_two_rules(
+    gdist, fesh, scenario, scales, phi_tau, monkeypatch
+):
+    import dtebell.dissociation as dis
+
+    requested = []
+    original = dis._gauss_legendre
+
+    def recording(n):
+        requested.append(n)
+        return original(n)
+
+    monkeypatch.setattr(dis, "_gauss_legendre", recording)
+    s1, s2 = _sinc2_settings(scales, 3)
+    for dist in (gdist, fesh):
+        pair = DtePair(distribution=dist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+        correlate_quadrature(pair, s1, s2)
+    assert requested
+    assert all(n > 0 and n & (n - 1) == 0 for n in requested)
+
+
 def _assert_estimate_describes(res, reference, passes, tail):
     """The estimate bounds the distance to a finer reference and is no
     larger than the pass-difference estimate of the returned pass."""

@@ -290,9 +290,37 @@ class TestConverge:
             self.run(self.FAST, 5e-7, rate=True, capped_from=1.0)
         assert excinfo.value.estimate == abs(self.FAST[1.0] - self.FAST[0.5])
 
+    def test_capped_half_level_pass_raises(self):
+        # a half-level pass at its node ceiling gets the same nodes at every
+        # finer level, so no pass difference can speak for its error
+        with pytest.raises(dis.QuadratureError):
+            dis._converge(lambda level: (1.0, True), lambda error: error, 1e-6)
+        with pytest.raises(dis.QuadratureError) as excinfo:
+            self.run(self.FAST, 5e-7, rate=True, capped_from=0.5)
+        assert excinfo.value.estimate == math.inf
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_correction_never_raises_the_difference(self, error, previous):
         assert 0.0 <= dis._rate_corrected(error, previous) <= error
+
+
+class TestNodeCount:
+    @given(
+        st.integers(2, 100_000),
+        st.floats(0.5, 8.0),
+        st.sampled_from([16, dis.MAX_NODES, dis.PANEL_NODE_CAP]),
+    )
+    def test_one_power_of_two_rule(self, need, level, cap):
+        nodes, capped = dis._node_count(need, level, cap)
+        scaled = min(need, cap) * level
+        assert nodes & (nodes - 1) == 0 and 0 < nodes <= cap
+        # the smallest power of two covering the scaled need, or the cap
+        assert nodes // 2 < scaled and (nodes >= scaled or capped)
+        assert capped == (nodes == cap)
+        assert dis._node_count(need, 2.0 * level, cap)[0] == min(2 * nodes, cap)
+        assert not dis._node_count(need, 0.5, cap)[1]
+        vector, _ = dis._node_count(np.array([need, 12]), level, cap)
+        assert vector[0] == nodes
 
 
 class TestGaussianApproximation:

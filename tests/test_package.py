@@ -1,9 +1,12 @@
-"""Process-level behaviour: what `import dtebell` loads, `python -m dtebell`."""
+"""Process-level behaviour: what `import dtebell` loads, `python -m dtebell`, the demos."""
 
+import glob
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import dtebell
 
@@ -38,6 +41,16 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs(demo):
+    proc = run_python(demo)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_m_dtebell():
