@@ -14,7 +14,6 @@ import numpy as np
 
 from dtebell import (
     DtePair,
-    GaussianPairDistribution,
     InterferometerSetting,
     correlate_closed_form,
     correlate_quadrature,
@@ -51,7 +50,7 @@ for d in np.linspace(-1.0, 1.0, 21):
 
 # same physics through the 4D oscillatory integral, no closed form involved
 pair = DtePair(
-    distribution=GaussianPairDistribution(modes=gaussians),
+    distribution=gaussians,
     tau=tau,
     phi_tau=pulse_phase,
     species=scenario.species,

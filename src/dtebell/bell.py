@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +42,16 @@ __all__ = [
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _TSIRELSON_TOL = 1e-9
+
+# feasible(): the reduced fringe wavelength must stay below this fraction
+# of the packet separation
+_LAMBDA_RATIO_GUARD = 0.01
+# seed_settings(): phase-gauge samples over one period
+_GAUGE_SAMPLES = 64
+# optimize_settings(): sweep limit, and the gain in |S| below which a
+# sweep counts as converged
+_MAX_SWEEPS = 40
+_SWEEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,8 +100,6 @@ class BellOutcome:
     s_value: float
     visibility: float
     settings: ChshSettings
-    violated: bool = None  # type: ignore[assignment]
-    margin: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.s_value < 0.0 or self.s_value > TSIRELSON_BOUND + _TSIRELSON_TOL:
@@ -101,16 +109,14 @@ class BellOutcome:
             )
         if not (0.0 <= self.visibility <= 1.0):
             raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
-        derived_violated = bool(self.s_value > 2.0)
-        derived_margin = self.s_value - 2.0
-        if self.violated is None:
-            object.__setattr__(self, "violated", derived_violated)
-        elif bool(self.violated) != derived_violated:
-            raise ValidationError("violated flag inconsistent with s_value")
-        if self.margin is None:
-            object.__setattr__(self, "margin", derived_margin)
-        elif self.margin != derived_margin:
-            raise ValidationError("margin inconsistent with s_value")
+
+    @property
+    def violated(self) -> bool:
+        return bool(self.s_value > 2.0)
+
+    @property
+    def margin(self) -> float:
+        return self.s_value - 2.0
 
 
 @dataclass(frozen=True)
@@ -161,16 +167,12 @@ def visibility(scales: TimescaleSummary, tau: float) -> float:
     return product**-0.25
 
 
-def feasible(
-    scales: TimescaleSummary, tau: float, lambda_ratio_guard: float = 0.01
-) -> FeasibilityReport:
+def feasible(scales: TimescaleSummary, tau: float) -> FeasibilityReport:
     """Violation is possible iff the dispersion product stays below 4
-    (strict) while the fringe wavelength stays far below the packet
-    separation."""
+    (strict) while the reduced fringe wavelength stays below 1% of the
+    packet separation (_LAMBDA_RATIO_GUARD)."""
     if tau < 0.0 or not math.isfinite(tau):
         raise ValidationError(f"tau must be >= 0, got {tau}")
-    if lambda_ratio_guard <= 0.0:
-        raise ValidationError("lambda_ratio_guard must be positive")
     product = (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
     separation = tau * scales.v_rel
     ratio = math.inf if separation == 0.0 else scales.lambda_bar_rel / separation
@@ -178,8 +180,8 @@ def feasible(
         product=product,
         product_ok=product < 4.0,
         lambda_ratio=ratio,
-        lambda_ratio_guard=lambda_ratio_guard,
-        side_condition_ok=ratio < lambda_ratio_guard,
+        lambda_ratio_guard=_LAMBDA_RATIO_GUARD,
+        side_condition_ok=ratio < _LAMBDA_RATIO_GUARD,
     )
 
 
@@ -233,15 +235,14 @@ def seed_settings(
     species: Species,
     tau: float,
     phi_tau: float,
-    gauge_samples: int = 64,
 ) -> ChshSettings:
     """Initial CHSH length settings from the fringe phase.
 
     Target effective analyzer angles (0, pi/2) x (pi/4, 3pi/4) are
     converted to arm-length offsets around the envelope center; a global
-    phase gauge shared by both sides is scanned to trade fringe-phase
-    placement against envelope suppression, which the plain textbook
-    angles ignore.
+    phase gauge shared by both sides is scanned at 64 points
+    (_GAUGE_SAMPLES) to trade fringe-phase placement against envelope
+    suppression, which the plain textbook angles ignore.
     """
     _, _, _, scales = closed_form_parts(gaussians, species, tau, phi_tau, 0.0, 0.0)
     lam = scales.lambda_bar_rel
@@ -268,7 +269,7 @@ def seed_settings(
 
     best = None
     best_s = -math.inf
-    for chi in np.linspace(0.0, 2.0 * math.pi, gauge_samples, endpoint=False):
+    for chi in np.linspace(0.0, 2.0 * math.pi, _GAUGE_SAMPLES, endpoint=False):
         candidate = build(float(chi))
         s = abs(_signed_chsh(correlator, candidate))
         if s > best_s:
@@ -368,23 +369,19 @@ def _bounded_minimize(func, x1: float, x2: float, xatol: float):
 def optimize_settings(
     correlator: Callable[[object, object], CorrelationResult],
     initial: ChshSettings,
-    constraints: Optional[Sequence[tuple[float, float]] | tuple[float, float]] = None,
-    local_scale: Optional[float] = None,
-    max_sweeps: int = 40,
-    tol: float = 1e-12,
 ) -> OptimizationResult:
     """Coordinate descent over the four settings maximizing |S|.
 
-    Each pass scans one coordinate on a grid spanning ``2 * local_scale``
-    to either side of its current value (clipped to ``constraints`` --
-    one (lo, hi) pair for all coordinates or a sequence of four), then
-    refines the best grid cell with a bounded Brent search
-    (``_bounded_minimize``).  The grid step keeps the refinement from
-    tunneling to a neighboring fringe.
-    ``local_scale`` defaults to the larger same-side spacing
+    Each pass scans one coordinate on a grid spanning twice the local
+    scale to either side of its current value, then refines the best
+    grid cell with a bounded Brent search (``_bounded_minimize``).  The
+    grid step keeps the refinement from tunneling to a neighboring
+    fringe.  The local scale is the larger same-side spacing
     |a - a_prime|, |b - b_prime|, which for phase-derived seeds is a
-    fraction of the fringe period.  Local search only: the result is the
-    nearest optimum, deterministic given the initial settings.
+    fraction of the fringe period.  The search stops after a sweep that
+    gains less than 1e-12 in |S| (converged) or after 40 sweeps
+    (_SWEEP_TOL, _MAX_SWEEPS).  Local search only: the result is the nearest optimum,
+    deterministic given the initial settings.
     """
     values = [
         s.ell if isinstance(s, InterferometerSetting) else float(s)
@@ -392,36 +389,17 @@ def optimize_settings(
     ]
     templates = initial.as_tuple()
 
-    if local_scale is None:
-        local_scale = max(abs(values[0] - values[1]), abs(values[2] - values[3]))
-        if local_scale <= 0.0:
-            local_scale = max(abs(v) for v in values) * 1e-6
-        if local_scale <= 0.0:
-            local_scale = 1.0 if not initial.length_mode else 1e-6
-    elif local_scale <= 0.0 or not math.isfinite(local_scale):
-        raise ValidationError("local_scale must be positive and finite")
-
-    if constraints is None:
-        box = [(-math.inf, math.inf)] * 4
-    elif isinstance(constraints[0], (int, float)):
-        box = [(float(constraints[0]), float(constraints[1]))] * 4
-    else:
-        box = [(float(lo), float(hi)) for lo, hi in constraints]
-        if len(box) != 4:
-            raise ValidationError("constraints must give bounds for all four settings")
-    for (lo, hi), v in zip(box, values):
-        if not lo <= v <= hi:
-            raise ValidationError(f"initial setting {v} outside bounds ({lo}, {hi})")
+    local_scale = max(abs(values[0] - values[1]), abs(values[2] - values[3]))
+    if local_scale <= 0.0:
+        local_scale = max(abs(v) for v in values) * 1e-6
+    if local_scale <= 0.0:
+        local_scale = 1.0 if not initial.length_mode else 1e-6
 
     def rebuild(vals) -> ChshSettings:
         built = []
         for template, v in zip(templates, vals):
             if isinstance(template, InterferometerSetting):
-                built.append(
-                    InterferometerSetting(
-                        ell=v, theta=template.theta, switch_mode=template.switch_mode
-                    )
-                )
+                built.append(InterferometerSetting(ell=v, theta=template.theta))
             else:
                 built.append(v)
         return ChshSettings(*built)
@@ -433,12 +411,12 @@ def optimize_settings(
     best = objective_at(values)
     converged = False
     sweeps_done = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         sweeps_done = sweep + 1
         previous = best
         for i in range(4):
-            lo = max(box[i][0], values[i] - 2.0 * local_scale)
-            hi = min(box[i][1], values[i] + 2.0 * local_scale)
+            lo = values[i] - 2.0 * local_scale
+            hi = values[i] + 2.0 * local_scale
             if not hi > lo:
                 continue
             grid = np.linspace(lo, hi, n_grid)
@@ -463,7 +441,7 @@ def optimize_settings(
             if cand_best > best:
                 best = cand_best
                 values[i] = cand_x
-        if best - previous < tol:
+        if best - previous < _SWEEP_TOL:
             converged = True
             break
 

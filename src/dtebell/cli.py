@@ -48,7 +48,6 @@ from .bell import (
 )
 from .correlation import (
     DtePair,
-    GaussianPairDistribution,
     InterferometerSetting,
     QuadratureError,
     correlate_closed_form,
@@ -234,7 +233,7 @@ def _require_45_degrees(document: ConfigDocument) -> None:
     """The closed form covers 45-degree analyzers only."""
     inter = document.values["interferometer"]
     for key in ("theta1_deg", "theta2_deg"):
-        if not math.isclose(inter[key] % 180.0, 45.0, abs_tol=1e-9):
+        if not math.isclose(inter[key], 45.0, abs_tol=1e-9):
             raise ConfigError(
                 f"closed-form evaluation requires interferometer.{key} = 45; "
                 f"got {inter[key]} (scan --method quad takes any angle)"
@@ -259,18 +258,15 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
             )
         else:
             pair = DtePair(
-                distribution=GaussianPairDistribution(modes=tools.gaussians),
+                distribution=tools.gaussians,
                 tau=tools.tau,
                 phi_tau=tools.pulse_phase,
                 species=species,
             )
-            mode = inter["mode"]
             result = correlate_quadrature(
                 pair,
-                InterferometerSetting(ell=ell1, theta=math.radians(inter["theta1_deg"]),
-                                      switch_mode=mode),
-                InterferometerSetting(ell=ell2, theta=math.radians(inter["theta2_deg"]),
-                                      switch_mode=mode),
+                InterferometerSetting(ell=ell1, theta=math.radians(inter["theta1_deg"])),
+                InterferometerSetting(ell=ell2, theta=math.radians(inter["theta2_deg"])),
             )
     except (ValidationError, QuadratureError) as exc:
         row["error"] = str(exc).replace("\n", " ")
@@ -306,11 +302,14 @@ def cmd_scan(args, stdout, stderr) -> int:
 _PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
-def _chosen_settings(document: ConfigDocument, tools: _ScenarioTools, settings_um):
+def _chosen_settings(document: ConfigDocument, settings_um):
     """Closed-form correlator and the CHSH settings to evaluate it at:
     the ``--settings`` lengths (um) if given, else seeded and optimized.
-    Lengths are CHSH order a a' b b'; a and a' take the side-1 angle."""
+    Lengths are CHSH order a a' b b'; a and a' take the side-1 angle.
+    The angles are checked before the scenario is built, so that every
+    angle other than 45 degrees gets the same usage error."""
     _require_45_degrees(document)
+    tools = _tools_for(document.to_scenario())
     species = tools.scenario.species
     correlator = closed_form_correlator(
         tools.gaussians, species, tools.tau, tools.pulse_phase
@@ -326,7 +325,7 @@ def _chosen_settings(document: ConfigDocument, tools: _ScenarioTools, settings_u
     thetas += [math.radians(inter["theta2_deg"])] * 2
     chosen = ChshSettings(
         *(
-            InterferometerSetting(ell=u / 1e6, theta=theta, switch_mode=inter["mode"])
+            InterferometerSetting(ell=u / 1e6, theta=theta)
             for u, theta in zip(settings_um, thetas)
         )
     )
@@ -339,8 +338,7 @@ def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
         if not (tau_override > 0 and math.isfinite(tau_override)):
             raise ConfigError(f"--tau must be positive and finite, got {tau_override}")
         document = document.replace("pulses", "separation_s", float(tau_override))
-    tools = _tools_for(document.to_scenario())
-    correlator, chosen = _chosen_settings(document, tools, settings_um)
+    correlator, chosen = _chosen_settings(document, settings_um)
     outcome = chsh_value(correlator, chosen)
 
     # echo --settings inputs exactly; the m <-> um round trip is lossy
@@ -392,8 +390,7 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
         document = document.replace("run", "events", int(args.events))
     if args.seed is not None:
         document = document.replace("run", "seed", int(args.seed))
-    tools = _tools_for(document.to_scenario())
-    correlator, chosen = _chosen_settings(document, tools, args.settings)
+    correlator, chosen = _chosen_settings(document, args.settings)
     mode = document.get("interferometer", "mode")
     config = RunConfig(
         events_per_setting=document.events,

@@ -23,7 +23,6 @@ from .dissociation import (
     MIN_NODES,
     WINDOW_SIGMAS,
     FeshbachDistribution,
-    GaussianMode,
     GaussianPair,
     QuadratureError,
     _converge,
@@ -37,7 +36,6 @@ __all__ = [
     "SIGN_PAIRS",
     "QuadratureError",
     "InterferometerSetting",
-    "GaussianPairDistribution",
     "DtePair",
     "CorrelationResult",
     "smatrix_amplitude",
@@ -55,86 +53,26 @@ P_TARGET = 1e-6
 
 @dataclass(frozen=True)
 class InterferometerSetting:
-    """One interferometer: arm-length variation, mirror angle, switch flavor."""
+    """One interferometer: arm-length variation and mirror angle."""
 
     ell: float  # m
     theta: float = math.pi / 4.0  # rad
-    switch_mode: str = "Switched"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.ell):
             raise ValidationError("ell must be finite")
         if not (0.0 <= self.theta <= math.pi / 2.0):
             raise ValidationError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if self.switch_mode not in ("Switched", "BeamSplitter"):
-            raise ValidationError(
-                f"switch_mode must be 'Switched' or 'BeamSplitter', got {self.switch_mode!r}"
-            )
-
-
-@dataclass(frozen=True)
-class GaussianPairDistribution:
-    """Product of Gaussian centre-of-mass and relative momentum modes.
-
-    The relative mode is symmetrized over both propagation directions by
-    default.  ``position_offset`` displaces the pair in space; it changes
-    only the momentum-space phase, not |psi|^2, so it must not affect any
-    correlation output (that invariance is tested, which is why the knob
-    exists).
-    """
-
-    modes: GaussianPair
-    symmetrized: bool = True
-    position_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.position_offset):
-            raise ValidationError("position_offset must be finite")
-        if self.modes.rel.mean_p <= 0.0:
-            raise ValidationError(
-                f"relative mode must propagate outward: mean_p > 0, got {self.modes.rel.mean_p}"
-            )
-
-    @property
-    def rel_branches(self):
-        """(weight, GaussianMode) branches of the relative mode."""
-        rel = self.modes.rel
-        if self.symmetrized:
-            mirror = GaussianMode(mean_p=-rel.mean_p, sigma_p=rel.sigma_p)
-            return ((0.5, rel), (0.5, mirror))
-        return ((1.0, rel),)
-
-    @property
-    def detector_branches(self):
-        """Relative-momentum branches folded onto the detector frame.
-
-        The atom moving toward interferometer 1 always carries positive
-        relative momentum by construction of the labels, so the mirror
-        branch (atoms swapped) maps onto the same positive-momentum line
-        with the arm assignment swapped along with it.  Folding merges
-        both particle-label branches into positive means.
-        """
-        merged = {}
-        for weight, mode in self.rel_branches:
-            key = (abs(mode.mean_p), mode.sigma_p)
-            merged[key] = merged.get(key, 0.0) + weight
-        return tuple(
-            (w, GaussianMode(mean_p=mean, sigma_p=sigma)) for (mean, sigma), w in merged.items()
-        )
-
-    def density(self, p_cm, p_rel):
-        rel = sum(w * m.density(p_rel) for w, m in self.rel_branches)
-        return self.modes.cm.density(p_cm) * rel
-
-    def density_particle_frame(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        return self.density(p1 + p2, 0.5 * (p1 - p2))
 
 
 @dataclass(frozen=True)
 class DtePair:
     """Dissociated atom pair ready for correlation analysis.
+
+    ``distribution`` is a GaussianPair or the squared-sinc
+    FeshbachDistribution.  Each detector sees only the outward branch of
+    the relative momentum, so a Gaussian relative mode must have
+    mean_p > 0 (derive_scales refuses anything else).
 
     Checks the separation condition: the dispersion-broadened
     single-atom packet width at interrogation time must stay well below
@@ -143,7 +81,7 @@ class DtePair:
     particles.
     """
 
-    distribution: GaussianPairDistribution | FeshbachDistribution
+    distribution: GaussianPair | FeshbachDistribution
     tau: float
     phi_tau: float
     species: Species
@@ -167,8 +105,8 @@ class DtePair:
 
     def gaussian_modes(self) -> GaussianPair:
         dist = self.distribution
-        if isinstance(dist, GaussianPairDistribution):
-            return dist.modes
+        if isinstance(dist, GaussianPair):
+            return dist
         from .dissociation import gaussian_approximation
 
         return gaussian_approximation(dist)
@@ -206,7 +144,6 @@ class CorrelationResult:
     method: str
     quadrature_error_estimate: float
     visibility: float
-    generalized_theta: bool = False
 
     def __post_init__(self) -> None:
         total = sum(self.p.values())
@@ -255,14 +192,12 @@ def _result_from_interference(
         value = 0.25 * (1.0 + s1 * s2 * combined)
         p[(s1, s2)] = min(1.0, max(0.0, value))
     e_value = p[(1, 1)] - p[(1, -1)] - p[(-1, 1)] + p[(-1, -1)]
-    generalized = abs(theta1 - math.pi / 4.0) > 1e-12 or abs(theta2 - math.pi / 4.0) > 1e-12
     return CorrelationResult(
         p=p,
         e_value=e_value,
         method=method,
         quadrature_error_estimate=estimate,
         visibility=abs(s_term) * amplitude,
-        generalized_theta=generalized,
     )
 
 
@@ -290,7 +225,7 @@ def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: s
 # quadrature machinery
 
 
-def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
+def _gaussian_interference(gaussians, units, m_int, sl_int, dl_int, level=1.0):
     """Interference integral for a separable Gaussian pair, internal units.
 
     ``level`` scales every node count; returns (value, capped) where
@@ -303,16 +238,12 @@ def _gaussian_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
         sigma = units.to_internal(mode.sigma_p, "momentum")
         return _window_integral(mean, sigma, a, b, level, MIN_NODES, MAX_NODES)
 
-    i_cm, capped = factor(dist.modes.cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
-    i_rel = 0.0 + 0.0j
-    for weight, mode in dist.detector_branches:
-        value, hit = factor(mode, dl_int, 1.0 / m_int)
-        capped = capped or hit
-        i_rel += weight * value
-    return i_cm * i_rel, capped
+    i_cm, cm_capped = factor(gaussians.cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
+    i_rel, rel_capped = factor(gaussians.rel, dl_int, 1.0 / m_int)
+    return i_cm * i_rel, cm_capped or rel_capped
 
 
-def _feshbach_interference(dist, units, m_int, sl_int, dl_int, level=1.0):
+def _feshbach_interference(dist, m_int, sl_int, dl_int, level=1.0):
     """Interference integral for the squared-sinc source, internal units;
     returns (value, capped)."""
     value, capped = _pair_integral(
@@ -348,25 +279,25 @@ def correlate_quadrature(
     QuadratureError is raised (dissociation._converge).
     """
     dist = pair.distribution
-    if isinstance(dist, GaussianPairDistribution):
-        p_ref = dist.modes.rel.mean_p
+    if isinstance(dist, GaussianPair):
+        p_ref = dist.rel.mean_p
     elif isinstance(dist, FeshbachDistribution):
         p_ref = dist.p0
     else:
         raise ValidationError(
             f"unsupported distribution type {type(dist).__name__}; "
-            "expected GaussianPairDistribution or FeshbachDistribution"
+            "expected GaussianPair or FeshbachDistribution"
         )
     units = ScaledUnits(momentum=p_ref, time=pair.tau)
     m_int = units.to_internal(pair.species.atom_mass, "mass")
     dl_int = units.to_internal(s1.ell - s2.ell, "length")
     sl_int = units.to_internal(s1.ell + s2.ell, "length")
 
-    if isinstance(dist, GaussianPairDistribution):
+    if isinstance(dist, GaussianPair):
         compute = lambda level: _gaussian_interference(dist, units, m_int, sl_int, dl_int, level)
         tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
     else:
-        compute = lambda level: _feshbach_interference(dist, units, m_int, sl_int, dl_int, level)
+        compute = lambda level: _feshbach_interference(dist, m_int, sl_int, dl_int, level)
         tail = dist.tail_bound() + _tail_cut(dist, dl_int, 1.0 / m_int)[1]
 
     phase_ref = np.exp(-1j * pair.phi_tau)
@@ -441,19 +372,12 @@ def correlate_closed_form(
     phi_tau: float,
     ell1: float,
     ell2: float,
-    signs=None,
 ) -> CorrelationResult:
     """Gaussian closed form of the coincidence probabilities at theta = pi/4.
 
     E = prefactor * envelope * cos(phase) with the parts documented in
     closed_form_parts, and the visibility is prefactor * envelope.
-    ``signs`` optionally names one (s1, s2) outcome of interest; the
-    result always carries all four probabilities, the argument is
-    validated for convenience in calling code.
     """
-    if signs is not None:
-        if tuple(signs) not in SIGN_PAIRS:
-            raise ValidationError(f"signs must be one of {SIGN_PAIRS}, got {signs}")
     prefactor, envelope, phase, _ = closed_form_parts(
         gaussians, species, tau, phi_tau, ell1, ell2
     )

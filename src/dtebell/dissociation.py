@@ -32,8 +32,6 @@ __all__ = [
     "GaussianPair",
     "FeshbachDistribution",
     "StabilityReport",
-    "DissociationSummary",
-    "feshbach_density",
     "distribution_from_scenario",
     "gaussian_approximation",
     "fit_sinc_width_factor",
@@ -41,7 +39,6 @@ __all__ = [
     "phase_stability",
     "dissociation_probability",
     "required_c_tilde_norm_sq",
-    "dissociation_summary",
     "PHASE_BUDGET",
 ]
 
@@ -274,11 +271,6 @@ class FeshbachDistribution:
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
         return self.density(p1 + p2, 0.5 * (p1 - p2))
-
-
-def feshbach_density(dist: FeshbachDistribution, p_cm, p_rel):
-    """Module-level alias for :meth:`FeshbachDistribution.density`."""
-    return dist.density(p_cm, p_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +547,10 @@ def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:
     delta_p^2 = 2 m hbar / pulse_duration (spectral width of one pulse);
     the c.m. mode is the molecular trap ground state.
     """
-    c = scenario.constants
     m = scenario.species.atom_mass
     p0 = _p0_from_fields(scenario)
     p_bar = math.sqrt(m * scenario.resonance.moment_difference * scenario.pulses.pulse_height)
-    delta_p = math.sqrt(2.0 * m * c.hbar / scenario.pulses.pulse_duration)
+    delta_p = math.sqrt(2.0 * m * CONSTANTS.hbar / scenario.pulses.pulse_duration)
     cm_state = GaussianMode(mean_p=0.0, sigma_p=_sigma_p_cm_ground_state(scenario))
     return FeshbachDistribution(p0=p0, p_bar=p_bar, delta_p=delta_p, cm_state=cm_state)
 
@@ -623,7 +614,6 @@ def phi_tau(scenario: Scenario, wrap: bool = False) -> float:
     reported unwrapped by default: drift budgets concern absolute phase
     change, not the principal value.
     """
-    c = scenario.constants
     mu = scenario.resonance.moment_difference
     p = scenario.pulses
     g = scenario.trap_guide
@@ -631,7 +621,7 @@ def phi_tau(scenario: Scenario, wrap: bool = False) -> float:
         2.0 * g.trap_depth * p.pulse_separation
         - mu * p.pulse_height * p.pulse_duration
         + mu * (scenario.resonance.position - p.base_field) * p.pulse_separation
-    ) / c.hbar + g.omega_guide * p.pulse_separation
+    ) / CONSTANTS.hbar + g.omega_guide * p.pulse_separation
     if wrap:
         phase = (phase + math.pi) % (2.0 * math.pi) - math.pi
     return phase
@@ -699,7 +689,7 @@ def phase_stability(
         if r < 0.0 or not math.isfinite(r):
             raise ValidationError(f"relative error for {name} must be >= 0, got {r}")
 
-    c = scenario.constants
+    hbar = CONSTANTS.hbar
     mu = scenario.resonance.moment_difference
     p = scenario.pulses
     g = scenario.trap_guide
@@ -714,14 +704,14 @@ def phase_stability(
         "trap_depth": g.trap_depth,
     }
     sensitivities = {
-        "base_field": -mu * tau / c.hbar,
-        "pulse_height": -mu * p.pulse_duration / c.hbar,
-        "resonance_position": mu * tau / c.hbar,
-        "pulse_duration": -mu * p.pulse_height / c.hbar,
+        "base_field": -mu * tau / hbar,
+        "pulse_height": -mu * p.pulse_duration / hbar,
+        "resonance_position": mu * tau / hbar,
+        "pulse_duration": -mu * p.pulse_height / hbar,
         "pulse_separation": (
             2.0 * g.trap_depth + mu * (scenario.resonance.position - p.base_field)
-        ) / c.hbar + g.omega_guide,
-        "trap_depth": 2.0 * tau / c.hbar,
+        ) / hbar + g.omega_guide,
+        "trap_depth": 2.0 * tau / hbar,
     }
     drifts = {
         name: abs(sensitivities[name]) * rel[name] * abs(values[name])
@@ -757,14 +747,13 @@ def dissociation_probability(scenario: Scenario, c_tilde_norm_sq: float) -> floa
             "dissociation yield model requires a positive background "
             f"scattering length, got {a_bg}"
         )
-    c = scenario.constants
     return (
         scenario.trap_guide.omega_guide
         * a_bg
         * scenario.resonance.moment_difference
         * scenario.resonance.width
         * c_tilde_norm_sq
-        / (math.pi * c.hbar**2)
+        / (math.pi * CONSTANTS.hbar**2)
     )
 
 
@@ -776,26 +765,3 @@ def required_c_tilde_norm_sq(
         raise ValidationError(f"n_molecules must be >= 1, got {n_molecules}")
     per_unit = dissociation_probability(scenario, 1.0)
     return target_mean / (n_molecules * per_unit)
-
-
-@dataclass(frozen=True)
-class DissociationSummary:
-    distribution: FeshbachDistribution
-    gaussians: GaussianPair
-    phi_tau: float
-    probability: float | None
-
-
-def dissociation_summary(
-    scenario: Scenario, c_tilde_norm_sq: float | None = None
-) -> DissociationSummary:
-    dist = distribution_from_scenario(scenario)
-    prob = None
-    if c_tilde_norm_sq is not None:
-        prob = dissociation_probability(scenario, c_tilde_norm_sq)
-    return DissociationSummary(
-        distribution=dist,
-        gaussians=gaussian_approximation(dist),
-        phi_tau=phi_tau(scenario),
-        probability=prob,
-    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -208,7 +208,6 @@ class Scenario:
     resonance: Resonance
     pulses: PulseSequence
     interferometer: InterferometerBlock | None = None
-    constants: Constants = field(default=CONSTANTS)
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,6 @@ class TimescaleSummary:
 
 def _energy_bracket(scenario: Scenario) -> float:
     """Kinetic energy released into the relative motion, p0^2/m per atom pair."""
-    c = scenario.constants
     mu = scenario.resonance.moment_difference
     detuning = (
         scenario.pulses.base_field
@@ -244,7 +242,7 @@ def _energy_bracket(scenario: Scenario) -> float:
     return (
         mu * detuning
         - 2.0 * scenario.trap_guide.trap_depth
-        - c.hbar * scenario.trap_guide.omega_guide
+        - CONSTANTS.hbar * scenario.trap_guide.omega_guide
     )
 
 
@@ -261,16 +259,14 @@ def _p0_from_fields(scenario: Scenario) -> float:
 def _sigma_p_rel_two_pulse(scenario: Scenario, p0_rel: float) -> float:
     # Width of the Gaussian fitted to the squared-sinc main lobe produced
     # by two pulses separated by pulse_duration.
-    c = scenario.constants
     m = scenario.species.atom_mass
-    return SINC_WIDTH_FACTOR * m * c.hbar / (p0_rel * scenario.pulses.pulse_duration)
+    return SINC_WIDTH_FACTOR * m * CONSTANTS.hbar / (p0_rel * scenario.pulses.pulse_duration)
 
 
 def _sigma_p_cm_ground_state(scenario: Scenario) -> float:
     # Momentum spread of the molecular (mass 2m) trap ground state.
-    c = scenario.constants
     big_m = scenario.species.molecule_mass
-    return math.sqrt(c.hbar * scenario.trap_guide.omega_trap * big_m / 2.0)
+    return math.sqrt(CONSTANTS.hbar * scenario.trap_guide.omega_trap * big_m / 2.0)
 
 
 def derive_scales(
@@ -278,7 +274,6 @@ def derive_scales(
     sigma_p_cm: float,
     sigma_p_rel: float,
     p0_rel: float,
-    constants: Constants = CONSTANTS,
 ) -> TimescaleSummary:
     """Dispersion times and fringe scales from momentum-space widths.
 
@@ -295,7 +290,7 @@ def derive_scales(
         if not (value > 0.0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
     m = species.atom_mass
-    hbar = constants.hbar
+    hbar = CONSTANTS.hbar
     return TimescaleSummary(
         t_cm=2.0 * m * hbar / sigma_p_cm**2,
         t_rel=m * hbar / (2.0 * sigma_p_rel**2),
@@ -315,7 +310,6 @@ def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
         sigma_p_cm=_sigma_p_cm_ground_state(scenario),
         sigma_p_rel=_sigma_p_rel_two_pulse(scenario, p0),
         p0_rel=p0,
-        constants=scenario.constants,
     )
 
 
@@ -347,7 +341,6 @@ class ScaledUnits:
 
     momentum: float
     time: float
-    constants: Constants = field(default=CONSTANTS)
 
     def __post_init__(self) -> None:
         for name in ("momentum", "time"):
@@ -356,15 +349,14 @@ class ScaledUnits:
                 raise ValidationError(f"{name} unit must be positive and finite, got {value}")
 
     @classmethod
-    def from_scales(cls, scales: TimescaleSummary, tau: float,
-                    constants: Constants = CONSTANTS) -> "ScaledUnits":
+    def from_scales(cls, scales: TimescaleSummary, tau: float) -> "ScaledUnits":
         if not (tau > 0.0 and math.isfinite(tau)):
             raise ValidationError(f"tau must be positive and finite, got {tau}")
-        return cls(momentum=scales.p0_rel, time=tau, constants=constants)
+        return cls(momentum=scales.p0_rel, time=tau)
 
     @property
     def length(self) -> float:
-        return self.constants.hbar / self.momentum
+        return CONSTANTS.hbar / self.momentum
 
     def unit_for(self, kind: str) -> float:
         """SI size of one internal unit of ``kind``."""
@@ -383,7 +375,7 @@ class ScaledUnits:
     @property
     def hbar_internal(self) -> float:
         # hbar / (momentum * length) == 1 by construction
-        return self.constants.hbar / (self.momentum * self.length)
+        return CONSTANTS.hbar / (self.momentum * self.length)
 
 
 # ------------------------------------------------ lab-unit config documents

@@ -31,7 +31,6 @@ from dtebell.bell import (
 from dtebell.cli import load_config, main
 from dtebell.correlation import (
     DtePair,
-    GaussianPairDistribution,
     InterferometerSetting,
     correlate_closed_form,
     correlate_quadrature,
@@ -164,7 +163,7 @@ class TestOracleEquivalence:
             v = 2.0 * p0 / species.atom_mass
             period = 2.0 * math.pi * CONSTANTS.hbar / p0
             pair = DtePair(
-                distribution=GaussianPairDistribution(modes=gaussians),
+                distribution=gaussians,
                 tau=tau,
                 phi_tau=pulse_phase,
                 species=species,
@@ -270,9 +269,7 @@ class TestCrossModuleInvariants:
             assert total == pytest.approx(1.0, abs=1e-9)
         scn = shipped_scenario
         pair = DtePair(
-            distribution=GaussianPairDistribution(
-                modes=gaussian_approximation(distribution_from_scenario(scn))
-            ),
+            distribution=gaussian_approximation(distribution_from_scenario(scn)),
             tau=scn.pulses.pulse_separation,
             phi_tau=phi_tau(scn),
             species=scn.species,

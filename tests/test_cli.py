@@ -337,6 +337,23 @@ class TestBell:
         assert code == 2 and out == ""
         assert "theta1_deg" in err
 
+    @pytest.mark.parametrize("angle", ["225", "-135"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("bell", "--optimize"),
+         ("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1", "--steps", "2")],
+        ids=["bell-optimize", "scan-tau"],
+    )
+    def test_closed_routes_reject_45_plus_half_turns(self, tmp_path, argv, angle):
+        # equal to 45 modulo 180, but not a 45-degree analyzer
+        path = write_cfg(tmp_path, f"[interferometer]\ntheta1_deg = {angle}\n")
+        code, out, err = invoke(argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: closed-form evaluation requires interferometer.theta1_deg = 45; "
+            f"got {float(angle)} (scan --method quad takes any angle)\n"
+        )
+
 
 # --------------------------------------------------------------- montecarlo
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dtebell import dissociation as dis
 from dtebell.scenario import (
+    CONSTANTS,
     PulseSequence,
     Scenario,
     ValidationError,
@@ -127,11 +128,6 @@ class TestFeshbachDistribution:
             float(dist.density(p1 + p2, (p1 - p2) / 2.0)), rel=1e-14
         )
 
-    def test_module_level_alias(self, dist):
-        assert dis.feshbach_density(dist, 0.0, dist.p0) == pytest.approx(
-            float(dist.density(0.0, dist.p0)), rel=1e-14
-        )
-
     def test_sinc_zero_is_regular(self, dist):
         # sinc(0) = 1: on-shell density finite and maximal, no 0/0 artifact
         val = float(dist.density(0.0, dist.p0))
@@ -171,11 +167,11 @@ class TestLazyNormalization:
         return calls
 
     def test_gaussian_route_never_normalizes(self, scenario, raw_calls):
-        from dtebell.correlation import DtePair, GaussianPairDistribution
+        from dtebell.correlation import DtePair
 
         fresh = dis.distribution_from_scenario(scenario)
         gaussians = dis.gaussian_approximation(fresh)
-        for source in (GaussianPairDistribution(gaussians), fresh):
+        for source in (gaussians, fresh):
             DtePair(
                 distribution=source,
                 tau=scenario.pulses.pulse_separation,
@@ -372,7 +368,7 @@ class TestPhiTau:
             pulses=scenario.pulses,
         )
         delta = dis.phi_tau(bumped) - base
-        expected = 2.0 * g.trap_depth * scenario.pulses.pulse_separation / scenario.constants.hbar
+        expected = 2.0 * g.trap_depth * scenario.pulses.pulse_separation / CONSTANTS.hbar
         assert delta == pytest.approx(expected, rel=1e-9)
 
 
@@ -466,18 +462,10 @@ class TestDissociationProbability:
     def test_single_molecule_inversion(self, scenario):
         ct = dis.required_c_tilde_norm_sq(scenario, 100)
         assert 100 * dis.dissociation_probability(scenario, ct) == pytest.approx(1.0, rel=1e-12)
+        assert dis.dissociation_probability(scenario, 3.777e-33) == pytest.approx(0.01, rel=1e-3)
 
     def test_validation(self, scenario):
         with pytest.raises(ValidationError, match="c_tilde_norm_sq"):
             dis.dissociation_probability(scenario, -1.0)
         with pytest.raises(ValidationError, match="n_molecules"):
             dis.required_c_tilde_norm_sq(scenario, 0)
-
-
-def test_summary_bundle(scenario):
-    s = dis.dissociation_summary(scenario, 3.777e-33)
-    assert s.probability == pytest.approx(0.01, rel=1e-3)
-    assert s.phi_tau == pytest.approx(PHI_TAU_REF, rel=1e-8)
-    assert s.gaussians.rel.mean_p == s.distribution.p0
-    s2 = dis.dissociation_summary(scenario)
-    assert s2.probability is None

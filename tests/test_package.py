@@ -1,6 +1,9 @@
-"""Process-level behaviour: what `import dtebell` loads, `python -m dtebell`, the demos."""
+"""Process-level behaviour: what `import dtebell` loads, `python -m dtebell`, the demos,
+and the names the package and its benchmark tracer rely on."""
 
 import glob
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -80,3 +83,22 @@ def test_bell_optimize_leaves_scipy_optimize_unloaded():
 
 def test_montecarlo_loads_no_scipy():
     assert _scipy_modules_after("montecarlo", "--events", "5", "--seed", "1") == []
+
+
+def test_public_names_import():
+    for name in dtebell.__all__:
+        assert hasattr(dtebell, name), name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these by name; a missing one stops every traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _layer, module, function in tracer.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), function, None)), (
+            f"{module}.{function}"
+        )
+    assert callable(importlib.import_module("dtebell.cli").ConfigDocument.to_scenario)
