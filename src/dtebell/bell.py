@@ -22,7 +22,7 @@ from .correlation import (
     correlate_closed_form,
 )
 from .dissociation import GaussianPair
-from .scenario import Species, TimescaleSummary, ValidationError
+from .scenario import Species, TimescaleSummary, ValidationError, _dispersion_product
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -121,13 +121,24 @@ class BellOutcome:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Dispersion-product inequality plus the short-wavelength guard."""
+    """Dispersion-product inequality plus the short-wavelength guard.
+
+    product: (1 + tau^2/t_cm^2)(1 + tau^2/t_rel^2); a violation needs it
+        below 4 (product_ok), which is the visibility above 1/sqrt(2).
+    lambda_ratio: reduced fringe wavelength over the packet separation;
+        it must stay below _LAMBDA_RATIO_GUARD (side_condition_ok).
+    """
 
     product: float
-    product_ok: bool
     lambda_ratio: float
-    lambda_ratio_guard: float
-    side_condition_ok: bool
+
+    @property
+    def product_ok(self) -> bool:
+        return self.product < 4.0
+
+    @property
+    def side_condition_ok(self) -> bool:
+        return self.lambda_ratio < _LAMBDA_RATIO_GUARD
 
     @property
     def feasible(self) -> bool:
@@ -163,8 +174,20 @@ def visibility(scales: TimescaleSummary, tau: float) -> float:
     """Fringe-center visibility; envelope factors excluded."""
     if tau < 0.0 or not math.isfinite(tau):
         raise ValidationError(f"tau must be >= 0, got {tau}")
-    product = (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
-    return product**-0.25
+    return _dispersion_product(scales, tau) ** -0.25
+
+
+def _crossing_tau(scales: TimescaleSummary) -> float:
+    """The tau where the dispersion product reaches 4, i.e. where the
+    visibility falls to 1/sqrt(2); below it the visibility is higher.
+
+    With a = t_cm^2, b = t_rel^2 and x = tau^2 the product is 4 where
+    x^2 + (a + b) x - 3ab = 0; the positive root is written without the
+    cancellation of the textbook form, which loses all digits once one
+    time is far below the other.
+    """
+    a, b = scales.t_cm**2, scales.t_rel**2
+    return math.sqrt(6.0 * a * b / ((a + b) + math.sqrt((a + b) ** 2 + 12.0 * a * b)))
 
 
 def feasible(scales: TimescaleSummary, tau: float) -> FeasibilityReport:
@@ -173,16 +196,9 @@ def feasible(scales: TimescaleSummary, tau: float) -> FeasibilityReport:
     packet separation (_LAMBDA_RATIO_GUARD)."""
     if tau < 0.0 or not math.isfinite(tau):
         raise ValidationError(f"tau must be >= 0, got {tau}")
-    product = (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
     separation = tau * scales.v_rel
     ratio = math.inf if separation == 0.0 else scales.lambda_bar_rel / separation
-    return FeasibilityReport(
-        product=product,
-        product_ok=product < 4.0,
-        lambda_ratio=ratio,
-        lambda_ratio_guard=_LAMBDA_RATIO_GUARD,
-        side_condition_ok=ratio < _LAMBDA_RATIO_GUARD,
-    )
+    return FeasibilityReport(product=_dispersion_product(scales, tau), lambda_ratio=ratio)
 
 
 def _signed_chsh(correlator, settings: ChshSettings, results=None) -> float:

@@ -38,6 +38,7 @@ import numpy as np
 from .bell import (
     ChshSettings,
     TSIRELSON_BOUND,
+    _crossing_tau,
     chsh_value,
     closed_form_correlator,
     feasible,
@@ -463,20 +464,9 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         )
     _write_csv(stdout, FEASIBILITY_COLUMNS, rows)
 
-    threshold = 1.0 / math.sqrt(2.0)
-
-    def above(tau: float) -> bool:
-        return visibility(scales, tau) > threshold
-
-    if above(args.start if args.start > 0 else 1e-12) and not above(args.stop):
-        lo, hi = max(args.start, 1e-12), args.stop
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if above(mid):
-                lo = mid
-            else:
-                hi = mid
-        stderr.write(f"visibility crosses 1/sqrt(2) at tau = {0.5 * (lo + hi):.6f} s\n")
+    crossing = _crossing_tau(scales)
+    if args.start < crossing <= args.stop:
+        stderr.write(f"visibility crosses 1/sqrt(2) at tau = {crossing:.6f} s\n")
     else:
         stderr.write("visibility does not cross 1/sqrt(2) inside the sweep range\n")
 
@@ -522,7 +512,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         stderr.write(
             f"two-pulse source fringe amplitude at center: {amplitude:.6f} "
             f"(Gaussian-model visibility {gaussian_v:.6f}); "
-            f"violation needs > {threshold:.6f}\n"
+            f"violation needs > {1.0 / math.sqrt(2.0):.6f}\n"
         )
     return 0
 

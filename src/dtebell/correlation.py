@@ -29,8 +29,16 @@ from .dissociation import (
     _pair_integral,
     _tail_cut,
     _window_integral,
+    gaussian_approximation,
 )
-from .scenario import CONSTANTS, ScaledUnits, Species, ValidationError, derive_scales
+from .scenario import (
+    CONSTANTS,
+    ScaledUnits,
+    Species,
+    ValidationError,
+    _dispersion_product,
+    derive_scales,
+)
 
 __all__ = [
     "SIGN_PAIRS",
@@ -107,8 +115,6 @@ class DtePair:
         dist = self.distribution
         if isinstance(dist, GaussianPair):
             return dist
-        from .dissociation import gaussian_approximation
-
         return gaussian_approximation(dist)
 
     def separation_margin(self) -> float:
@@ -327,8 +333,6 @@ def closed_form_parts(
 ):
     """Visibility prefactor, envelope, and cosine argument of the Gaussian
     interference term, plus the derived scales used to build them."""
-    if gaussians.rel.mean_p <= 0.0:
-        raise ValidationError("closed form requires rel.mean_p > 0")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be positive and finite, got {tau}")
     scales = derive_scales(
@@ -343,7 +347,7 @@ def closed_form_parts(
     dl = ell1 - ell2
     sl = ell1 + ell2
 
-    prefactor = ((1.0 + (tau / t_cm) ** 2) * (1.0 + (tau / t_rel) ** 2)) ** -0.25
+    prefactor = _dispersion_product(scales, tau) ** -0.25
     two_v_lam = 2.0 * v * lam  # equals 4 hbar / m
     rel_shift = dl - tau * v
     envelope = math.exp(

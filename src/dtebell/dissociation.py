@@ -18,13 +18,12 @@ import numpy as np
 
 from .scenario import (
     CONSTANTS,
-    SINC_WIDTH_FACTOR,
     Scenario,
-    TrapGuide,
-    Species,
     ValidationError,
+    _delta_p,
     _p0_from_fields,
     _sigma_p_cm_ground_state,
+    _sigma_p_rel,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "StabilityReport",
     "distribution_from_scenario",
     "gaussian_approximation",
-    "fit_sinc_width_factor",
     "phi_tau",
     "phase_stability",
     "dissociation_probability",
@@ -550,61 +548,20 @@ def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:
     m = scenario.species.atom_mass
     p0 = _p0_from_fields(scenario)
     p_bar = math.sqrt(m * scenario.resonance.moment_difference * scenario.pulses.pulse_height)
-    delta_p = math.sqrt(2.0 * m * CONSTANTS.hbar / scenario.pulses.pulse_duration)
     cm_state = GaussianMode(mean_p=0.0, sigma_p=_sigma_p_cm_ground_state(scenario))
-    return FeshbachDistribution(p0=p0, p_bar=p_bar, delta_p=delta_p, cm_state=cm_state)
+    return FeshbachDistribution(p0=p0, p_bar=p_bar, delta_p=_delta_p(scenario), cm_state=cm_state)
 
 
-def gaussian_approximation(
-    dist: FeshbachDistribution,
-    species: Species | None = None,
-    trap_guide: TrapGuide | None = None,
-) -> GaussianPair:
+def gaussian_approximation(dist: FeshbachDistribution) -> GaussianPair:
     """Gaussian pair matching the distribution's lobes.
 
-    The relative mode keeps the pinned main-lobe width factor (the fit
-    routine exists to validate it, not to replace it); sigma_p_rel =
-    factor * delta_p^2 / (2 p0), which is the mass-free form of
-    factor * m hbar / (p0 T).  The c.m. mode is taken from the
-    distribution unless an explicit trap ground state is requested.
+    The relative mode is centred on p0 with the pinned main-lobe width
+    sigma_p_rel = SINC_WIDTH_FACTOR * delta_p^2 / (2 p0); the c.m. mode is
+    the distribution's own.  For a distribution from a scenario these are
+    the widths scales_from_scenario reads, computed by the same helpers.
     """
-    rel = GaussianMode(
-        mean_p=dist.p0,
-        sigma_p=SINC_WIDTH_FACTOR * dist.delta_p**2 / (2.0 * dist.p0),
-    )
-    if trap_guide is not None and species is not None:
-        sigma_cm = math.sqrt(CONSTANTS.hbar * trap_guide.omega_trap * species.molecule_mass / 2.0)
-        cm = GaussianMode(mean_p=dist.cm_state.mean_p, sigma_p=sigma_cm)
-    else:
-        cm = dist.cm_state
-    return GaussianPair(cm=cm, rel=rel)
-
-
-def fit_sinc_width_factor(dist: FeshbachDistribution, n_samples: int = 201) -> float:
-    """Least-squares Gaussian width of the central momentum lobe.
-
-    Samples the relative profile at p_cm = 0 on a uniform grid across
-    the main lobe (|x| < pi), normalizes to the on-shell peak, and fits
-    exp(-dp^2 / 2 sigma^2) with the amplitude pinned at one; returns the
-    width as the dimensionless factor sigma * 2 kappa / p0, comparable
-    to SINC_WIDTH_FACTOR.
-    """
-    from scipy.optimize import curve_fit
-
-    kappa = dist.kappa
-    r_lo = math.sqrt(1.0 - math.pi / kappa)
-    r_hi = math.sqrt(1.0 + math.pi / kappa)
-    r = np.linspace(r_lo, r_hi, n_samples)
-    profile = dist.density(0.0, r * dist.p0)
-    profile = profile / dist.density(0.0, dist.p0)
-    dp = r - 1.0
-
-    def model(x, sigma):
-        return np.exp(-0.5 * (x / sigma) ** 2)
-
-    sigma0 = SINC_WIDTH_FACTOR / (2.0 * kappa)
-    (sigma_fit,), _ = curve_fit(model, dp, profile, p0=[sigma0])
-    return float(abs(sigma_fit) * 2.0 * kappa)
+    rel = GaussianMode(mean_p=dist.p0, sigma_p=_sigma_p_rel(dist.p0, dist.delta_p))
+    return GaussianPair(cm=dist.cm_state, rel=rel)
 
 
 def phi_tau(scenario: Scenario, wrap: bool = False) -> float:

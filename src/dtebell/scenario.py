@@ -256,11 +256,16 @@ def _p0_from_fields(scenario: Scenario) -> float:
     return math.sqrt(scenario.species.atom_mass * bracket)
 
 
-def _sigma_p_rel_two_pulse(scenario: Scenario, p0_rel: float) -> float:
-    # Width of the Gaussian fitted to the squared-sinc main lobe produced
-    # by two pulses separated by pulse_duration.
+def _delta_p(scenario: Scenario) -> float:
+    # spectral width of one pulse, delta_p^2 = 2 m hbar / pulse_duration
     m = scenario.species.atom_mass
-    return SINC_WIDTH_FACTOR * m * CONSTANTS.hbar / (p0_rel * scenario.pulses.pulse_duration)
+    return math.sqrt(2.0 * m * CONSTANTS.hbar / scenario.pulses.pulse_duration)
+
+
+def _sigma_p_rel(p0: float, delta_p: float) -> float:
+    # Width of the Gaussian fitted to the squared-sinc main lobe of the
+    # two-pulse spectrum: the mass-free form of factor * m hbar / (p0 T).
+    return SINC_WIDTH_FACTOR * delta_p**2 / (2.0 * p0)
 
 
 def _sigma_p_cm_ground_state(scenario: Scenario) -> float:
@@ -303,40 +308,45 @@ def derive_scales(
 
 
 def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
-    """Scales for a scenario: threshold kinematics plus Gaussian-equivalent widths."""
+    """Scales for a scenario: threshold kinematics plus Gaussian-equivalent widths.
+
+    The widths are those of gaussian_approximation(distribution_from_scenario(
+    scenario)), computed by the same helpers, so these scales equal the
+    ones the correlators derive, bit for bit.
+    """
     p0 = _p0_from_fields(scenario)
     return derive_scales(
         scenario.species,
         sigma_p_cm=_sigma_p_cm_ground_state(scenario),
-        sigma_p_rel=_sigma_p_rel_two_pulse(scenario, p0),
+        sigma_p_rel=_sigma_p_rel(p0, _delta_p(scenario)),
         p0_rel=p0,
     )
 
 
-# Unit kinds expressed as exponents of (momentum, time, length).
+def _dispersion_product(scales: TimescaleSummary, tau: float) -> float:
+    """(1 + tau^2/t_cm^2)(1 + tau^2/t_rel^2): the visibility is its -1/4
+    power, and a violation needs it below 4."""
+    return (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
+
+
+# Unit kinds the quadrature converts, as exponents of (momentum, time, length).
 _UNIT_EXPONENTS = {
     "momentum": (1, 0, 0),
-    "time": (0, 1, 0),
     "length": (0, 0, 1),
-    "velocity": (0, -1, 1),
     "mass": (1, 1, -1),
-    "energy": (1, -1, 1),
-    "frequency": (0, -1, 0),
-    "action": (1, 0, 1),
-    "momentum_density_2d": (-2, 0, 0),
-    "dimensionless": (0, 0, 0),
 }
 
 
 @dataclass(frozen=True)
 class ScaledUnits:
-    """Conversion between SI and scenario-adapted internal units.
+    """Conversion from SI to the quadrature's scenario-adapted units.
 
     The base units are a momentum scale and a time scale; the length unit
     is tied to them as hbar/momentum so that hbar is exactly 1 internally.
-    The derived mass unit is then momentum*time/length and internal masses
-    come out small for heavy slow particles, which is what keeps the phase
-    factors O(1) on the grid.
+    The mass unit is then momentum*time/length, and internal masses come
+    out small for heavy slow particles, which is what keeps the phase
+    factors O(1) on the grid.  Momentum, length and mass are the kinds the
+    quadrature converts.
     """
 
     momentum: float
@@ -347,12 +357,6 @@ class ScaledUnits:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} unit must be positive and finite, got {value}")
-
-    @classmethod
-    def from_scales(cls, scales: TimescaleSummary, tau: float) -> "ScaledUnits":
-        if not (tau > 0.0 and math.isfinite(tau)):
-            raise ValidationError(f"tau must be positive and finite, got {tau}")
-        return cls(momentum=scales.p0_rel, time=tau)
 
     @property
     def length(self) -> float:
@@ -368,14 +372,6 @@ class ScaledUnits:
 
     def to_internal(self, value, kind: str):
         return value / self.unit_for(kind)
-
-    def to_si(self, value, kind: str):
-        return value * self.unit_for(kind)
-
-    @property
-    def hbar_internal(self) -> float:
-        # hbar / (momentum * length) == 1 by construction
-        return CONSTANTS.hbar / (self.momentum * self.length)
 
 
 # ------------------------------------------------ lab-unit config documents

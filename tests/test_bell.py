@@ -10,6 +10,7 @@ from scipy.optimize import minimize, minimize_scalar
 from dtebell.bell import (
     TSIRELSON_BOUND,
     _bounded_minimize,
+    _crossing_tau,
     BellOutcome,
     ChshSettings,
     chsh_value,
@@ -204,6 +205,28 @@ def test_feasible_guard_small_tau(scales):
     assert report.product_ok  # product = 1 at tau = 0
     assert not report.side_condition_ok
     assert math.isinf(report.lambda_ratio)
+
+
+def _with_times(t_cm, t_rel):
+    return TimescaleSummary(t_cm=t_cm, t_rel=t_rel, lambda_bar_rel=1.0, v_rel=1.0,
+                            sigma_p_cm=1.0, sigma_p_rel=1.0, p0_rel=1.0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [None, (1.0, 1.0), (1e-6, 1.0)],
+    ids=["bundled", "equal-times", "skewed"],
+)
+def test_crossing_tau_brackets_the_threshold(scales, times):
+    # the skewed case is where the textbook root (-(a+b) + sqrt(...))/2 cancels
+    chosen = scales if times is None else _with_times(*times)
+    tau_star = _crossing_tau(chosen)
+    threshold = 1.0 / math.sqrt(2.0)
+    assert visibility(chosen, tau_star * (1.0 - 1e-12)) > threshold
+    assert threshold >= visibility(chosen, tau_star * (1.0 + 1e-12))
+    assert feasible(chosen, tau_star * (1.0 - 1e-12)).product_ok
+    if times == (1.0, 1.0):
+        assert tau_star == 1.0
 
 
 def test_feasible_guard_validation(scales):

@@ -78,7 +78,24 @@ def _scipy_modules_after(*argv):
 
 
 def test_bell_optimize_leaves_scipy_optimize_unloaded():
-    assert "scipy.optimize" not in _scipy_modules_after("bell", "--optimize")
+    # nor any other scipy module: the optimizer is in-package
+    assert _scipy_modules_after("bell", "--optimize") == []
+
+
+def test_scales_and_feasibility_load_no_scipy():
+    assert _scipy_modules_after("scales", "--json") == []
+    assert _scipy_modules_after("feasibility") == []
+
+
+def test_package_source_never_names_scipy_optimize():
+    # scipy.optimize serves only as a test oracle
+    sources = glob.glob(os.path.join(SRC, "dtebell", "**", "*.py"), recursive=True)
+    assert sources
+    offenders = [
+        path for path in sources
+        if "scipy.optimize" in open(path, encoding="utf-8").read()
+    ]
+    assert offenders == []
 
 
 def test_montecarlo_loads_no_scipy():
