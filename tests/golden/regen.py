@@ -1,0 +1,116 @@
+"""Golden CLI corpus: the stdout, stderr and exit code of small `dtebell` commands.
+
+Each case runs in-process through ``dtebell.cli.main`` from this directory,
+so the config paths in ``cfg/`` appear in messages exactly as written here.
+argparse's own writes to ``sys.stdout``/``sys.stderr`` and its
+``SystemExit`` are captured as well, and so are Python warnings, which a
+terminal would show on stderr.  ``versions.txt`` records the numpy
+and scipy versions the corpus was written with.
+
+Rewrite the corpus after an intended change of output:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+``git diff tests/golden/`` then shows exactly the cells that moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import warnings
+
+import numpy
+import scipy
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+ELL1_WINDOW = ("--start", "5330", "--stop", "5370")
+EXAMPLE_SETTINGS = ("5346.82", "5349.92", "-5349.94", "-5346.84")
+
+# case name -> argv after `dtebell`
+CASES = {
+    "scales_json": ("scales", "--json"),
+    "scales_text": ("scales",),
+    "feasibility": ("feasibility",),
+    "feasibility_source_model": ("feasibility", "--source-model-check"),
+    "bell_optimize": ("bell", "--optimize"),
+    "bell_optimize_tau_0.8": ("bell", "--optimize", "--tau", "0.8"),
+    "bell_settings": ("bell", "--settings", *EXAMPLE_SETTINGS),
+    "scan_ell1_closed": ("scan", "--axis", "ell1", *ELL1_WINDOW, "--steps", "5"),
+    "scan_ell2_closed": ("scan", "--axis", "ell2", "--start", "-5370", "--stop", "-5330",
+                         "--steps", "5"),
+    "scan_tau_closed": ("scan", "--axis", "tau", "--start", "0.999", "--stop", "1.001",
+                        "--steps", "3"),
+    "scan_field_closed": ("scan", "--axis", "field", "--start", "543199.9", "--stop",
+                          "543200.1", "--steps", "3"),
+    "scan_ell1_quad": ("scan", "--axis", "ell1", *ELL1_WINDOW, "--steps", "50",
+                       "--method", "quad"),
+    "montecarlo_switched": ("montecarlo", "--events", "10000"),
+    "montecarlo_beamsplitter": ("montecarlo", "cfg/beamsplitter.cfg", "--events", "10000"),
+    # failures
+    "theta120_scales": ("scales", "cfg/theta120.cfg"),
+    "theta120_scan_tau_quad": ("scan", "cfg/theta120.cfg", "--axis", "tau", "--start", "0.9",
+                               "--stop", "1.1", "--steps", "3", "--method", "quad"),
+    "field543800_scales": ("scales", "cfg/field543800.cfg"),
+    "field543800_bell": ("bell", "cfg/field543800.cfg", "--optimize"),
+    "theta30_bell": ("bell", "cfg/theta30.cfg", "--optimize"),
+    "theta225_bell": ("bell", "cfg/theta225.cfg", "--optimize"),
+    "bad_flag": ("scales", "--no-such-flag"),
+    "malformed_config": ("scales", "cfg/malformed.cfg"),
+    "feasibility_negative_stability": ("feasibility", "--stability-rel", "-1"),
+    "montecarlo_negative_seed": ("montecarlo", "--events", "100", "--seed", "-3"),
+}
+
+
+def versions() -> str:
+    return f"numpy {numpy.__version__}\nscipy {scipy.__version__}\n"
+
+
+def _section(name: str, text: str) -> str:
+    return f"--- {name} ({len(text.splitlines())} lines)\n{text}"
+
+
+def render(name: str) -> str:
+    """Run one case from this directory and render its golden text."""
+    from dtebell.cli import main
+
+    argv = CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv), out, err)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return (
+        f"$ dtebell {' '.join(argv)}\nexit {code}\n"
+        + _section("stdout", out.getvalue())
+        + _section("stderr", err.getvalue())
+        + _section("warnings", "".join(
+            f"{w.category.__name__}: {w.message}\n" for w in caught))
+    )
+
+
+def path_for(name: str) -> str:
+    return os.path.join(HERE, f"{name}.txt")
+
+
+def main() -> None:
+    for name in CASES:
+        with open(path_for(name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(render(name))
+    with open(os.path.join(HERE, "versions.txt"), "w", encoding="utf-8") as handle:
+        handle.write(versions())
+
+
+if __name__ == "__main__":
+    sys.exit(main())
