@@ -9,7 +9,7 @@ the pulse separation grows and where it crosses the 1/sqrt(2) threshold.
 
 import math
 
-from dtebell import feasible, load_config, scales_from_scenario, visibility
+from dtebell import crossing_tau, feasible, load_config, scales_from_scenario, visibility
 
 scenario = load_config(None).to_scenario()
 scales = scales_from_scenario(scenario)
@@ -33,14 +33,7 @@ for tau in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0):
     verdict = "violation possible" if report.feasible else "no violation"
     print(f"  {tau:4.2f}    {v:8.4f}    {report.product:7.3f}   {verdict}")
 
-# bisect the crossing
-lo, hi = 0.5, 2.0
-for _ in range(60):
-    mid = 0.5 * (lo + hi)
-    if visibility(scales, mid) > threshold:
-        lo = mid
-    else:
-        hi = mid
+# the crossing in closed form: the tau where the dispersion product reaches 4
 print()
-print(f"visibility crosses 1/sqrt(2) at tau = {0.5 * (lo + hi):.4f} s")
+print(f"visibility crosses 1/sqrt(2) at tau = {crossing_tau(scales):.4f} s")
 print("the shipped separation of 1.0 s sits inside the violation window")

@@ -1,9 +1,9 @@
 """Bell-test analysis: visibility, feasibility, CHSH value and optimization.
 
-The correlator abstraction is a callable (setting, setting) -> CorrelationResult,
-so the same CHSH machinery runs on the spin-1/2 reference model (settings are
-angles), the Gaussian closed form, or full quadrature (settings are
-interferometer configurations with arm lengths).
+A correlator is a callable (InterferometerSetting, InterferometerSetting)
+-> CorrelationResult, so the same CHSH machinery runs on the Gaussian
+closed form or on full quadrature; a CHSH setting is one interferometer,
+chosen by its arm length ell.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
     "BellOutcome",
     "FeasibilityReport",
     "OptimizationResult",
-    "spin_reference_correlation",
     "visibility",
+    "crossing_tau",
     "feasible",
     "chsh_value",
     "optimize_settings",
@@ -56,32 +56,23 @@ _SWEEP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """The four measurement settings of a CHSH run.
+    """The four interferometer settings of a CHSH run: a and a' on side 1,
+    b and b' on side 2."""
 
-    Each entry is an InterferometerSetting (length mode) or a plain angle
-    in radians (reference-model mode); the four must agree in kind.
-    """
-
-    a: InterferometerSetting | float
-    a_prime: InterferometerSetting | float
-    b: InterferometerSetting | float
-    b_prime: InterferometerSetting | float
+    a: InterferometerSetting
+    a_prime: InterferometerSetting
+    b: InterferometerSetting
+    b_prime: InterferometerSetting
 
     def __post_init__(self) -> None:
-        kinds = {isinstance(s, InterferometerSetting) for s in self.as_tuple()}
-        if len(kinds) != 1:
-            raise ValidationError("settings must be all lengths or all angles")
-        if not self.length_mode:
-            for value in self.as_tuple():
-                if not math.isfinite(value):
-                    raise ValidationError("angle settings must be finite")
+        for setting in self.as_tuple():
+            if not isinstance(setting, InterferometerSetting):
+                raise ValidationError(
+                    f"CHSH settings must be InterferometerSetting, got {type(setting).__name__}"
+                )
 
     def as_tuple(self):
         return (self.a, self.a_prime, self.b, self.b_prime)
-
-    @property
-    def length_mode(self) -> bool:
-        return isinstance(self.a, InterferometerSetting)
 
     def pairs(self):
         """Setting pairs in CHSH order with their combination signs."""
@@ -157,19 +148,6 @@ class OptimizationResult:
     sweeps: int
 
 
-def spin_reference_correlation(phi1: float, phi2: float) -> CorrelationResult:
-    """Two-spin singlet-style reference: P = {1 + s1 s2 cos(phi1-phi2)}/4."""
-    if not (math.isfinite(phi1) and math.isfinite(phi2)):
-        raise ValidationError("reference angles must be finite")
-    e = math.cos(phi1 - phi2)
-    p = {(s1, s2): 0.25 * (1.0 + s1 * s2 * e) for s1 in (1, -1) for s2 in (1, -1)}
-    e_value = p[(1, 1)] - p[(1, -1)] - p[(-1, 1)] + p[(-1, -1)]
-    return CorrelationResult(
-        p=p, e_value=e_value, method="ClosedForm", quadrature_error_estimate=0.0,
-        visibility=1.0,
-    )
-
-
 def visibility(scales: TimescaleSummary, tau: float) -> float:
     """Fringe-center visibility; envelope factors excluded."""
     if tau < 0.0 or not math.isfinite(tau):
@@ -177,7 +155,7 @@ def visibility(scales: TimescaleSummary, tau: float) -> float:
     return _dispersion_product(scales, tau) ** -0.25
 
 
-def _crossing_tau(scales: TimescaleSummary) -> float:
+def crossing_tau(scales: TimescaleSummary) -> float:
     """The tau where the dispersion product reaches 4, i.e. where the
     visibility falls to 1/sqrt(2); below it the visibility is higher.
 
@@ -213,7 +191,7 @@ def _signed_chsh(correlator, settings: ChshSettings, results=None) -> float:
 
 
 def chsh_value(
-    correlator: Callable[[object, object], CorrelationResult],
+    correlator: Callable[[InterferometerSetting, InterferometerSetting], CorrelationResult],
     settings: ChshSettings,
 ) -> BellOutcome:
     """CHSH combination S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
@@ -383,7 +361,7 @@ def _bounded_minimize(func, x1: float, x2: float, xatol: float):
 
 
 def optimize_settings(
-    correlator: Callable[[object, object], CorrelationResult],
+    correlator: Callable[[InterferometerSetting, InterferometerSetting], CorrelationResult],
     initial: ChshSettings,
 ) -> OptimizationResult:
     """Coordinate descent over the four settings maximizing |S|.
@@ -396,29 +374,24 @@ def optimize_settings(
     |a - a_prime|, |b - b_prime|, which for phase-derived seeds is a
     fraction of the fringe period.  The search stops after a sweep that
     gains less than 1e-12 in |S| (converged) or after 40 sweeps
-    (_SWEEP_TOL, _MAX_SWEEPS).  Local search only: the result is the nearest optimum,
-    deterministic given the initial settings.
+    (_SWEEP_TOL, _MAX_SWEEPS).  Only the arm lengths ell move; each
+    setting keeps its angle theta.  Local search only: the result is the
+    nearest optimum, deterministic given the initial settings.
     """
-    values = [
-        s.ell if isinstance(s, InterferometerSetting) else float(s)
-        for s in initial.as_tuple()
-    ]
+    values = [s.ell for s in initial.as_tuple()]
     templates = initial.as_tuple()
 
     local_scale = max(abs(values[0] - values[1]), abs(values[2] - values[3]))
     if local_scale <= 0.0:
         local_scale = max(abs(v) for v in values) * 1e-6
     if local_scale <= 0.0:
-        local_scale = 1.0 if not initial.length_mode else 1e-6
+        local_scale = 1e-6
 
     def rebuild(vals) -> ChshSettings:
-        built = []
-        for template, v in zip(templates, vals):
-            if isinstance(template, InterferometerSetting):
-                built.append(InterferometerSetting(ell=v, theta=template.theta))
-            else:
-                built.append(v)
-        return ChshSettings(*built)
+        return ChshSettings(*(
+            InterferometerSetting(ell=v, theta=template.theta)
+            for template, v in zip(templates, vals)
+        ))
 
     def objective_at(vals) -> float:
         return abs(_signed_chsh(correlator, rebuild(vals)))

@@ -38,9 +38,9 @@ import numpy as np
 from .bell import (
     ChshSettings,
     TSIRELSON_BOUND,
-    _crossing_tau,
     chsh_value,
     closed_form_correlator,
+    crossing_tau,
     feasible,
     optimize_settings,
     periods_above_threshold,
@@ -390,6 +390,8 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
             raise ConfigError(f"--events must be >= 1, got {args.events}")
         document = document.replace("run", "events", int(args.events))
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
         document = document.replace("run", "seed", int(args.seed))
     correlator, chosen = _chosen_settings(document, args.settings)
     mode = document.get("interferometer", "mode")
@@ -445,6 +447,8 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         raise ConfigError("sweep range must be finite")
     if args.start < 0 or args.stop <= args.start:
         raise ConfigError("sweep range must satisfy 0 <= start < stop")
+    if not (args.stability_rel >= 0 and math.isfinite(args.stability_rel)):
+        raise ConfigError(f"--stability-rel must be finite and >= 0, got {args.stability_rel}")
     scenario = document.to_scenario()
     scales = scales_from_scenario(scenario)
 
@@ -464,7 +468,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         )
     _write_csv(stdout, FEASIBILITY_COLUMNS, rows)
 
-    crossing = _crossing_tau(scales)
+    crossing = crossing_tau(scales)
     if args.start < crossing <= args.stop:
         stderr.write(f"visibility crosses 1/sqrt(2) at tau = {crossing:.6f} s\n")
     else:

@@ -33,7 +33,6 @@ from .dissociation import (
 )
 from .scenario import (
     CONSTANTS,
-    ScaledUnits,
     Species,
     ValidationError,
     _dispersion_product,
@@ -46,7 +45,6 @@ __all__ = [
     "InterferometerSetting",
     "DtePair",
     "CorrelationResult",
-    "smatrix_amplitude",
     "correlate_quadrature",
     "correlate_closed_form",
     "fringe_phase",
@@ -207,32 +205,27 @@ def _result_from_interference(
     )
 
 
-def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: str, p):
-    """Single-interferometer output amplitude for one input momentum.
-
-    With the long arm switched in ('on') the atom picks up the arm phase
-    exp(i p ell / hbar) and splits cos/sin over the +1/-1 ports; with the
-    arm switched out ('off') there is no momentum phase and the -1 port
-    carries the minus sign that keeps the full matrix unitary.
-    """
-    if port not in (1, -1):
-        raise ValidationError(f"port must be +1 or -1, got {port}")
-    if switch_state not in ("on", "off"):
-        raise ValidationError(f"switch_state must be 'on' or 'off', got {switch_state!r}")
-    theta = setting.theta
-    if switch_state == "on":
-        phase = np.exp(1j * np.asarray(p, dtype=float) * setting.ell / CONSTANTS.hbar)
-        return phase * (math.cos(theta) if port == 1 else math.sin(theta))
-    amp = math.sin(theta) if port == 1 else -math.cos(theta)
-    return complex(amp) if np.isscalar(p) or np.asarray(p).ndim == 0 else np.full(np.shape(p), amp, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # quadrature machinery
 
 
-def _gaussian_interference(gaussians, units, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for a separable Gaussian pair, internal units.
+def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: float):
+    """(m_int, sl_int, dl_int): the atom mass and the arm-length sum and
+    difference in the quadrature's units.
+
+    Momenta are in units of p_ref, times in units of tau and lengths in
+    units of hbar/p_ref, so hbar is exactly 1 inside and the mass unit is
+    p_ref*tau/length; internal masses come out small for heavy slow
+    particles, which keeps the phase factors O(1) on the grid.
+    """
+    length = CONSTANTS.hbar / p_ref
+    m_int = mass / ((p_ref * tau) * length**-1)
+    return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
+
+
+def _gaussian_interference(gaussians, p_ref, m_int, sl_int, dl_int, level=1.0):
+    """Interference integral for a separable Gaussian pair, internal units
+    (momenta in p_ref).
 
     ``level`` scales every node count; returns (value, capped) where
     capped means some factor's node count sits at MAX_NODES, so raising
@@ -240,8 +233,8 @@ def _gaussian_interference(gaussians, units, m_int, sl_int, dl_int, level=1.0):
     """
 
     def factor(mode, a, b):
-        mean = units.to_internal(mode.mean_p, "momentum")
-        sigma = units.to_internal(mode.sigma_p, "momentum")
+        mean = mode.mean_p / p_ref
+        sigma = mode.sigma_p / p_ref
         return _window_integral(mean, sigma, a, b, level, MIN_NODES, MAX_NODES)
 
     i_cm, cm_capped = factor(gaussians.cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
@@ -294,13 +287,12 @@ def correlate_quadrature(
             f"unsupported distribution type {type(dist).__name__}; "
             "expected GaussianPair or FeshbachDistribution"
         )
-    units = ScaledUnits(momentum=p_ref, time=pair.tau)
-    m_int = units.to_internal(pair.species.atom_mass, "mass")
-    dl_int = units.to_internal(s1.ell - s2.ell, "length")
-    sl_int = units.to_internal(s1.ell + s2.ell, "length")
+    m_int, sl_int, dl_int = _internal_units(
+        p_ref, pair.tau, pair.species.atom_mass, s1.ell, s2.ell
+    )
 
     if isinstance(dist, GaussianPair):
-        compute = lambda level: _gaussian_interference(dist, units, m_int, sl_int, dl_int, level)
+        compute = lambda level: _gaussian_interference(dist, p_ref, m_int, sl_int, dl_int, level)
         tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
     else:
         compute = lambda level: _feshbach_interference(dist, m_int, sl_int, dl_int, level)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,8 +19,10 @@ from .scenario import (
     CONSTANTS,
     Scenario,
     ValidationError,
+    _check_source_domain,
     _delta_p,
     _p0_from_fields,
+    _p_bar,
     _sigma_p_cm_ground_state,
     _sigma_p_rel,
 )
@@ -136,23 +137,7 @@ class FeshbachDistribution:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
-        if self.delta_p / self.p0 > 0.2:
-            raise ValidationError(
-                "narrow-spectrum precondition violated: delta_p/p0 = "
-                f"{self.delta_p / self.p0:.4f} > 0.2"
-            )
-        if self.cm_state.sigma_p / self.p0 > 0.2:
-            raise ValidationError(
-                "narrow-spectrum precondition violated: sigma_p_cm/p0 = "
-                f"{self.cm_state.sigma_p / self.p0:.4f} > 0.2"
-            )
-        if self.p_bar <= self.p0:
-            # (x/kappa + b) vanishes on a momentum shell when b < 1: the
-            # resonance pole enters the kinematically allowed domain
-            raise ValidationError(
-                "resonance pole inside the momentum domain: requires p_bar > p0, "
-                f"got p_bar/p0 = {self.p_bar / self.p0:.4f}"
-            )
+        _check_source_domain(self.p0, self.p_bar, self.delta_p, self.cm_state.sigma_p)
 
     @functools.cached_property
     def _normalized(self) -> tuple[float, float]:
@@ -263,12 +248,6 @@ class FeshbachDistribution:
         u = c * c / 4.0
         pref = self.normalization * self.kappa * self.b**2 / math.pi
         return pref * self._scaled_kernel(u, r) * self.cm_state.density(p_cm) / self.p0
-
-    def density_particle_frame(self, p1, p2):
-        """Same density addressed by single-particle momenta (unit Jacobian)."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        return self.density(p1 + p2, 0.5 * (p1 - p2))
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +524,11 @@ def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:
     delta_p^2 = 2 m hbar / pulse_duration (spectral width of one pulse);
     the c.m. mode is the molecular trap ground state.
     """
-    m = scenario.species.atom_mass
     p0 = _p0_from_fields(scenario)
-    p_bar = math.sqrt(m * scenario.resonance.moment_difference * scenario.pulses.pulse_height)
     cm_state = GaussianMode(mean_p=0.0, sigma_p=_sigma_p_cm_ground_state(scenario))
-    return FeshbachDistribution(p0=p0, p_bar=p_bar, delta_p=_delta_p(scenario), cm_state=cm_state)
+    return FeshbachDistribution(
+        p0=p0, p_bar=_p_bar(scenario), delta_p=_delta_p(scenario), cm_state=cm_state
+    )
 
 
 def gaussian_approximation(dist: FeshbachDistribution) -> GaussianPair:
@@ -564,24 +543,21 @@ def gaussian_approximation(dist: FeshbachDistribution) -> GaussianPair:
     return GaussianPair(cm=dist.cm_state, rel=rel)
 
 
-def phi_tau(scenario: Scenario, wrap: bool = False) -> float:
+def phi_tau(scenario: Scenario) -> float:
     """Relative phase accumulated between the two dissociation branches.
 
     [2 U_T tau - mu dB T + mu (B_res - B_0) tau] / hbar + omega_G tau,
-    reported unwrapped by default: drift budgets concern absolute phase
-    change, not the principal value.
+    reported unwrapped: drift budgets concern absolute phase change, not
+    the principal value.
     """
     mu = scenario.resonance.moment_difference
     p = scenario.pulses
     g = scenario.trap_guide
-    phase = (
+    return (
         2.0 * g.trap_depth * p.pulse_separation
         - mu * p.pulse_height * p.pulse_duration
         + mu * (scenario.resonance.position - p.base_field) * p.pulse_separation
     ) / CONSTANTS.hbar + g.omega_guide * p.pulse_separation
-    if wrap:
-        phase = (phase + math.pi) % (2.0 * math.pi) - math.pi
-    return phase
 
 
 _STABILITY_PARAMS = (
@@ -602,7 +578,8 @@ class StabilityReport:
         relative reproducibility of that parameter.
     sensitivities: d(phase)/d(parameter) in rad per SI unit.
     total: root-sum-square of the drifts (independent errors).
-    budget: the drift allowance each parameter is compared against.
+    budget: the drift allowance each parameter is compared against,
+        PHASE_BUDGET.
     passes: per-parameter drift <= budget.
     common_mode_field_drift: drift when base_field and resonance_position
         move together; identically zero because only their difference
@@ -622,29 +599,19 @@ class StabilityReport:
         return all(self.passes.values())
 
 
-def phase_stability(
-    scenario: Scenario,
-    relative_errors: Mapping[str, float] | float = 1e-5,
-    budget: float = PHASE_BUDGET,
-) -> StabilityReport:
-    """Propagate relative parameter errors into phase drift.
+def phase_stability(scenario: Scenario, relative_errors: float = 1e-5) -> StabilityReport:
+    """Propagate one relative parameter error into phase drift.
 
-    ``relative_errors`` is either one number applied to every parameter
-    or a mapping over base_field, pulse_height, resonance_position,
-    pulse_duration, pulse_separation, trap_depth.  Absolute drift per
-    parameter is |d(phase)/dx| * r * |x|; the total combines them in
-    quadrature.
+    ``relative_errors`` applies to each of base_field, pulse_height,
+    resonance_position, pulse_duration, pulse_separation and trap_depth.
+    Absolute drift per parameter is |d(phase)/dx| * r * |x|; the total
+    combines them in quadrature, and each drift is compared with
+    PHASE_BUDGET.
     """
-    if isinstance(relative_errors, Mapping):
-        unknown = set(relative_errors) - set(_STABILITY_PARAMS)
-        if unknown:
-            raise ValidationError(f"unknown stability parameters: {sorted(unknown)}")
-        rel = {name: float(relative_errors.get(name, 0.0)) for name in _STABILITY_PARAMS}
-    else:
-        rel = {name: float(relative_errors) for name in _STABILITY_PARAMS}
-    for name, r in rel.items():
-        if r < 0.0 or not math.isfinite(r):
-            raise ValidationError(f"relative error for {name} must be >= 0, got {r}")
+    r = float(relative_errors)
+    if r < 0.0 or not math.isfinite(r):
+        raise ValidationError(f"relative error must be finite and >= 0, got {r}")
+    rel = dict.fromkeys(_STABILITY_PARAMS, r)
 
     hbar = CONSTANTS.hbar
     mu = scenario.resonance.moment_difference
@@ -671,18 +638,18 @@ def phase_stability(
         "trap_depth": 2.0 * tau / hbar,
     }
     drifts = {
-        name: abs(sensitivities[name]) * rel[name] * abs(values[name])
+        name: abs(sensitivities[name]) * r * abs(values[name])
         for name in _STABILITY_PARAMS
     }
     total = math.sqrt(sum(d * d for d in drifts.values()))
-    passes = {name: drifts[name] <= budget for name in _STABILITY_PARAMS}
+    passes = {name: drifts[name] <= PHASE_BUDGET for name in _STABILITY_PARAMS}
     common = abs(sensitivities["base_field"] + sensitivities["resonance_position"])
     return StabilityReport(
         drifts=drifts,
         sensitivities=sensitivities,
         relative_errors=rel,
         total=total,
-        budget=budget,
+        budget=PHASE_BUDGET,
         passes=passes,
         common_mode_field_drift=common,
     )

@@ -1,11 +1,10 @@
 """Experimental scenario description and derived dispersion scales.
 
 Everything crossing the public API is SI, except the lab-unit config
-documents at the end of this module.  Internally the oscillatory
-integrals are evaluated in scenario-adapted units (momenta in units of
-the relative-motion momentum, times in units of the interrogation time,
-lengths in units of the reduced fringe wavelength); :class:`ScaledUnits`
-performs the conversions and keeps hbar exactly 1 on the inside.
+documents at the end of this module.  The one validity domain of the
+two-pulse source model (narrow spectrum, resonance pole outside the
+momentum domain) is checked here, by _check_source_domain, for the
+source itself and for the scales derived without building it.
 
 Config documents (:func:`load_config`) reach SI only through
 :meth:`ConfigDocument.to_scenario`.  The bundled data/paper-li6.cfg is the
@@ -31,10 +30,8 @@ __all__ = [
     "TrapGuide",
     "Resonance",
     "PulseSequence",
-    "InterferometerBlock",
     "Scenario",
     "TimescaleSummary",
-    "ScaledUnits",
     "SINC_WIDTH_FACTOR",
     "derive_scales",
     "scales_from_scenario",
@@ -178,28 +175,6 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
-class InterferometerBlock:
-    """Optional default interferometer geometry carried by a scenario."""
-
-    ell1: float  # m
-    ell2: float  # m
-    theta1: float  # rad
-    theta2: float  # rad
-    mode: str = "Switched"
-
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= math.pi / 2.0):
-                raise ValidationError(f"{name} must lie in [0, pi/2], got {value}")
-        for name in ("ell1", "ell2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.mode not in ("Switched", "BeamSplitter"):
-            raise ValidationError(f"mode must be 'Switched' or 'BeamSplitter', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Complete physical input set for one experimental configuration."""
 
@@ -207,7 +182,6 @@ class Scenario:
     trap_guide: TrapGuide
     resonance: Resonance
     pulses: PulseSequence
-    interferometer: InterferometerBlock | None = None
 
 
 @dataclass(frozen=True)
@@ -262,6 +236,35 @@ def _delta_p(scenario: Scenario) -> float:
     return math.sqrt(2.0 * m * CONSTANTS.hbar / scenario.pulses.pulse_duration)
 
 
+def _p_bar(scenario: Scenario) -> float:
+    # resonance passage depth, p_bar^2 = m * mu * pulse_height
+    m = scenario.species.atom_mass
+    return math.sqrt(m * scenario.resonance.moment_difference * scenario.pulses.pulse_height)
+
+
+def _check_source_domain(p0: float, p_bar: float, delta_p: float, sigma_p_cm: float) -> None:
+    """The validity domain of the two-pulse source model: both spectra
+    narrow (delta_p/p0 and sigma_p_cm/p0 at most 0.2) and the resonance
+    pole outside the momentum domain (p_bar > p0)."""
+    if delta_p / p0 > 0.2:
+        raise ValidationError(
+            "narrow-spectrum precondition violated: delta_p/p0 = "
+            f"{delta_p / p0:.4f} > 0.2"
+        )
+    if sigma_p_cm / p0 > 0.2:
+        raise ValidationError(
+            "narrow-spectrum precondition violated: sigma_p_cm/p0 = "
+            f"{sigma_p_cm / p0:.4f} > 0.2"
+        )
+    if p_bar <= p0:
+        # (x/kappa + b) vanishes on a momentum shell when b < 1: the
+        # resonance pole enters the kinematically allowed domain
+        raise ValidationError(
+            "resonance pole inside the momentum domain: requires p_bar > p0, "
+            f"got p_bar/p0 = {p_bar / p0:.4f}"
+        )
+
+
 def _sigma_p_rel(p0: float, delta_p: float) -> float:
     # Width of the Gaussian fitted to the squared-sinc main lobe of the
     # two-pulse spectrum: the mass-free form of factor * m hbar / (p0 T).
@@ -312,13 +315,18 @@ def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
 
     The widths are those of gaussian_approximation(distribution_from_scenario(
     scenario)), computed by the same helpers, so these scales equal the
-    ones the correlators derive, bit for bit.
+    ones the correlators derive, bit for bit.  A scenario outside the
+    source's validity domain is refused with the source's own message,
+    without building the source.
     """
     p0 = _p0_from_fields(scenario)
+    delta_p = _delta_p(scenario)
+    sigma_p_cm = _sigma_p_cm_ground_state(scenario)
+    _check_source_domain(p0, _p_bar(scenario), delta_p, sigma_p_cm)
     return derive_scales(
         scenario.species,
-        sigma_p_cm=_sigma_p_cm_ground_state(scenario),
-        sigma_p_rel=_sigma_p_rel(p0, _delta_p(scenario)),
+        sigma_p_cm=sigma_p_cm,
+        sigma_p_rel=_sigma_p_rel(p0, delta_p),
         p0_rel=p0,
     )
 
@@ -327,51 +335,6 @@ def _dispersion_product(scales: TimescaleSummary, tau: float) -> float:
     """(1 + tau^2/t_cm^2)(1 + tau^2/t_rel^2): the visibility is its -1/4
     power, and a violation needs it below 4."""
     return (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
-
-
-# Unit kinds the quadrature converts, as exponents of (momentum, time, length).
-_UNIT_EXPONENTS = {
-    "momentum": (1, 0, 0),
-    "length": (0, 0, 1),
-    "mass": (1, 1, -1),
-}
-
-
-@dataclass(frozen=True)
-class ScaledUnits:
-    """Conversion from SI to the quadrature's scenario-adapted units.
-
-    The base units are a momentum scale and a time scale; the length unit
-    is tied to them as hbar/momentum so that hbar is exactly 1 internally.
-    The mass unit is then momentum*time/length, and internal masses come
-    out small for heavy slow particles, which is what keeps the phase
-    factors O(1) on the grid.  Momentum, length and mass are the kinds the
-    quadrature converts.
-    """
-
-    momentum: float
-    time: float
-
-    def __post_init__(self) -> None:
-        for name in ("momentum", "time"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} unit must be positive and finite, got {value}")
-
-    @property
-    def length(self) -> float:
-        return CONSTANTS.hbar / self.momentum
-
-    def unit_for(self, kind: str) -> float:
-        """SI size of one internal unit of ``kind``."""
-        try:
-            a, b, c = _UNIT_EXPONENTS[kind]
-        except KeyError:
-            raise ValidationError(f"unknown unit kind {kind!r}") from None
-        return self.momentum**a * self.time**b * self.length**c
-
-    def to_internal(self, value, kind: str):
-        return value / self.unit_for(kind)
 
 
 # ------------------------------------------------ lab-unit config documents
@@ -430,15 +393,17 @@ class ConfigDocument:
         return ConfigDocument(values=merged)
 
     def to_scenario(self) -> Scenario:
-        """Convert to SI once; physical validation happens downstream.
+        """Convert the physical sections to SI once; physical validation
+        happens downstream.  The interferometer section stays in lab
+        units: its lengths and angles are read per command.
 
         mG, nK, ms and um are exact powers of ten of SI units; dividing
         by the power keeps each value correctly rounded: 400 mG becomes
         4e-05 T, where multiplying by the inexact 1e-7 gives
         3.9999999999999996e-05.
         """
-        scenario, resonance, pulses, inter = (
-            self.values[name] for name in ("scenario", "resonance", "pulses", "interferometer")
+        scenario, resonance, pulses = (
+            self.values[name] for name in ("scenario", "resonance", "pulses")
         )
         c = CONSTANTS
         return Scenario(
@@ -461,13 +426,6 @@ class ConfigDocument:
                 pulse_height=pulses["height_mG"] / 1e7,
                 pulse_duration=pulses["duration_ms"] / 1e3,
                 pulse_separation=pulses["separation_s"],
-            ),
-            interferometer=InterferometerBlock(
-                ell1=inter["ell1_um"] / 1e6,
-                ell2=inter["ell2_um"] / 1e6,
-                theta1=math.radians(inter["theta1_deg"]),
-                theta2=math.radians(inter["theta2_deg"]),
-                mode=inter["mode"],
             ),
         )
 
@@ -546,6 +504,13 @@ def load_config(path: Optional[str] = None) -> ConfigDocument:
             f"invalid value for interferometer.mode: {mode!r} "
             "(expected Switched or BeamSplitter)"
         )
+    for key in ("theta1_deg", "theta2_deg"):
+        theta = document.get("interferometer", key)
+        # the same test InterferometerSetting makes, in radians
+        if not 0.0 <= math.radians(theta) <= math.pi / 2.0:
+            raise ConfigError(
+                f"invalid value for interferometer.{key}: {theta} (expected 0 to 90 degrees)"
+            )
     if document.events < 1:
         raise ConfigError(f"run.events must be >= 1, got {document.events}")
     if not 0 <= document.seed < 2**64:
@@ -559,8 +524,10 @@ def reference_scenario() -> Scenario:
     Feshbach molecules of 6Li in a shallow 0.5 Hz, 100 nK trap inside a
     300 Hz waveguide, dissociated at a narrow resonance (1 mG width,
     0.01 Bohr magneton moment difference) by two 60 ms pulses of 400 mG
-    height reaching 350 mG of effective detuning, separated by 1 s.
-    Defaults to a symmetric switched interferometer with arms at half
-    the separation the atoms acquire during that second.
+    height reaching 350 mG of effective detuning, separated by 1 s.  The
+    file's [interferometer] and [run] sections (a symmetric switched
+    interferometer with arms at half the separation the atoms acquire
+    during that second) are not part of the scenario; load_config(None)
+    carries them.
     """
     return load_config(None).to_scenario()

@@ -25,7 +25,6 @@ from dtebell.bell import (
     feasible,
     optimize_settings,
     seed_settings,
-    spin_reference_correlation,
     visibility,
 )
 from dtebell.cli import load_config, main
@@ -285,10 +284,9 @@ class TestCrossModuleInvariants:
     def test_tsirelson_bound_respected(self, reference_pipeline):
         correlator, settings, _ = reference_pipeline
         assert chsh_value(correlator, settings).s_value <= TSIRELSON_BOUND + 1e-9
-        from dtebell.bell import ChshSettings
+        from reference_models import TEXTBOOK, spin_correlation
 
-        textbook = ChshSettings(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
-        spin = chsh_value(spin_reference_correlation, textbook)
+        spin = chsh_value(spin_correlation, TEXTBOOK)
         assert spin.s_value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
         assert spin.s_value <= TSIRELSON_BOUND + 1e-9
 
@@ -339,7 +337,6 @@ class TestCrossModuleInvariants:
                     species=out.species, trap_guide=out.trap_guide,
                     resonance=out.resonance,
                     pulses=replace(out.pulses, **pulses),
-                    interferometer=out.interferometer,
                 )
             if "resonance_position" in kw:
                 out = Scenario(
@@ -347,14 +344,13 @@ class TestCrossModuleInvariants:
                     resonance=replace(
                         out.resonance, position=kw["resonance_position"]
                     ),
-                    pulses=out.pulses, interferometer=out.interferometer,
+                    pulses=out.pulses,
                 )
             if "trap_depth" in kw:
                 out = Scenario(
                     species=out.species,
                     trap_guide=replace(out.trap_guide, trap_depth=kw["trap_depth"]),
                     resonance=out.resonance, pulses=out.pulses,
-                    interferometer=out.interferometer,
                 )
             return out
 

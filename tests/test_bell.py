@@ -10,16 +10,15 @@ from scipy.optimize import minimize, minimize_scalar
 from dtebell.bell import (
     TSIRELSON_BOUND,
     _bounded_minimize,
-    _crossing_tau,
     BellOutcome,
     ChshSettings,
     chsh_value,
     closed_form_correlator,
+    crossing_tau,
     feasible,
     optimize_settings,
     periods_above_threshold,
     seed_settings,
-    spin_reference_correlation,
     visibility,
 )
 from dtebell.correlation import (
@@ -42,6 +41,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
+from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_correlator
 
 # Frozen reference values (dispersion product and its consequences at
 # tau = 1 s, plus the optimizer's converged CHSH value).
@@ -51,8 +51,6 @@ LAMBDA_RATIO_REF = 1.844796005393443e-4
 S_OPT_REF = 2.0303670957011324
 S_TAU2_REF = 1.4466367803333746
 PERIODS_REF = 7.83909857087312
-
-TEXTBOOK = ChshSettings(a=0.0, a_prime=0.5 * math.pi, b=0.25 * math.pi, b_prime=0.75 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -94,31 +92,30 @@ def optimized(reference_correlator, seeded):
     return optimize_settings(reference_correlator, seeded)
 
 
-def spin_correlator(phi1, phi2):
-    return spin_reference_correlation(phi1, phi2)
-
-
 # ---------------------------------------------------------------- spin model
 
 
 def test_spin_reference_equal_angles():
-    result = spin_reference_correlation(0.7, 0.7)
+    result = spin_correlator(InterferometerSetting(ell=0.7), InterferometerSetting(ell=0.7))
     assert result.p[(1, 1)] == pytest.approx(0.5, abs=1e-15)
     assert result.p[(1, -1)] == pytest.approx(0.0, abs=1e-15)
     assert result.p[(-1, -1)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_spin_reference_quarter_turn():
-    result = spin_reference_correlation(0.3, 0.3 + 0.5 * math.pi)
+    result = spin_correlator(
+        InterferometerSetting(ell=0.3), InterferometerSetting(ell=0.3 + 0.5 * math.pi)
+    )
     for sign_pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         assert result.p[sign_pair] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_spin_reference_validation():
+    # an angle setting is an InterferometerSetting, which refuses non-finite ell
     with pytest.raises(ValidationError):
-        spin_reference_correlation(math.nan, 0.0)
+        angle_settings(math.nan, 0.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
-        spin_reference_correlation(0.0, math.inf)
+        angle_settings(0.0, 0.0, 0.0, math.inf)
 
 
 def test_spin_textbook_chsh():
@@ -137,7 +134,7 @@ def test_spin_textbook_chsh():
     bp=st.floats(-10, 10),
 )
 def test_spin_chsh_matches_analytic(a, ap, b, bp):
-    outcome = chsh_value(spin_correlator, ChshSettings(a, ap, b, bp))
+    outcome = chsh_value(spin_correlator, angle_settings(a, ap, b, bp))
     expected = abs(
         math.cos(a - b) - math.cos(a - bp) + math.cos(ap - b) + math.cos(ap - bp)
     )
@@ -220,7 +217,7 @@ def _with_times(t_cm, t_rel):
 def test_crossing_tau_brackets_the_threshold(scales, times):
     # the skewed case is where the textbook root (-(a+b) + sqrt(...))/2 cancels
     chosen = scales if times is None else _with_times(*times)
-    tau_star = _crossing_tau(chosen)
+    tau_star = crossing_tau(chosen)
     threshold = 1.0 / math.sqrt(2.0)
     assert visibility(chosen, tau_star * (1.0 - 1e-12)) > threshold
     assert threshold >= visibility(chosen, tau_star * (1.0 + 1e-12))
@@ -261,13 +258,12 @@ def test_bell_outcome_consistency_guards():
 
 
 def test_chsh_settings_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="InterferometerSetting"):
         ChshSettings(a=InterferometerSetting(ell=0.0), a_prime=0.1, b=0.2, b_prime=0.3)
-    with pytest.raises(ValidationError):
-        ChshSettings(a=0.0, a_prime=math.nan, b=0.2, b_prime=0.3)
-    assert not TEXTBOOK.length_mode
+    with pytest.raises(ValidationError, match="InterferometerSetting"):
+        ChshSettings(a=0.0, a_prime=0.5, b=0.2, b_prime=0.3)
     lengths = ChshSettings(*(InterferometerSetting(ell=x * 1e-6) for x in range(4)))
-    assert lengths.length_mode
+    assert [s.ell for s in lengths.as_tuple()] == [x * 1e-6 for x in range(4)]
 
 
 def test_chsh_value_propagates_quadrature_failure():
@@ -286,7 +282,7 @@ def test_chsh_value_propagates_quadrature_failure():
     bp=st.floats(-7, 7),
 )
 def test_tsirelson_bound_always_holds(a, ap, b, bp):
-    outcome = chsh_value(spin_correlator, ChshSettings(a, ap, b, bp))
+    outcome = chsh_value(spin_correlator, angle_settings(a, ap, b, bp))
     assert outcome.s_value <= TSIRELSON_BOUND + 1e-9
 
 
@@ -363,8 +359,8 @@ def test_optimize_no_dispersion_recovers_tsirelson(scenario, gaussians, pulse_ph
 
 
 def test_optimize_angle_mode_spin():
-    perturbed = ChshSettings(a=0.05, a_prime=0.5 * math.pi - 0.04, b=0.25 * math.pi + 0.03,
-                             b_prime=0.75 * math.pi - 0.02)
+    perturbed = angle_settings(0.05, 0.5 * math.pi - 0.04, 0.25 * math.pi + 0.03,
+                               0.75 * math.pi - 0.02)
     result = optimize_settings(spin_correlator, perturbed)
     assert abs(result.s_value - TSIRELSON_BOUND) < 1e-9
 
@@ -382,7 +378,6 @@ def test_optimize_tau2_no_violation(scenario):
     scn2 = dataclasses.replace(
         scenario,
         pulses=dataclasses.replace(scenario.pulses, pulse_separation=2.0),
-        interferometer=None,
     )
     scales2 = scales_from_scenario(scn2)
     gaussians2 = gaussian_approximation(distribution_from_scenario(scn2))

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dtebell.cli import (
     CONFIG_SCHEMA,
@@ -106,13 +107,58 @@ class TestConfig:
         assert scenario.trap_guide.omega_guide == pytest.approx(
             2 * math.pi * 300.0, rel=1e-12
         )
-        assert scenario.interferometer.theta1 == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("key, angle", [
+        ("theta1_deg", "120"), ("theta2_deg", "-1"), ("theta1_deg", "90.5"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("scales",),
+        ("feasibility",),
+        ("bell", "--optimize"),
+        ("montecarlo", "--events", "10"),
+        ("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1", "--steps", "2",
+         "--method", "quad"),
+    ], ids=lambda argv: argv[0])
+    def test_theta_outside_0_to_90_exits_2(self, tmp_path, argv, key, angle):
+        path = write_cfg(tmp_path, f"[interferometer]\n{key} = {angle}\n")
+        code, out, err = invoke(argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: invalid value for interferometer.{key}: {float(angle)} "
+            "(expected 0 to 90 degrees)\n"
+        )
 
 
 # ------------------------------------------------------------------- scales
 
 
 class TestScales:
+    def test_refuses_scenario_outside_source_domain(self, tmp_path):
+        path = write_cfg(tmp_path, "[pulses]\nbase_field_mG = 543800\n")
+        _, _, bell_err = invoke("bell", path, "--optimize")
+        assert "resonance pole inside the momentum domain" in bell_err
+        for command in ("scales", "feasibility"):
+            code, out, err = invoke(command, path)
+            assert (code, out, err) == (1, "", bell_err)
+
+    @given(
+        field=st.floats(543150.0, 544000.0),
+        duration=st.floats(-3.0, 3.1).map(lambda e: 10.0**e),
+    )
+    @example(field=543800.0, duration=60.0)
+    @settings(max_examples=40, deadline=None)
+    def test_scales_refuses_exactly_what_bell_refuses(self, tmp_path_factory, field, duration):
+        path = tmp_path_factory.mktemp("domain") / "case.cfg"
+        path.write_text(
+            f"[pulses]\nbase_field_mG = {field!r}\nduration_ms = {duration!r}\n",
+            encoding="utf-8",
+        )
+        code, _, err = invoke("scales", str(path))
+        bell_code, _, bell_err = invoke("bell", str(path), "--settings", *SETTINGS_UM)
+        assert code == bell_code
+        if code:
+            assert err.splitlines()[0] == bell_err.splitlines()[0]
+
     def test_text_output(self):
         code, out, err = invoke("scales")
         assert code == 0
@@ -349,9 +395,10 @@ class TestBell:
         path = write_cfg(tmp_path, f"[interferometer]\ntheta1_deg = {angle}\n")
         code, out, err = invoke(argv[0], path, *argv[1:])
         assert code == 2 and out == ""
+        # outside [0, 90], so the range check at config load refuses it first
         assert err == (
-            "error: closed-form evaluation requires interferometer.theta1_deg = 45; "
-            f"got {float(angle)} (scan --method quad takes any angle)\n"
+            f"error: invalid value for interferometer.theta1_deg: {float(angle)} "
+            "(expected 0 to 90 degrees)\n"
         )
 
 
@@ -405,6 +452,13 @@ class TestMonteCarlo:
         code, out, err = invoke("montecarlo", path, "--events", "100")
         assert code == 2 and out == ""
         assert "theta1_deg" in err
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_bad_seed_exits_2_before_output(self, seed):
+        # the range load_config applies to run.seed
+        code, out, err = invoke("montecarlo", "--events", "10", "--seed", str(seed))
+        assert (code, out) == (2, "")
+        assert err == f"error: --seed must fit in 64 bits, got {seed}\n"
 
     def test_byte_identical_reruns(self):
         first = invoke("montecarlo", "--events", "500", "--seed", "7")
@@ -511,6 +565,12 @@ class TestFeasibility:
                 assert periods > 0
             else:
                 assert periods == 0.0
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_stability_rel_exits_2_before_output(self, value):
+        code, out, err = invoke("feasibility", "--stability-rel", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --stability-rel must be finite and >= 0, got {float(value)}\n"
 
     def test_stability_report_lists_all_parameters(self):
         code, _, err = invoke("feasibility", "--steps", "3")

@@ -18,11 +18,11 @@ from dtebell.correlation import (
     DtePair,
     InterferometerSetting,
     QuadratureError,
+    _internal_units,
     closed_form_parts,
     correlate_closed_form,
     correlate_quadrature,
     fringe_phase,
-    smatrix_amplitude,
 )
 from dtebell.dissociation import (
     GaussianMode,
@@ -34,7 +34,6 @@ from dtebell.dissociation import (
 from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
     CONSTANTS,
-    ScaledUnits,
     ValidationError,
     reference_scenario,
     scales_from_scenario,
@@ -84,6 +83,26 @@ def center_lengths(scales, tau):
 
 # ---------------------------------------------------------------------------
 # S-matrix amplitudes
+
+
+def smatrix_amplitude(setting: InterferometerSetting, port: int, switch_state: str, p):
+    """Single-interferometer output amplitude for one input momentum (SI).
+
+    With the long arm switched in ('on') the atom picks up the arm phase
+    exp(i p ell / hbar) and splits cos/sin over the +1/-1 ports; with the
+    arm switched out ('off') there is no momentum phase and the -1 port
+    carries the minus sign that keeps the full matrix unitary.
+    """
+    if port not in (1, -1):
+        raise ValidationError(f"port must be +1 or -1, got {port}")
+    if switch_state not in ("on", "off"):
+        raise ValidationError(f"switch_state must be 'on' or 'off', got {switch_state!r}")
+    theta = setting.theta
+    if switch_state == "on":
+        phase = np.exp(1j * np.asarray(p, dtype=float) * setting.ell / CONSTANTS.hbar)
+        return phase * (math.cos(theta) if port == 1 else math.sin(theta))
+    amp = math.sin(theta) if port == 1 else -math.cos(theta)
+    return complex(amp) if np.isscalar(p) or np.asarray(p).ndim == 0 else np.full(np.shape(p), amp, dtype=complex)
 
 
 def test_smatrix_on_values():
@@ -326,10 +345,9 @@ def test_sinc2_tail_cut_within_its_bound(fesh, scenario, scales, tau, offset_um,
     that move the stationary point."""
     from dtebell.correlation import _feshbach_interference
 
-    units = ScaledUnits(momentum=fesh.p0, time=tau)
-    m_int = units.to_internal(scenario.species.atom_mass, "mass")
     shift = scales.lambda_bar_rel * 2.0 * math.pi * eighths / 8.0
-    dl_int = units.to_internal(tau * scales.v_rel + shift + offset_um * 1e-6, "length")
+    dl = tau * scales.v_rel + shift + offset_um * 1e-6
+    m_int, _, dl_int = _internal_units(fesh.p0, tau, scenario.species.atom_mass, dl, 0.0)
     r_cut, bound = _tail_cut(fesh, dl_int, 1.0 / m_int, level)
     assert r_cut is not None and r_cut < fesh.r_hi()
     cut, _ = _feshbach_interference(fesh, m_int, 0.0, dl_int, level)
@@ -545,10 +563,8 @@ def brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2, n=1200)
     from scipy.special import roots_legendre
 
     p0 = gaussians.rel.mean_p
-    units = ScaledUnits(momentum=p0, time=tau)
-    m_int = units.to_internal(scenario.species.atom_mass, "mass")
-    l1 = units.to_internal(s1.ell, "length")
-    l2 = units.to_internal(s2.ell, "length")
+    # momenta in p0 and times in tau make the mass m hbar / (p0^2 tau)
+    m_int = scenario.species.atom_mass * CONSTANTS.hbar / (p0**2 * tau)
     sc = gaussians.cm.sigma_p / p0
     sr = gaussians.rel.sigma_p / p0
     cmean = gaussians.cm.mean_p / p0
@@ -569,12 +585,10 @@ def brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2, n=1200)
     early_phase = np.exp(
         -1j * (phi_tau + (p1[:, None] ** 2 + p2[None, :] ** 2) / (2.0 * m_int))
     )
-    arm1 = np.exp(1j * p1 * l1)
-    arm2 = np.exp(1j * p2 * l2)
-    on1 = {1: math.cos(s1.theta) * arm1, -1: math.sin(s1.theta) * arm1}
-    on2 = {1: math.cos(s2.theta) * arm2, -1: math.sin(s2.theta) * arm2}
-    off1 = {1: math.sin(s1.theta), -1: -math.cos(s1.theta)}
-    off2 = {1: math.sin(s2.theta), -1: -math.cos(s2.theta)}
+    on1 = {port: smatrix_amplitude(s1, port, "on", p1 * p0) for port in (1, -1)}
+    on2 = {port: smatrix_amplitude(s2, port, "on", p2 * p0) for port in (1, -1)}
+    off1 = {port: smatrix_amplitude(s1, port, "off", 0.0) for port in (1, -1)}
+    off2 = {port: smatrix_amplitude(s2, port, "off", 0.0) for port in (1, -1)}
 
     p = {}
     for sg1, sg2 in SIGN_PAIRS:
@@ -719,9 +733,8 @@ def _assert_estimate_describes(res, reference, passes, tail):
 def _rel_phase(dist, scenario, s1, s2, tau=1.0):
     """(a, b) of the relative-momentum phase a r - b r^2 that
     correlate_quadrature integrates, momenta in p0."""
-    units = ScaledUnits(momentum=dist.p0, time=tau)
-    m_int = units.to_internal(scenario.species.atom_mass, "mass")
-    return units.to_internal(s1.ell - s2.ell, "length"), 1.0 / m_int
+    m_int, _, dl_int = _internal_units(dist.p0, tau, scenario.species.atom_mass, s1.ell, s2.ell)
+    return dl_int, 1.0 / m_int
 
 
 @pytest.mark.parametrize("eighths", [0, 3])
@@ -774,10 +787,8 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
 
     tau = 0.05
     p0 = fesh.p0
-    units = ScaledUnits(momentum=p0, time=tau)
-    m_int = units.to_internal(scenario.species.atom_mass, "mass")
     v = 2.0 * p0 / scenario.species.atom_mass
-    dl_int = units.to_internal(tau * v, "length")
+    m_int, _, dl_int = _internal_units(p0, tau, scenario.species.atom_mass, tau * v, 0.0)
     sl_int = 0.0
 
     fast, _ = _feshbach_interference(fesh, m_int, sl_int, dl_int)

@@ -50,7 +50,6 @@ def _with_pulses(scn, **kw):
         trap_guide=scn.trap_guide,
         resonance=scn.resonance,
         pulses=replace(scn.pulses, **kw),
-        interferometer=scn.interferometer,
     )
 
 
@@ -123,13 +122,6 @@ class TestFeshbachDistribution:
         # mirrored lobe has the same height
         mirrored = dist.density(c[ic], -r[ir])
         assert mirrored == pytest.approx(vals[ic, ir], rel=1e-12)
-
-    def test_density_particle_frame_jacobian(self, dist):
-        p0 = dist.p0
-        p1, p2 = 1.07 * p0, -0.93 * p0
-        assert dist.density_particle_frame(p1, p2) == pytest.approx(
-            float(dist.density(p1 + p2, (p1 - p2) / 2.0)), rel=1e-14
-        )
 
     def test_sinc_zero_is_regular(self, dist):
         # sinc(0) = 1: on-shell density finite and maximal, no 0/0 artifact
@@ -400,13 +392,6 @@ class TestPhiTau:
     def test_reference_value(self, scenario):
         assert dis.phi_tau(scenario) == pytest.approx(PHI_TAU_REF, rel=1e-8)
 
-    def test_wrap(self, scenario):
-        full = dis.phi_tau(scenario)
-        wrapped = dis.phi_tau(scenario, wrap=True)
-        assert -math.pi < wrapped <= math.pi
-        k = round((full - wrapped) / (2.0 * math.pi))
-        assert full - wrapped == pytest.approx(2.0 * math.pi * k, abs=1e-6)
-
     def test_linear_in_trap_depth(self, scenario):
         # phase is affine in each single parameter
         base = dis.phi_tau(scenario)
@@ -477,14 +462,7 @@ class TestPhaseStability:
         r1 = dis.phase_stability(scenario, 1e-5)
         r2 = dis.phase_stability(scenario, 3e-5)
         assert r2.total == pytest.approx(3.0 * r1.total, rel=1e-12)
-
-    def test_per_parameter_mapping(self, scenario):
-        rep = dis.phase_stability(scenario, {"pulse_height": 1e-5})
-        assert rep.drifts["pulse_height"] > 0.0
-        assert rep.drifts["base_field"] == 0.0
-        with pytest.raises(ValidationError, match="unknown stability"):
-            dis.phase_stability(scenario, {"field": 1e-5})
-        with pytest.raises(ValidationError, match="must be >= 0"):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
             dis.phase_stability(scenario, -1e-5)
 
 

@@ -24,10 +24,9 @@ def _recorded_versions():
 
 
 def _version_note():
-    return (
-        f"corpus recorded with {_recorded_versions().strip()!r}, "
-        f"running {regen.versions().strip()!r}"
-    )
+    recorded = _recorded_versions().strip().replace("\n", ", ")
+    running = regen.versions().strip().replace("\n", ", ")
+    return f"corpus recorded with {recorded}, running {running}"
 
 
 def test_versions_match_corpus():

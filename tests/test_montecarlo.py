@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from dtebell.bell import (
     TSIRELSON_BOUND,
-    ChshSettings,
     closed_form_correlator,
     optimize_settings,
     seed_settings,
-    spin_reference_correlation,
 )
-from dtebell.correlation import CorrelationResult
+from dtebell.correlation import CorrelationResult, InterferometerSetting
 from dtebell.dissociation import distribution_from_scenario, gaussian_approximation, phi_tau
 import dtebell.montecarlo as mc
 from dtebell.montecarlo import (
@@ -33,8 +31,7 @@ from dtebell.montecarlo import (
     sample_event,
 )
 from dtebell.scenario import ValidationError, reference_scenario
-
-TEXTBOOK = ChshSettings(a=0.0, a_prime=0.5 * math.pi, b=0.25 * math.pi, b_prime=0.75 * math.pi)
+from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_correlator
 
 # Golden tallies pin the RNG contract (Philox keyed by (seed, pair), one
 # uniform per Switched event, two per BeamSplitter event).
@@ -51,10 +48,6 @@ GOLDEN_BEAMSPLITTER = (
     (109, 16, 17, 119),
 )
 GOLDEN_BS_DISCARDED = (249, 247, 243, 239)
-
-
-def spin_correlator(a, b):
-    return spin_reference_correlation(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +134,10 @@ def test_sample_event_rejects_unnormalized():
 
 def test_sample_event_uniform_frequencies():
     # spin model at a quarter turn: all four ports equally likely
-    result = spin_reference_correlation(0.0, 0.5 * math.pi)
-    uniform = ChshSettings(a=0.0, a_prime=0.0, b=0.5 * math.pi, b_prime=0.5 * math.pi)
+    result = spin_correlator(
+        InterferometerSetting(ell=0.0), InterferometerSetting(ell=0.5 * math.pi)
+    )
+    uniform = angle_settings(0.0, 0.0, 0.5 * math.pi, 0.5 * math.pi)
     table = run(spin_correlator, RunConfig(1_000_000, 2024, "Switched", uniform))
     band = 4.0 * math.sqrt(0.25 * 0.75 / 1_000_000)
     for i in range(4):

@@ -10,10 +10,9 @@ from dtebell import load_config
 from dtebell.scenario import (
     CONSTANTS,
     BelowThresholdError,
-    InterferometerBlock,
+    ConfigError,
     PulseSequence,
     Resonance,
-    ScaledUnits,
     Scenario,
     Species,
     TimescaleSummary,
@@ -85,11 +84,19 @@ def test_pulse_sequence_ordering():
     assert seq.pulse_separation > seq.pulse_duration
 
 
-def test_interferometer_block_validation():
-    with pytest.raises(ValidationError, match="theta1"):
-        InterferometerBlock(ell1=0.0, ell2=0.0, theta1=2.0, theta2=0.5)
-    with pytest.raises(ValidationError, match="mode"):
-        InterferometerBlock(ell1=0.0, ell2=0.0, theta1=0.5, theta2=0.5, mode="weird")
+def test_interferometer_block_validation(tmp_path):
+    # the config's [interferometer] section is checked once, at load
+    for body, match in (
+        ("theta1_deg = 120", "theta1_deg: 120.0"),
+        ("theta2_deg = -0.5", "theta2_deg: -0.5"),
+    ):
+        path = tmp_path / "case.cfg"
+        path.write_text(f"[interferometer]\n{body}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(path))
+    for theta in (0.0, 90.0):
+        path.write_text(f"[interferometer]\ntheta1_deg = {theta}\n", encoding="utf-8")
+        assert load_config(str(path)).get("interferometer", "theta1_deg") == theta
 
 
 def test_reference_scenario_scales():
@@ -185,21 +192,16 @@ def test_derive_scales_validates_inputs():
         derive_scales(li6, sigma_p_cm=1e-30, sigma_p_rel=1e-30, p0_rel=0.0)
 
 
-class TestScaledUnits:
-    def setup_method(self):
-        self.scales = scales_from_scenario(reference_scenario())
-        self.units = ScaledUnits(momentum=self.scales.p0_rel, time=1.0)
+def test_reference_internal_mass():
+    # the quadrature's unit conversion, dtebell.correlation._internal_units
+    from dtebell.correlation import _internal_units
 
-    def test_reference_internal_mass(self):
-        m_int = self.units.to_internal(M_LI6, "mass")
-        # m hbar / (p0^2 tau), the single dimensionless mass parameter
-        expected = M_LI6 * CONSTANTS.hbar / (P0_REF**2 * 1.0)
-        assert m_int == pytest.approx(expected, rel=1e-12)
-        assert m_int == pytest.approx(3.6895e-4, rel=1e-3)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError, match="unit kind"):
-            self.units.unit_for("charge")
+    p0 = scales_from_scenario(reference_scenario()).p0_rel
+    m_int, _, _ = _internal_units(p0, 1.0, M_LI6, 0.0, 0.0)
+    # m hbar / (p0^2 tau), the single dimensionless mass parameter
+    expected = M_LI6 * CONSTANTS.hbar / (P0_REF**2 * 1.0)
+    assert m_int == pytest.approx(expected, rel=1e-12)
+    assert m_int == pytest.approx(3.6895e-4, rel=1e-3)
 
 
 def test_timescale_summary_is_plain_data():
