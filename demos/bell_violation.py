@@ -13,8 +13,6 @@ import math
 from dtebell import (
     chsh_value,
     closed_form_correlator,
-    distribution_from_scenario,
-    gaussian_approximation,
     load_config,
     optimize_settings,
     phi_tau,
@@ -28,13 +26,10 @@ def analyze(document, label):
     scenario = document.to_scenario()
     scales = scales_from_scenario(scenario)
     tau = scenario.pulses.pulse_separation
-    gaussians = gaussian_approximation(distribution_from_scenario(scenario))
     pulse_phase = phi_tau(scenario)
 
-    correlator = closed_form_correlator(
-        gaussians, scenario.species, tau, pulse_phase
-    )
-    seeded = seed_settings(gaussians, scenario.species, tau, pulse_phase)
+    correlator = closed_form_correlator(scales, tau, pulse_phase)
+    seeded = seed_settings(scales, tau, pulse_phase)
     best = optimize_settings(correlator, seeded)
     outcome = chsh_value(correlator, best.settings)
 

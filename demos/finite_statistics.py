@@ -13,24 +13,21 @@ import math
 from dtebell import (
     RunConfig,
     closed_form_correlator,
-    distribution_from_scenario,
     estimate_chsh,
-    gaussian_approximation,
     load_config,
     optimize_settings,
     phi_tau,
+    scales_from_scenario,
     seed_settings,
 )
 from dtebell.montecarlo import run
 
 scenario = load_config(None).to_scenario()
+scales = scales_from_scenario(scenario)
 tau = scenario.pulses.pulse_separation
-gaussians = gaussian_approximation(distribution_from_scenario(scenario))
-correlator = closed_form_correlator(
-    gaussians, scenario.species, tau, phi_tau(scenario)
-)
+correlator = closed_form_correlator(scales, tau, phi_tau(scenario))
 settings = optimize_settings(
-    correlator, seed_settings(gaussians, scenario.species, tau, phi_tau(scenario))
+    correlator, seed_settings(scales, tau, phi_tau(scenario))
 ).settings
 s_true = abs(sum(
     sign * correlator(x, y).e_value for x, y, sign in settings.pairs()

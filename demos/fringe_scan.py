@@ -26,7 +26,6 @@ from dtebell import (
 
 scenario = load_config(None).to_scenario()
 scales = scales_from_scenario(scenario)
-gaussians = gaussian_approximation(distribution_from_scenario(scenario))
 tau = scenario.pulses.pulse_separation
 pulse_phase = phi_tau(scenario)
 
@@ -41,16 +40,16 @@ print()
 print("ell1 offset (periods)    E         bar")
 for d in np.linspace(-1.0, 1.0, 21):
     result = correlate_closed_form(
-        gaussians, scenario.species, tau, pulse_phase,
-        center1 + d * period, center2,
+        scales, tau, pulse_phase, center1 + d * period, center2
     )
     e = result.e_value
     width = int(round(20 * (e + 1) / 2))
     print(f"  {d:+5.2f}               {e:+7.4f}   {'#' * width}")
 
-# same physics through the 4D oscillatory integral, no closed form involved
+# same physics through the 4D oscillatory integral, no closed form
+# involved: it reads the Gaussian pair, not the scales
 pair = DtePair(
-    distribution=gaussians,
+    distribution=gaussian_approximation(distribution_from_scenario(scenario)),
     tau=tau,
     phi_tau=pulse_phase,
     species=scenario.species,
@@ -59,9 +58,7 @@ print()
 print("closed form vs direct quadrature at three offsets:")
 for d in (-0.5, 0.0, 0.5):
     ell1 = center1 + d * period
-    closed = correlate_closed_form(
-        gaussians, scenario.species, tau, pulse_phase, ell1, center2
-    )
+    closed = correlate_closed_form(scales, tau, pulse_phase, ell1, center2)
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=center2)
     )

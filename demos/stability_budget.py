@@ -15,7 +15,7 @@ from dtebell import (
     phase_stability,
     phi_tau,
 )
-from dtebell.dissociation import required_c_tilde_norm_sq
+from dtebell.dissociation import PHASE_BUDGET, required_c_tilde_norm_sq
 
 scenario = load_config(None).to_scenario()
 print(f"pulse-sequence phase phi_tau = {phi_tau(scenario):.3f} rad")
@@ -23,7 +23,7 @@ print()
 
 report = phase_stability(scenario, relative_errors=1e-5)
 print(f"drift per parameter at 1e-5 relative reproducibility "
-      f"(budget {report.budget * 1e3:.0f} mrad):")
+      f"(budget {PHASE_BUDGET * 1e3:.0f} mrad):")
 for name in sorted(report.drifts):
     drift = report.drifts[name]
     flag = "ok  " if report.passes[name] else "FAIL"
@@ -40,7 +40,7 @@ print()
 # what per-knob stability would meet the budget?
 for name in sorted(report.drifts):
     if report.drifts[name] > 0:
-        needed = 1e-5 * report.budget / report.drifts[name]
+        needed = 1e-5 * PHASE_BUDGET / report.drifts[name]
         print(f"  {name:20s} needs relative error < {needed:.1e}")
 print()
 

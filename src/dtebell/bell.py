@@ -3,7 +3,9 @@
 A correlator is a callable (InterferometerSetting, InterferometerSetting)
 -> CorrelationResult, so the same CHSH machinery runs on the Gaussian
 closed form or on full quadrature; a CHSH setting is one interferometer,
-chosen by its arm length ell.
+chosen by its arm length ell.  The closed-form helpers here, like the
+closed form itself, read the dispersion scales (TimescaleSummary) and
+the pulse phase, never a source distribution.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ import numpy as np
 from .correlation import (
     CorrelationResult,
     InterferometerSetting,
-    fringe_phase,
-    closed_form_parts,
     correlate_closed_form,
+    fringe_phase,
 )
-from .dissociation import GaussianPair
-from .scenario import Species, TimescaleSummary, ValidationError, _dispersion_product
+from .scenario import TimescaleSummary, ValidationError, _dispersion_product
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -213,37 +213,30 @@ def _wrap_near_zero(angle: float) -> float:
     return wrapped
 
 
-def closed_form_correlator(
-    gaussians: GaussianPair, species: Species, tau: float, phi_tau: float
-):
+def closed_form_correlator(scales: TimescaleSummary, tau: float, phi_tau: float):
     """Adapter: (setting, setting) -> CorrelationResult via the closed form."""
 
     def correlator(s1: InterferometerSetting, s2: InterferometerSetting) -> CorrelationResult:
-        return correlate_closed_form(gaussians, species, tau, phi_tau, s1.ell, s2.ell)
+        return correlate_closed_form(scales, tau, phi_tau, s1.ell, s2.ell)
 
     return correlator
 
 
-def seed_settings(
-    gaussians: GaussianPair,
-    species: Species,
-    tau: float,
-    phi_tau: float,
-) -> ChshSettings:
+def seed_settings(scales: TimescaleSummary, tau: float, phi_tau: float) -> ChshSettings:
     """Initial CHSH length settings from the fringe phase.
 
     Target effective analyzer angles (0, pi/2) x (pi/4, 3pi/4) are
-    converted to arm-length offsets around the envelope center; a global
-    phase gauge shared by both sides is scanned at 64 points
+    converted to arm-length offsets of the reduced fringe wavelength
+    around the envelope center, which both read from ``scales``; a
+    global phase gauge shared by both sides is scanned at 64 points
     (_GAUGE_SAMPLES) to trade fringe-phase placement against envelope
     suppression, which the plain textbook angles ignore.
     """
-    _, _, _, scales = closed_form_parts(gaussians, species, tau, phi_tau, 0.0, 0.0)
     lam = scales.lambda_bar_rel
     center1 = 0.5 * tau * scales.v_rel
     center2 = -0.5 * tau * scales.v_rel
-    phi_center = fringe_phase(gaussians, species, tau, phi_tau, center1, center2)
-    correlator = closed_form_correlator(gaussians, species, tau, phi_tau)
+    phi_center = fringe_phase(scales, tau, phi_tau, center1, center2)
+    correlator = closed_form_correlator(scales, tau, phi_tau)
 
     def build(chi: float) -> ChshSettings:
         def setting1(alpha: float) -> InterferometerSetting:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -55,6 +56,8 @@ from .correlation import (
     correlate_quadrature,
 )
 from .dissociation import (
+    PHASE_BUDGET,
+    GaussianPair,
     distribution_from_scenario,
     gaussian_approximation,
     phase_stability,
@@ -69,6 +72,7 @@ from .scenario import (  # the config names are re-exported for dtebell.cli call
     ConfigDocument,
     ConfigError,
     Scenario,
+    TimescaleSummary,
     ValidationError,
     load_config,
     scales_from_scenario,
@@ -206,17 +210,26 @@ _SCAN_AXES = ("ell1", "ell2", "tau", "field")
 
 @dataclass(frozen=True)
 class _ScenarioTools:
+    """What the correlators of one scenario read: the closed form reads
+    ``scales``; only the quadrature route builds the source, once, for
+    ``gaussians``."""
+
     scenario: Scenario
-    gaussians: object
+    scales: TimescaleSummary
     pulse_phase: float
     tau: float
 
+    @functools.cached_property
+    def gaussians(self) -> GaussianPair:
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows
+        return gaussian_approximation(distribution_from_scenario(self.scenario))
+
 
 def _tools_for(scenario: Scenario) -> _ScenarioTools:
-    gaussians = gaussian_approximation(distribution_from_scenario(scenario))
     return _ScenarioTools(
         scenario=scenario,
-        gaussians=gaussians,
+        scales=scales_from_scenario(scenario),
         pulse_phase=phi_tau(scenario),
         tau=scenario.pulses.pulse_separation,
     )
@@ -252,17 +265,16 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
         tools = base if base is not None else _tools_for(document.to_scenario())
         ell1 = inter["ell1_um"] / 1e6
         ell2 = inter["ell2_um"] / 1e6
-        species = tools.scenario.species
         if method == "closed":
             result = correlate_closed_form(
-                tools.gaussians, species, tools.tau, tools.pulse_phase, ell1, ell2
+                tools.scales, tools.tau, tools.pulse_phase, ell1, ell2
             )
         else:
             pair = DtePair(
                 distribution=tools.gaussians,
                 tau=tools.tau,
                 phi_tau=tools.pulse_phase,
-                species=species,
+                species=tools.scenario.species,
             )
             result = correlate_quadrature(
                 pair,
@@ -311,14 +323,10 @@ def _chosen_settings(document: ConfigDocument, settings_um):
     angle other than 45 degrees gets the same usage error."""
     _require_45_degrees(document)
     tools = _tools_for(document.to_scenario())
-    species = tools.scenario.species
-    correlator = closed_form_correlator(
-        tools.gaussians, species, tools.tau, tools.pulse_phase
-    )
+    correlator = closed_form_correlator(tools.scales, tools.tau, tools.pulse_phase)
     if settings_um is None:
         chosen = optimize_settings(
-            correlator,
-            seed_settings(tools.gaussians, species, tools.tau, tools.pulse_phase),
+            correlator, seed_settings(tools.scales, tools.tau, tools.pulse_phase)
         ).settings
         return correlator, chosen
     inter = document.values["interferometer"]
@@ -417,16 +425,16 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
         )
     rows.append(
         _row(document, "montecarlo_summary", S=estimate.s_value,
-             V=estimate.outcome.visibility, stderr=estimate.stderr, **run_cells)
+             V=estimate.visibility, stderr=estimate.stderr, **run_cells)
     )
     _write_csv(stdout, RESULT_COLUMNS, rows)
     stderr.write(
         f"S_hat = {estimate.s_value:.6f} +- {estimate.stderr:.6f}\n"
-        f"violated = {_format_cell(estimate.outcome.violated)}\n"
+        f"violated = {_format_cell(estimate.violated)}\n"
         f"events per setting = {config.events_per_setting}, seed = {config.seed}, "
         f"mode = {mode}\n"
     )
-    if estimate.outcome.exceeds_tsirelson:
+    if estimate.exceeds_tsirelson:
         stderr.write(
             f"note: S_hat exceeds 2*sqrt(2) = {TSIRELSON_BOUND:.6f}, "
             "a finite-sample fluctuation\n"
@@ -483,7 +491,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     stability = phase_stability(scenario, relative_errors=args.stability_rel)
     stderr.write(
         f"phase stability at relative error {args.stability_rel:g} "
-        f"(budget {stability.budget:g} rad):\n"
+        f"(budget {PHASE_BUDGET:g} rad):\n"
     )
     for name in sorted(stability.drifts):
         verdict = "pass" if stability.passes[name] else "FAIL"
@@ -492,7 +500,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
         )
     stderr.write(
         f"  total (quadrature sum): {stability.total:.3e} rad  "
-        f"{'pass' if stability.total <= stability.budget else 'FAIL'}\n"
+        f"{'pass' if stability.total <= PHASE_BUDGET else 'FAIL'}\n"
     )
     stderr.write(
         f"  common-mode field drift: {stability.common_mode_field_drift:.1e} rad "

@@ -4,8 +4,10 @@ Each atom passes an unbalanced guided-path interferometer whose long arm
 is switched in for the early dissociation branch and out for the late
 one; the four coincidence probabilities P(s1, s2) then interfere the two
 dissociation times.  Two evaluation routes are provided: direct 2D
-quadrature of the momentum integral for arbitrary pair distributions,
-and the Gaussian closed form.  Keeping both genuinely independent is the
+quadrature of the momentum integral for arbitrary pair distributions
+(a DtePair), and the Gaussian closed form, which reads only the
+dispersion scales it is written in (a TimescaleSummary, as
+scales_from_scenario returns).  Keeping both genuinely independent is the
 point: the closed form is the oracle for the quadrature and vice versa.
 """
 
@@ -34,6 +36,7 @@ from .dissociation import (
 from .scenario import (
     CONSTANTS,
     Species,
+    TimescaleSummary,
     ValidationError,
     _dispersion_product,
     derive_scales,
@@ -316,23 +319,13 @@ def correlate_quadrature(
 
 
 def closed_form_parts(
-    gaussians: GaussianPair,
-    species: Species,
-    tau: float,
-    phi_tau: float,
-    ell1: float,
-    ell2: float,
+    scales: TimescaleSummary, tau: float, phi_tau: float, ell1: float, ell2: float
 ):
     """Visibility prefactor, envelope, and cosine argument of the Gaussian
-    interference term, plus the derived scales used to build them."""
+    interference term, written in the dispersion scales t_cm, t_rel, the
+    reduced fringe wavelength and the relative velocity."""
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be positive and finite, got {tau}")
-    scales = derive_scales(
-        species,
-        sigma_p_cm=gaussians.cm.sigma_p,
-        sigma_p_rel=gaussians.rel.sigma_p,
-        p0_rel=gaussians.rel.mean_p,
-    )
     t_cm, t_rel = scales.t_cm, scales.t_rel
     lam = scales.lambda_bar_rel
     v = scales.v_rel
@@ -358,25 +351,18 @@ def closed_form_parts(
         + (tau / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
         - 0.5 * phi0
     )
-    return prefactor, envelope, phase, scales
+    return prefactor, envelope, phase
 
 
 def correlate_closed_form(
-    gaussians: GaussianPair,
-    species: Species,
-    tau: float,
-    phi_tau: float,
-    ell1: float,
-    ell2: float,
+    scales: TimescaleSummary, tau: float, phi_tau: float, ell1: float, ell2: float
 ) -> CorrelationResult:
     """Gaussian closed form of the coincidence probabilities at theta = pi/4.
 
     E = prefactor * envelope * cos(phase) with the parts documented in
     closed_form_parts, and the visibility is prefactor * envelope.
     """
-    prefactor, envelope, phase, _ = closed_form_parts(
-        gaussians, species, tau, phi_tau, ell1, ell2
-    )
+    prefactor, envelope, phase = closed_form_parts(scales, tau, phi_tau, ell1, ell2)
     return _result_from_interference(
         prefactor * envelope * math.cos(phase), prefactor * envelope,
         math.pi / 4.0, math.pi / 4.0, "ClosedForm", 0.0,
@@ -384,12 +370,7 @@ def correlate_closed_form(
 
 
 def fringe_phase(
-    gaussians: GaussianPair,
-    species: Species,
-    tau: float,
-    phi_tau: float,
-    ell1: float,
-    ell2: float,
+    scales: TimescaleSummary, tau: float, phi_tau: float, ell1: float, ell2: float
 ) -> float:
     """Cosine argument of the interference term at the given arm lengths.
 
@@ -397,5 +378,4 @@ def fringe_phase(
     both quadratic chirp corrections, and -phi0/2.  The Bell optimizer
     uses it to translate length offsets into effective analyzer angles.
     """
-    _, _, phase, _ = closed_form_parts(gaussians, species, tau, phi_tau, ell1, ell2)
-    return phase
+    return closed_form_parts(scales, tau, phi_tau, ell1, ell2)[2]

@@ -27,7 +27,6 @@ __all__ = [
     "OUTCOMES",
     "ChshEstimate",
     "CountTable",
-    "EstimateVerdict",
     "InsufficientDataError",
     "RunConfig",
     "estimate_chsh",
@@ -42,8 +41,6 @@ MODES = ("Switched", "BeamSplitter")
 
 # sentinel returned by sample_event for post-selected-out events
 DISCARDED = "Discarded"
-
-_CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 _MAX_SEED = 2**64
 
@@ -120,8 +117,9 @@ class CountTable:
 
 
 @dataclass(frozen=True)
-class EstimateVerdict:
-    """CHSH verdict of a finite sample.
+class ChshEstimate:
+    """CHSH point estimate with multinomial standard errors (Wilson-score
+    at a pair whose E_hat is +-1; see estimate_chsh), and its verdict.
 
     Unlike BellOutcome, which guards model correlators, it accepts S_hat
     up to the algebraic maximum 4: a finite sample can fluctuate past the
@@ -129,14 +127,13 @@ class EstimateVerdict:
     """
 
     s_value: float
-    visibility: float
-    settings: ChshSettings
+    stderr: float
+    e_values: Tuple[float, float, float, float]
+    e_stderr: Tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_value <= 4.0:
             raise ValidationError(f"CHSH estimate {self.s_value} outside [0, 4]")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
 
     @property
     def violated(self) -> bool:
@@ -146,18 +143,11 @@ class EstimateVerdict:
     def exceeds_tsirelson(self) -> bool:
         return self.s_value > TSIRELSON_BOUND + _TSIRELSON_TOL
 
-
-@dataclass(frozen=True)
-class ChshEstimate:
-    """CHSH point estimate with multinomial standard errors (Wilson-score
-    at a pair whose E_hat is +-1; see estimate_chsh)."""
-
-    outcome: EstimateVerdict
-    s_value: float
-    stderr: float
-    e_values: Tuple[float, float, float, float]
-    e_stderr: Tuple[float, float, float, float]
-    n_kept: Tuple[int, int, int, int]
+    @property
+    def visibility(self) -> float:
+        """The lower bound S_hat/(2*sqrt(2)) on the fringe amplitude, at
+        most 1: tallies alone cannot resolve the amplitude itself."""
+        return min(1.0, self.s_value / TSIRELSON_BOUND)
 
 
 def pair_rng(seed: int, pair_index: int) -> np.random.Generator:
@@ -239,20 +229,19 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     """Point estimates from tallies.
 
     E_hat = (n_pp + n_mm - n_pm - n_mp) / n_kept per pair, combined with
-    the CHSH signs; var(E_hat) = (1 - E_hat^2)/n_kept (multinomial), and
-    the pair errors add in quadrature since the streams are independent.
-    That variance vanishes at E_hat = +-1, so there the standard error is
-    the distance 2/(n_kept + 1) from E_hat to the far end of the z = 1
-    Wilson (1927) score interval for p = (1 + E)/2.
-    The outcome's visibility field carries the lower bound S/(2*sqrt(2))
-    -- tallies alone cannot resolve the fringe amplitude.  A finite
-    sample can fluctuate past the quantum bound; the verdict then flags
-    exceeds_tsirelson instead of raising.
+    the CHSH signs of counts.settings.pairs(); var(E_hat) = (1 -
+    E_hat^2)/n_kept (multinomial), and the pair errors add in quadrature
+    since the streams are independent.  That variance vanishes at
+    E_hat = +-1, so there the standard error is the distance
+    2/(n_kept + 1) from E_hat to the far end of the z = 1 Wilson (1927)
+    score interval for p = (1 + E)/2.  A finite sample can fluctuate past
+    the quantum bound; the estimate then flags exceeds_tsirelson instead
+    of raising.
     """
     e_values = []
     variances = []
-    kept_list = []
-    for i in range(4):
+    s_signed = variance = 0.0  # plain sums: sum() rounds differently from Python 3.12 on
+    for i, (_x, _y, sign) in enumerate(counts.settings.pairs()):
         n_pp, n_pm, n_mp, n_mm = counts.counts[i]
         kept = n_pp + n_pm + n_mp + n_mm
         if kept < 2:
@@ -265,22 +254,13 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
             variances.append((2.0 / (kept + 1)) ** 2)
         else:
             variances.append((1.0 - e_hat * e_hat) / kept)
-        kept_list.append(kept)
-    s_signed = sum(sign * e for sign, e in zip(_CHSH_SIGNS, e_values))
-    s_value = abs(s_signed)
-    stderr = math.sqrt(sum(variances))
-    outcome = EstimateVerdict(
-        s_value=s_value,
-        visibility=min(1.0, s_value / TSIRELSON_BOUND),
-        settings=counts.settings,
-    )
+        s_signed += sign * e_hat
+        variance += variances[-1]
     return ChshEstimate(
-        outcome=outcome,
-        s_value=s_value,
-        stderr=stderr,
+        s_value=abs(s_signed),
+        stderr=math.sqrt(variance),
         e_values=tuple(e_values),
         e_stderr=tuple(math.sqrt(v) for v in variances),
-        n_kept=tuple(kept_list),
     )
 
 

@@ -35,6 +35,7 @@ from dtebell.correlation import (
     correlate_quadrature,
 )
 from dtebell.dissociation import (
+    PHASE_BUDGET,
     GaussianMode,
     GaussianPair,
     distribution_from_scenario,
@@ -76,12 +77,12 @@ def shipped_visibility(shipped_scenario):
 def reference_pipeline(shipped_scenario):
     """Closed-form correlator and optimized settings for the shipped case."""
     scn = shipped_scenario
-    gaussians = gaussian_approximation(distribution_from_scenario(scn))
+    scales = scales_from_scenario(scn)
     tau = scn.pulses.pulse_separation
     pulse_phase = phi_tau(scn)
-    correlator = closed_form_correlator(gaussians, scn.species, tau, pulse_phase)
+    correlator = closed_form_correlator(scales, tau, pulse_phase)
     settings = optimize_settings(
-        correlator, seed_settings(gaussians, scn.species, tau, pulse_phase)
+        correlator, seed_settings(scales, tau, pulse_phase)
     ).settings
     e_true = tuple(correlator(x, y).e_value for x, y, _ in settings.pairs())
     return correlator, settings, e_true
@@ -159,6 +160,7 @@ class TestOracleEquivalence:
             gaussians = GaussianPair(
                 cm=GaussianMode(0.0, sigma_cm), rel=GaussianMode(p0, sigma_rel)
             )
+            scales = derive_scales(species, sigma_cm, sigma_rel, p0)
             v = 2.0 * p0 / species.atom_mass
             period = 2.0 * math.pi * CONSTANTS.hbar / p0
             pair = DtePair(
@@ -172,7 +174,7 @@ class TestOracleEquivalence:
                     ell1 = tau * v / 2.0 + d1 * period
                     ell2 = -tau * v / 2.0 + d2 * period
                     closed = correlate_closed_form(
-                        gaussians, species, tau, pulse_phase, ell1, ell2
+                        scales, tau, pulse_phase, ell1, ell2
                     )
                     quad = correlate_quadrature(
                         pair,
@@ -398,10 +400,10 @@ class TestStabilityBudgetReport:
         }
         assert set(report.drifts) == expected
         assert set(report.passes) == expected
-        assert report.budget == pytest.approx(0.05)
+        assert PHASE_BUDGET == pytest.approx(0.05)
         for name in expected:
             assert isinstance(report.passes[name], bool)
-            assert report.passes[name] == (report.drifts[name] <= report.budget)
+            assert report.passes[name] == (report.drifts[name] <= PHASE_BUDGET)
             assert report.drifts[name] == pytest.approx(
                 abs(report.sensitivities[name]) * 1e-5
                 * abs(_parameter_value(shipped_scenario, name)),

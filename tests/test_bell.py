@@ -27,13 +27,7 @@ from dtebell.correlation import (
     closed_form_parts,
     correlate_closed_form,
 )
-from dtebell.dissociation import (
-    GaussianMode,
-    GaussianPair,
-    distribution_from_scenario,
-    gaussian_approximation,
-    phi_tau,
-)
+from dtebell.dissociation import phi_tau
 from dtebell.scenario import (
     TimescaleSummary,
     ValidationError,
@@ -64,27 +58,18 @@ def scales(scenario):
 
 
 @pytest.fixture(scope="module")
-def gaussians(scenario):
-    return gaussian_approximation(distribution_from_scenario(scenario))
-
-
-@pytest.fixture(scope="module")
 def pulse_phase(scenario):
     return phi_tau(scenario)
 
 
 @pytest.fixture(scope="module")
-def reference_correlator(scenario, gaussians, pulse_phase):
-    return closed_form_correlator(
-        gaussians, scenario.species, scenario.pulses.pulse_separation, pulse_phase
-    )
+def reference_correlator(scenario, scales, pulse_phase):
+    return closed_form_correlator(scales, scenario.pulses.pulse_separation, pulse_phase)
 
 
 @pytest.fixture(scope="module")
-def seeded(scenario, gaussians, pulse_phase):
-    return seed_settings(
-        gaussians, scenario.species, scenario.pulses.pulse_separation, pulse_phase
-    )
+def seeded(scenario, scales, pulse_phase):
+    return seed_settings(scales, scenario.pulses.pulse_separation, pulse_phase)
 
 
 @pytest.fixture(scope="module")
@@ -319,12 +304,12 @@ def test_optimized_settings_near_fringe_center(optimized, scales):
 
 
 def test_optimizer_visibility_scan(reference_correlator, optimized,
-                                   scenario, gaussians, pulse_phase):
+                                   scenario, scales, pulse_phase):
     outcome = chsh_value(reference_correlator, optimized.settings)
     assert outcome.visibility == pytest.approx(V_REF, abs=5e-4)
     # the visibility is the closed-form fringe amplitude at (a, b)
-    prefactor, envelope, _, _ = closed_form_parts(
-        gaussians, scenario.species, scenario.pulses.pulse_separation, pulse_phase,
+    prefactor, envelope, _ = closed_form_parts(
+        scales, scenario.pulses.pulse_separation, pulse_phase,
         optimized.settings.a.ell, optimized.settings.b.ell,
     )
     assert outcome.visibility == prefactor * envelope
@@ -344,17 +329,17 @@ def test_chsh_value_makes_four_correlator_calls(reference_correlator, optimized)
         assert outcome.visibility == correlator(chsh.a, chsh.b).visibility
 
 
-def test_optimize_no_dispersion_recovers_tsirelson(scenario, gaussians, pulse_phase):
+def test_optimize_no_dispersion_recovers_tsirelson(scenario, scales, pulse_phase):
     shrink = 1e-6
-    narrow = GaussianPair(
-        cm=GaussianMode(gaussians.cm.mean_p, gaussians.cm.sigma_p * shrink),
-        rel=GaussianMode(gaussians.rel.mean_p, gaussians.rel.sigma_p * shrink),
+    narrow = derive_scales(
+        scenario.species,
+        sigma_p_cm=scales.sigma_p_cm * shrink,
+        sigma_p_rel=scales.sigma_p_rel * shrink,
+        p0_rel=scales.p0_rel,
     )
     tau = scenario.pulses.pulse_separation
-    correlator = closed_form_correlator(narrow, scenario.species, tau, pulse_phase)
-    result = optimize_settings(
-        correlator, seed_settings(narrow, scenario.species, tau, pulse_phase)
-    )
+    correlator = closed_form_correlator(narrow, tau, pulse_phase)
+    result = optimize_settings(correlator, seed_settings(narrow, tau, pulse_phase))
     assert abs(result.s_value - TSIRELSON_BOUND) < 1e-9
 
 
@@ -380,12 +365,9 @@ def test_optimize_tau2_no_violation(scenario):
         pulses=dataclasses.replace(scenario.pulses, pulse_separation=2.0),
     )
     scales2 = scales_from_scenario(scn2)
-    gaussians2 = gaussian_approximation(distribution_from_scenario(scn2))
     phase2 = phi_tau(scn2)
-    correlator = closed_form_correlator(gaussians2, scn2.species, 2.0, phase2)
-    result = optimize_settings(
-        correlator, seed_settings(gaussians2, scn2.species, 2.0, phase2)
-    )
+    correlator = closed_form_correlator(scales2, 2.0, phase2)
+    result = optimize_settings(correlator, seed_settings(scales2, 2.0, phase2))
     assert result.s_value == pytest.approx(S_TAU2_REF, abs=1e-6)
     assert result.s_value < 2.0
     assert not result.outcome.violated
@@ -436,7 +418,7 @@ def test_bounded_search_matches_scipy_at_maxfun():
 # ------------------------------------------------- dense grid-search oracle
 
 
-def _grid_powell_oracle(gaussians, species, tau, phase, scales, n_coarse=61, top_k=24):
+def _grid_powell_oracle(tau, phase, scales, n_coarse=61, top_k=24):
     """Independent maximizer: coarse 4D grid, then Powell from the
     strongest well-separated cells. Works in fringe-period units."""
     lam = scales.lambda_bar_rel
@@ -445,7 +427,7 @@ def _grid_powell_oracle(gaussians, species, tau, phase, scales, n_coarse=61, top
     centers = np.array([c1, c1, -c1, -c1])
 
     def e_val(l1, l2):
-        return correlate_closed_form(gaussians, species, tau, phase, l1, l2).e_value
+        return correlate_closed_form(scales, tau, phase, l1, l2).e_value
 
     half = 0.75 * period
     axes = [np.linspace(c - half, c + half, n_coarse) for c in centers]
@@ -489,10 +471,8 @@ def _grid_powell_oracle(gaussians, species, tau, phase, scales, n_coarse=61, top
     return best
 
 
-def test_optimizer_matches_grid_oracle(scenario, gaussians, pulse_phase, scales, optimized):
-    s_oracle = _grid_powell_oracle(
-        gaussians, scenario.species, scenario.pulses.pulse_separation, pulse_phase, scales
-    )
+def test_optimizer_matches_grid_oracle(scenario, pulse_phase, scales, optimized):
+    s_oracle = _grid_powell_oracle(scenario.pulses.pulse_separation, pulse_phase, scales)
     assert abs(optimized.s_value - s_oracle) <= 1e-4
     assert s_oracle >= optimized.s_value - 1e-6
 
@@ -513,20 +493,15 @@ def test_feasibility_equivalence(scenario, scales, pulse_phase, scm_frac, srel_f
     synthetic = derive_scales(scenario.species, scm_frac * p0, srel_frac * p0, p0)
     product = (1.0 + (tau / synthetic.t_cm) ** 2) * (1.0 + (tau / synthetic.t_rel) ** 2)
     assume(not 3.75 < product < 4.1)  # skip hairline cases near the boundary
-    pair = GaussianPair(
-        cm=GaussianMode(0.0, scm_frac * p0), rel=GaussianMode(p0, srel_frac * p0)
-    )
-    correlator = closed_form_correlator(pair, scenario.species, tau, pulse_phase)
-    result = optimize_settings(
-        correlator, seed_settings(pair, scenario.species, tau, pulse_phase)
-    )
+    correlator = closed_form_correlator(synthetic, tau, pulse_phase)
+    result = optimize_settings(correlator, seed_settings(synthetic, tau, pulse_phase))
     assert (result.s_value > 2.0) == bool(feasible(synthetic, tau))
 
 
 # ------------------------------------------------- fringe periods reporter
 
 
-def test_periods_above_threshold_reference(scenario, gaussians, pulse_phase, scales):
+def test_periods_above_threshold_reference(pulse_phase, scales):
     reported = periods_above_threshold(scales, 1.0)
     assert reported == pytest.approx(PERIODS_REF, rel=1e-9)
     assert 5.0 < reported < 12.0  # "a few periods" at the reference point
@@ -537,9 +512,8 @@ def test_periods_above_threshold_reference(scenario, gaussians, pulse_phase, sca
     threshold = 1.0 / math.sqrt(2.0)
 
     def adjusted(delta):
-        pref, env, _, _ = closed_form_parts(
-            gaussians, scenario.species, 1.0, pulse_phase,
-            c1 + 0.5 * delta, -c1 - 0.5 * delta,
+        pref, env, _ = closed_form_parts(
+            scales, 1.0, pulse_phase, c1 + 0.5 * delta, -c1 - 0.5 * delta
         )
         return pref * env
 
@@ -558,11 +532,9 @@ def test_periods_zero_below_threshold(scales):
     assert periods_above_threshold(scales, 2.0) == 0.0
 
 
-def test_closed_form_correlator_adapter(scenario, gaussians, pulse_phase):
-    correlator = closed_form_correlator(gaussians, scenario.species, 1.0, pulse_phase)
+def test_closed_form_correlator_adapter(scales, pulse_phase):
+    correlator = closed_form_correlator(scales, 1.0, pulse_phase)
     s1 = InterferometerSetting(ell=5.3e-3)
     s2 = InterferometerSetting(ell=-5.35e-3)
-    direct = correlate_closed_form(
-        gaussians, scenario.species, 1.0, pulse_phase, s1.ell, s2.ell
-    )
+    direct = correlate_closed_form(scales, 1.0, pulse_phase, s1.ell, s2.ell)
     assert correlator(s1, s2).e_value == direct.e_value

@@ -413,11 +413,8 @@ class TestMonteCarlo:
         from dtebell.correlation import InterferometerSetting
         from dtebell.montecarlo import RunConfig, run
         from dtebell.bell import closed_form_correlator
-        from dtebell.dissociation import (
-            distribution_from_scenario,
-            gaussian_approximation,
-            phi_tau,
-        )
+        from dtebell.dissociation import phi_tau
+        from dtebell.scenario import scales_from_scenario
 
         code, out, _ = invoke(
             "montecarlo", "--events", "400", "--seed", "11",
@@ -427,9 +424,8 @@ class TestMonteCarlo:
         rows = parse_csv(out)
 
         scenario = load_config(None).to_scenario()
-        gaussians = gaussian_approximation(distribution_from_scenario(scenario))
         correlator = closed_form_correlator(
-            gaussians, scenario.species, scenario.pulses.pulse_separation,
+            scales_from_scenario(scenario), scenario.pulses.pulse_separation,
             phi_tau(scenario),
         )
         chosen = ChshSettings(
@@ -629,6 +625,52 @@ class TestFeasibility:
         assert code == 2 and "sweep" in err
         code, _, err = invoke("feasibility", "--start", "2", "--stop", "1")
         assert code == 2
+
+
+# ------------------------------------------------------------ source builds
+
+
+class TestSourceBuilds:
+    """The closed form reads the dispersion scales, so only the quadrature
+    routes build a FeshbachDistribution: once per scenario."""
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (("bell", "--optimize"), 0),
+            (("bell", "--settings", *SETTINGS_UM), 0),
+            (("montecarlo", "--events", "100"), 0),
+            (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+              "--steps", "3"), 0),
+            (("scan", "--axis", "ell2", "--start", "-5360", "--stop", "-5340",
+              "--steps", "3"), 0),
+            (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
+              "--steps", "3"), 0),
+            (("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1",
+              "--steps", "3"), 0),
+            (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+              "--steps", "3", "--method", "quad"), 1),
+            (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
+              "--steps", "3", "--method", "quad"), 3),
+            (("feasibility", "--steps", "3", "--source-model-check"), 1),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_only_quadrature_routes_build_the_source(self, monkeypatch, argv, builds):
+        import dtebell.dissociation as dis
+
+        original = dis.FeshbachDistribution.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(dis.FeshbachDistribution, "__post_init__", counting)
+        code, out, _ = invoke(*argv)
+        assert code == 0
+        assert not any(row.get("error") for row in parse_csv(out))
+        assert len(calls) == builds
 
 
 # ------------------------------------------------------------------ parsing

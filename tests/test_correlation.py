@@ -35,6 +35,7 @@ from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
     CONSTANTS,
     ValidationError,
+    derive_scales,
     reference_scenario,
     scales_from_scenario,
 )
@@ -215,15 +216,13 @@ def test_result_validation():
 # closed form
 
 
-def test_closed_form_center_value(gaussians, scenario, scales, phi_tau):
+def test_closed_form_center_value(scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    res = correlate_closed_form(gaussians, scenario.species, 1.0, phi_tau, ell1, ell2)
+    res = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
     assert res.method == "ClosedForm"
     assert res.quadrature_error_estimate == 0.0
     assert res.e_value == pytest.approx(E_CENTER_REF, rel=1e-10)
-    prefactor, envelope, phase, _ = closed_form_parts(
-        gaussians, scenario.species, 1.0, phi_tau, ell1, ell2
-    )
+    prefactor, envelope, phase = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
     assert prefactor == pytest.approx(V_REF, rel=1e-8)
     assert envelope == pytest.approx(1.0, rel=1e-12)
     assert res.e_value == pytest.approx(prefactor * math.cos(phase), rel=1e-12)
@@ -231,13 +230,15 @@ def test_closed_form_center_value(gaussians, scenario, scales, phi_tau):
 
 def test_closed_form_no_dispersion_limit(gaussians, scenario, scales, phi_tau):
     # shrink both widths so T_cm, T_rel blow up: unit visibility, pure fringe
-    tiny = GaussianPair(
-        cm=GaussianMode(mean_p=0.0, sigma_p=1e-6 * gaussians.cm.sigma_p),
-        rel=GaussianMode(mean_p=gaussians.rel.mean_p, sigma_p=1e-6 * gaussians.rel.sigma_p),
+    tiny = derive_scales(
+        scenario.species,
+        sigma_p_cm=1e-6 * gaussians.cm.sigma_p,
+        sigma_p_rel=1e-6 * gaussians.rel.sigma_p,
+        p0_rel=gaussians.rel.mean_p,
     )
     tau = 1.0
     ell1, ell2 = center_lengths(scales, tau)
-    res = correlate_closed_form(tiny, scenario.species, tau, phi_tau, ell1, ell2)
+    res = correlate_closed_form(tiny, tau, phi_tau, ell1, ell2)
     lam = scales.lambda_bar_rel
     v = scales.v_rel
     expected = math.cos(tau * v / lam - 0.5 * (tau * v / lam + 2.0 * phi_tau))
@@ -247,12 +248,40 @@ def test_closed_form_no_dispersion_limit(gaussians, scenario, scales, phi_tau):
 
 
 def test_closed_form_requires_outward(gaussians, scenario):
-    flipped = GaussianPair(
-        cm=gaussians.cm,
-        rel=GaussianMode(mean_p=-gaussians.rel.mean_p, sigma_p=gaussians.rel.sigma_p),
-    )
-    with pytest.raises(ValidationError):
-        correlate_closed_form(flipped, scenario.species, 1.0, 0.0, 0.0, 0.0)
+    # the closed form is written in scales, and derive_scales refuses an
+    # inward relative mode
+    with pytest.raises(ValidationError, match="p0_rel must be positive"):
+        derive_scales(
+            scenario.species,
+            sigma_p_cm=gaussians.cm.sigma_p,
+            sigma_p_rel=gaussians.rel.sigma_p,
+            p0_rel=-gaussians.rel.mean_p,
+        )
+
+
+def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
+    import dtebell.bell as bell
+    import dtebell.correlation as corr
+    import dtebell.scenario as scn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derive_scales called on a closed-form route")
+
+    for module in (scn, corr):
+        monkeypatch.setattr(module, "derive_scales", refuse)
+    ell1, ell2 = center_lengths(scales, 1.0)
+    parts = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
+    assert len(parts) == 3
+    assert fringe_phase(scales, 1.0, phi_tau, ell1, ell2) == parts[2]
+    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
+    assert closed.visibility == parts[0] * parts[1]
+    correlator = bell.closed_form_correlator(scales, 1.0, phi_tau)
+    seeded = bell.seed_settings(scales, 1.0, phi_tau)
+    assert correlator(seeded.a, seeded.b).e_value == correlate_closed_form(
+        scales, 1.0, phi_tau, seeded.a.ell, seeded.b.ell
+    ).e_value
+    with pytest.raises(ValidationError, match="tau must be positive"):
+        closed_form_parts(scales, 0.0, phi_tau, ell1, ell2)
 
 
 @given(
@@ -262,12 +291,10 @@ def test_closed_form_requires_outward(gaussians, scenario):
 )
 @settings(max_examples=60, deadline=None)
 def test_closed_form_probability_structure(d1, d2, tau):
-    sc = reference_scenario()
-    scales = scales_from_scenario(sc)
-    gp = gaussian_approximation(distribution_from_scenario(sc))
+    scales = scales_from_scenario(reference_scenario())
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
-    res = correlate_closed_form(gp, sc.species, tau, 0.37, ell1, ell2)
+    res = correlate_closed_form(scales, tau, 0.37, ell1, ell2)
     assert sum(res.p.values()) == pytest.approx(1.0, abs=1e-12)
     for p in res.p.values():
         assert 0.0 <= p <= 1.0
@@ -280,32 +307,33 @@ def test_closed_form_probability_structure(d1, d2, tau):
 # fringe phase
 
 
-def test_fringe_phase_center(gaussians, scenario, scales, phi_tau):
+def test_fringe_phase_center(scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    phase = fringe_phase(gaussians, scenario.species, 1.0, phi_tau, ell1, ell2)
+    phase = fringe_phase(scales, 1.0, phi_tau, ell1, ell2)
     assert phase == pytest.approx(PHI_C_REF, rel=1e-10)
     # chirp terms vanish at the envelope center: phase is the literal
     # linear fringe minus half the accumulated offset
-    _, _, _, sc = closed_form_parts(gaussians, scenario.species, 1.0, phi_tau, ell1, ell2)
-    lam = sc.lambda_bar_rel
-    v = sc.v_rel
-    phi0 = v / lam + math.atan(1.0 / sc.t_cm) + math.atan(1.0 / sc.t_rel) + 2.0 * phi_tau
+    lam = scales.lambda_bar_rel
+    v = scales.v_rel
+    phi0 = (
+        v / lam + math.atan(1.0 / scales.t_cm) + math.atan(1.0 / scales.t_rel) + 2.0 * phi_tau
+    )
     assert phase == pytest.approx(v / lam - 0.5 * phi0, rel=1e-12)
 
 
-def test_fringe_phase_slope(gaussians, scenario, scales, phi_tau):
+def test_fringe_phase_slope(scales, phi_tau):
     # at the envelope center the phase slope in ell1 is exactly 1/lambda_bar
     ell1, ell2 = center_lengths(scales, 1.0)
     h = 1e-9
-    up = fringe_phase(gaussians, scenario.species, 1.0, phi_tau, ell1 + h, ell2)
-    dn = fringe_phase(gaussians, scenario.species, 1.0, phi_tau, ell1 - h, ell2)
+    up = fringe_phase(scales, 1.0, phi_tau, ell1 + h, ell2)
+    dn = fringe_phase(scales, 1.0, phi_tau, ell1 - h, ell2)
     assert (up - dn) / (2.0 * h) == pytest.approx(1.0 / scales.lambda_bar_rel, rel=1e-5)
 
 
-def test_fringe_phase_tau_to_zero(gaussians, scenario):
+def test_fringe_phase_tau_to_zero(gaussians, scales):
     # phi0 and the chirps vanish with tau; only the linear fringe survives
     lam = CONSTANTS.hbar / gaussians.rel.mean_p
-    phase = fringe_phase(gaussians, scenario.species, 1e-9, 0.0, 2e-6, -1e-6)
+    phase = fringe_phase(scales, 1e-9, 0.0, 2e-6, -1e-6)
     assert phase == pytest.approx(3e-6 / lam, rel=1e-4)
 
 
@@ -313,13 +341,13 @@ def test_fringe_phase_tau_to_zero(gaussians, scenario):
 # quadrature vs closed form (the central two-route check)
 
 
-def test_quadrature_matches_closed_form_center(gdist, gaussians, scenario, scales, phi_tau):
+def test_quadrature_matches_closed_form_center(gdist, scenario, scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    closed = correlate_closed_form(gaussians, scenario.species, 1.0, phi_tau, ell1, ell2)
+    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
     assert quad.method == "Quadrature"
     assert quad.quadrature_error_estimate < 1e-6
     for key in SIGN_PAIRS:
@@ -412,7 +440,7 @@ def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, mo
     ],
 )
 def test_quadrature_matches_closed_form_offsets(
-    gdist, gaussians, scenario, scales, phi_tau, d1, d2, tau
+    gdist, scenario, scales, phi_tau, d1, d2, tau
 ):
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
@@ -420,12 +448,12 @@ def test_quadrature_matches_closed_form_offsets(
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    closed = correlate_closed_form(gaussians, scenario.species, tau, phi_tau, ell1, ell2)
+    closed = correlate_closed_form(scales, tau, phi_tau, ell1, ell2)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
 
 
-def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, gaussians, scenario, scales):
+def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, scenario, scales):
     """Both routes report the same |I| at any setting pair, and it bounds
     the fringe: |E - cos2t1 cos2t2| <= visibility, also off 45 degrees."""
     rng = np.random.default_rng(12)
@@ -438,10 +466,8 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, gaussians, sce
         ell2 = -0.5 * tau * scales.v_rel + rng.uniform(-3.0, 3.0) * period
         theta1, theta2 = rng.uniform(0.0, 0.5 * math.pi, 2)
         pair = DtePair(distribution=gdist, tau=tau, phi_tau=pulse_phase, species=species)
-        prefactor, envelope, _, _ = closed_form_parts(
-            gaussians, species, tau, pulse_phase, ell1, ell2
-        )
-        closed = correlate_closed_form(gaussians, species, tau, pulse_phase, ell1, ell2)
+        prefactor, envelope, _ = closed_form_parts(scales, tau, pulse_phase, ell1, ell2)
+        closed = correlate_closed_form(scales, tau, pulse_phase, ell1, ell2)
         quad = correlate_quadrature(
             pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
         )
@@ -459,12 +485,12 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, gaussians, sce
             assert abs(result.e_value - untilted) <= result.visibility + 1e-12
 
 
-def test_quadrature_at_origin(gdist, gaussians, scenario, phi_tau):
+def test_quadrature_at_origin(gdist, scales, scenario, phi_tau):
     # ell1 = ell2 = 0: packets never overlap in arrival time, E ~ 0, P = 1/4
     pair = DtePair(distribution=gdist, tau=1.0, phi_tau=0.0, species=scenario.species)
     zero = InterferometerSetting(ell=0.0)
     quad = correlate_quadrature(pair, zero, zero)
-    closed = correlate_closed_form(gaussians, scenario.species, 1.0, 0.0, 0.0, 0.0)
+    closed = correlate_closed_form(scales, 1.0, 0.0, 0.0, 0.0)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
         assert quad.p[key] == pytest.approx(0.25, abs=1e-6)
@@ -821,7 +847,7 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
     assert abs(fast) == pytest.approx(0.96976037, abs=1e-6)
 
 
-def test_feshbach_vs_gaussian_model(fesh, gaussians, scenario, scales, phi_tau):
+def test_feshbach_vs_gaussian_model(fesh, scenario, scales, phi_tau):
     """Quantify (not bound) the model gap: fitted-Gaussian closed form vs
     the actual squared-sinc quadrature at the fringe center."""
     ell1, ell2 = center_lengths(scales, 1.0)
@@ -829,7 +855,7 @@ def test_feshbach_vs_gaussian_model(fesh, gaussians, scenario, scales, phi_tau):
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    closed = correlate_closed_form(gaussians, scenario.species, 1.0, phi_tau, ell1, ell2)
+    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
     gap = abs(quad.e_value - closed.e_value)
     # frozen empirical band: the Gaussian model overestimates the fringe
     # contrast here by about 0.065; fail loudly if the gap drifts

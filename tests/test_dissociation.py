@@ -414,7 +414,7 @@ class TestPhaseStability:
             assert rep.drifts[name] == pytest.approx(ref, rel=1e-4), name
             assert rep.passes[name] == (ref <= 0.05), name
         assert not rep.all_pass
-        assert rep.budget == 0.05
+        assert dis.PHASE_BUDGET == 0.05
 
     def test_symmetric_sensitivities(self, scenario):
         rep = dis.phase_stability(scenario, 1e-5)

@@ -14,7 +14,7 @@ from dtebell.bell import (
     seed_settings,
 )
 from dtebell.correlation import CorrelationResult, InterferometerSetting
-from dtebell.dissociation import distribution_from_scenario, gaussian_approximation, phi_tau
+from dtebell.dissociation import phi_tau
 import dtebell.montecarlo as mc
 from dtebell.montecarlo import (
     DISCARDED,
@@ -30,7 +30,7 @@ from dtebell.montecarlo import (
     run,
     sample_event,
 )
-from dtebell.scenario import ValidationError, reference_scenario
+from dtebell.scenario import ValidationError, reference_scenario, scales_from_scenario
 from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_correlator
 
 # Golden tallies pin the RNG contract (Philox keyed by (seed, pair), one
@@ -53,13 +53,11 @@ GOLDEN_BS_DISCARDED = (249, 247, 243, 239)
 @pytest.fixture(scope="module")
 def reference_setup():
     scenario = reference_scenario()
-    gaussians = gaussian_approximation(distribution_from_scenario(scenario))
+    scales = scales_from_scenario(scenario)
     phase = phi_tau(scenario)
     tau = scenario.pulses.pulse_separation
-    correlator = closed_form_correlator(gaussians, scenario.species, tau, phase)
-    optimized = optimize_settings(
-        correlator, seed_settings(gaussians, scenario.species, tau, phase)
-    )
+    correlator = closed_form_correlator(scales, tau, phase)
+    optimized = optimize_settings(correlator, seed_settings(scales, tau, phase))
     e_true = [correlator(x, y).e_value for x, y, _ in optimized.settings.pairs()]
     return correlator, optimized.settings, e_true
 
@@ -248,7 +246,7 @@ def test_estimate_all_plus_plus():
     # E_hat = 1 is not exact: 2/(n + 1) from the z = 1 Wilson interval
     assert estimate.e_stderr == (0.25,) * 4
     assert estimate.stderr == 0.5
-    assert not estimate.outcome.violated
+    assert not estimate.violated
 
 
 def test_estimate_insufficient_data():
@@ -274,10 +272,10 @@ def test_estimate_beyond_quantum_bound_flagged():
     )
     estimate = estimate_chsh(table)
     assert estimate.s_value == 4.0
-    assert estimate.outcome.exceeds_tsirelson and estimate.outcome.violated
-    assert estimate.outcome.visibility == 1.0
+    assert estimate.exceeds_tsirelson and estimate.violated
+    assert estimate.visibility == 1.0
     with pytest.raises(ValidationError):  # beyond the algebraic maximum
-        replace(estimate.outcome, s_value=4.5)
+        replace(estimate, s_value=4.5)
 
 
 def test_spin_textbook_run_estimate():
@@ -287,7 +285,7 @@ def test_spin_textbook_run_estimate():
     assert abs(estimate.s_value - TSIRELSON_BOUND) < 5.0 * estimate.stderr
     assert estimate.s_value == pytest.approx(2.8268199999999997, abs=1e-12)
     assert estimate.stderr == pytest.approx(0.004474674466371828, abs=1e-12)
-    assert estimate.outcome.violated
+    assert estimate.violated
 
 
 def test_reference_scenario_seeded_repetitions(reference_setup):
@@ -374,9 +372,9 @@ def test_estimator_algebra(rows):
     ]
     s_expected = abs(e_expected[0] - e_expected[1] + e_expected[2] + e_expected[3])
     estimate = estimate_chsh(table)
-    assert estimate.outcome.exceeds_tsirelson == (s_expected > TSIRELSON_BOUND + 1e-9)
-    assert estimate.outcome.violated == (s_expected > 2.0)
-    assert estimate.outcome.visibility == min(1.0, s_expected / TSIRELSON_BOUND)
+    assert estimate.exceeds_tsirelson == (s_expected > TSIRELSON_BOUND + 1e-9)
+    assert estimate.violated == (s_expected > 2.0)
+    assert estimate.visibility == min(1.0, s_expected / TSIRELSON_BOUND)
     assert estimate.e_values == tuple(e_expected)
     assert estimate.s_value == s_expected
     variances = [

@@ -119,3 +119,30 @@ def test_benchmark_tracer_targets_resolve():
             f"{module}.{function}"
         )
     assert callable(importlib.import_module("dtebell.cli").ConfigDocument.to_scenario)
+
+
+def _traced_run(tmp_path, *argv):
+    """Run one CLI command under perfbench/tracer.py; return (spans, counters)."""
+    spans_path = tmp_path / f"spans-{argv[0]}.jsonl"
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r}); "
+        f"import tracer; sys.exit(tracer.main({str(spans_path)!r}))"
+    )
+    proc = run_python("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    return records[:-1], records[-1]["counters"]
+
+
+def test_benchmark_tracer_records_both_routes(tmp_path):
+    # the traced benchmark reads these spans and counters; a signature the
+    # tracer no longer fits would zero them without failing the run
+    spans, counters = _traced_run(tmp_path, "bell", "--optimize")
+    quad_spans, _ = _traced_run(
+        tmp_path, "scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+        "--steps", "3", "--method", "quad",
+    )
+    names = [span["name"] for span in spans + quad_spans]
+    assert "correlation.correlate_closed_form" in names
+    assert "correlation.correlate_quadrature" in names
+    assert counters["correlator_evals"] > 0
