@@ -48,6 +48,9 @@ CASES = {
                           "543200.1", "--steps", "3"),
     "scan_ell1_quad": ("scan", "--axis", "ell1", *ELL1_WINDOW, "--steps", "50",
                        "--method", "quad"),
+    # the only case where the wave-packet separation margin warns
+    "tau008_scan_ell1_quad": ("scan", "cfg/tau008.cfg", "--axis", "ell1", "--start", "425",
+                              "--stop", "431", "--steps", "3", "--method", "quad"),
     "montecarlo_switched": ("montecarlo", "--events", "10000"),
     "montecarlo_beamsplitter": ("montecarlo", "cfg/beamsplitter.cfg", "--events", "10000"),
     # failures

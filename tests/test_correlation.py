@@ -670,6 +670,21 @@ def test_feshbach_center_value(fesh, scenario, scales, phi_tau):
     assert res.e_value == pytest.approx(E_FESHBACH_CENTER, rel=1e-6)
 
 
+def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
+    """Bit-exact pin of the bundled source's sinc^2 numbers: the CLI
+    prints them to six digits only, so no corpus case sees a last-ulp
+    change in the c.m. window or the pair integral."""
+    assert fesh.normalization == 0.9995039728673233
+    assert fesh.norm_error_estimate == 1.0894115664972764e-07
+    ell1, ell2 = center_lengths(scales, 1.0)
+    pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    res = correlate_quadrature(
+        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
+    assert res.visibility == 0.6505032723707866
+    assert res.e_value == 0.6373915508768631
+
+
 def _record_passes(monkeypatch, name):
     """Log {level: value} of every pass made through correlation.<name>,
     a (value, capped) function that takes the level last."""
