@@ -17,8 +17,6 @@ from dtebell import (
     InterferometerSetting,
     correlate_closed_form,
     correlate_quadrature,
-    distribution_from_scenario,
-    gaussian_approximation,
     load_config,
     phi_tau,
     scales_from_scenario,
@@ -47,9 +45,10 @@ for d in np.linspace(-1.0, 1.0, 21):
     print(f"  {d:+5.2f}               {e:+7.4f}   {'#' * width}")
 
 # same physics through the 4D oscillatory integral, no closed form
-# involved: it reads the Gaussian pair, not the scales
+# involved: it reads the same scales, but integrates the Gaussian pair
+# they describe instead of evaluating the closed-form expression
 pair = DtePair(
-    distribution=gaussian_approximation(distribution_from_scenario(scenario)),
+    distribution=scales,
     tau=tau,
     phi_tau=pulse_phase,
     species=scenario.species,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -57,9 +56,7 @@ from .correlation import (
 )
 from .dissociation import (
     PHASE_BUDGET,
-    GaussianPair,
     distribution_from_scenario,
-    gaussian_approximation,
     phase_stability,
     phi_tau,
 )
@@ -210,20 +207,13 @@ _SCAN_AXES = ("ell1", "ell2", "tau", "field")
 
 @dataclass(frozen=True)
 class _ScenarioTools:
-    """What the correlators of one scenario read: the closed form reads
-    ``scales``; only the quadrature route builds the source, once, for
-    ``gaussians``."""
+    """What the correlators of one scenario read: both the closed form and
+    the Gaussian quadrature read ``scales``, so a scan builds no source."""
 
     scenario: Scenario
     scales: TimescaleSummary
     pulse_phase: float
     tau: float
-
-    @functools.cached_property
-    def gaussians(self) -> GaussianPair:
-        # cached_property writes the instance __dict__ directly, which a
-        # frozen dataclass allows
-        return gaussian_approximation(distribution_from_scenario(self.scenario))
 
 
 def _tools_for(scenario: Scenario) -> _ScenarioTools:
@@ -271,7 +261,7 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
             )
         else:
             pair = DtePair(
-                distribution=tools.gaussians,
+                distribution=tools.scales,
                 tau=tools.tau,
                 phi_tau=tools.pulse_phase,
                 species=tools.scenario.species,

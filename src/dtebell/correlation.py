@@ -4,11 +4,11 @@ Each atom passes an unbalanced guided-path interferometer whose long arm
 is switched in for the early dissociation branch and out for the late
 one; the four coincidence probabilities P(s1, s2) then interfere the two
 dissociation times.  Two evaluation routes are provided: direct 2D
-quadrature of the momentum integral for arbitrary pair distributions
-(a DtePair), and the Gaussian closed form, which reads only the
-dispersion scales it is written in (a TimescaleSummary, as
-scales_from_scenario returns).  Keeping both genuinely independent is the
-point: the closed form is the oracle for the quadrature and vice versa.
+quadrature of the momentum integral (a DtePair, holding the Gaussian
+pair or the squared-sinc source), and the Gaussian closed form.  Both
+read the Gaussian pair as one TimescaleSummary, as scales_from_scenario
+returns it.  Keeping the two routes genuinely independent is the point:
+the closed form is the oracle for the quadrature and vice versa.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .dissociation import (
     MIN_NODES,
     WINDOW_SIGMAS,
     FeshbachDistribution,
-    GaussianPair,
     QuadratureError,
     _converge,
     _pair_integral,
@@ -39,7 +38,6 @@ from .scenario import (
     TimescaleSummary,
     ValidationError,
     _dispersion_product,
-    derive_scales,
 )
 
 __all__ = [
@@ -78,10 +76,13 @@ class InterferometerSetting:
 class DtePair:
     """Dissociated atom pair ready for correlation analysis.
 
-    ``distribution`` is a GaussianPair or the squared-sinc
+    ``distribution`` is the Gaussian pair, given by its dispersion scales
+    (a TimescaleSummary: c.m. width, relative width and mean relative
+    momentum p0_rel, the c.m. mean being 0), or the squared-sinc
     FeshbachDistribution.  Each detector sees only the outward branch of
-    the relative momentum, so a Gaussian relative mode must have
-    mean_p > 0 (derive_scales refuses anything else).
+    the relative momentum, so p0_rel > 0 (derive_scales refuses anything
+    else).  Scales derived for another atom mass than ``species``'s are
+    refused.
 
     Checks the separation condition: the dispersion-broadened
     single-atom packet width at interrogation time must stay well below
@@ -90,7 +91,7 @@ class DtePair:
     particles.
     """
 
-    distribution: GaussianPair | FeshbachDistribution
+    distribution: TimescaleSummary | FeshbachDistribution
     tau: float
     phi_tau: float
     species: Species
@@ -100,6 +101,14 @@ class DtePair:
             raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if not math.isfinite(self.phi_tau):
             raise ValidationError("phi_tau must be finite")
+        scales = self.distribution
+        # derive_scales writes v_rel with exactly this expression
+        if isinstance(scales, TimescaleSummary) and (
+            scales.v_rel != 2.0 * scales.p0_rel / self.species.atom_mass
+        ):
+            raise ValidationError(
+                "scales were derived for another atom mass: v_rel != 2 p0_rel / atom_mass"
+            )
         margin = self.separation_margin()
         if margin < 2.0:
             raise ValidationError(
@@ -109,26 +118,16 @@ class DtePair:
         if margin < 10.0:
             warnings.warn(
                 f"wave-packet separation margin is only {margin:.1f}x",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
-
-    def gaussian_modes(self) -> GaussianPair:
-        dist = self.distribution
-        if isinstance(dist, GaussianPair):
-            return dist
-        return gaussian_approximation(dist)
 
     def separation_margin(self) -> float:
         hbar = CONSTANTS.hbar
-        modes = self.gaussian_modes()
-        scales = derive_scales(
-            self.species,
-            sigma_p_cm=modes.cm.sigma_p,
-            sigma_p_rel=modes.rel.sigma_p,
-            p0_rel=modes.rel.mean_p,
-        )
-        sx_cm = hbar / (2.0 * modes.cm.sigma_p)
-        sx_rel = hbar / (2.0 * modes.rel.sigma_p)
+        scales = self.distribution
+        if not isinstance(scales, TimescaleSummary):
+            scales = gaussian_approximation(scales, self.species)
+        sx_cm = hbar / (2.0 * scales.sigma_p_cm)
+        sx_rel = hbar / (2.0 * scales.sigma_p_rel)
         # single-atom spatial variance: c.m. plus a quarter of the relative
         width_sq = sx_cm**2 * (1.0 + (self.tau / scales.t_cm) ** 2) + 0.25 * sx_rel**2 * (
             1.0 + (self.tau / scales.t_rel) ** 2
@@ -148,7 +147,6 @@ class CorrelationResult:
 
     p: Mapping
     e_value: float
-    method: str
     quadrature_error_estimate: float
     visibility: float
 
@@ -161,8 +159,6 @@ class CorrelationResult:
                 raise ValidationError(f"P{key} = {value} outside [0, 1]")
         if not (0.0 <= self.visibility <= 1.0):
             raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
-        if self.method not in ("Quadrature", "ClosedForm"):
-            raise ValidationError(f"unknown method {self.method!r}")
 
     def probability(self, s1: int, s2: int) -> float:
         return self.p[(s1, s2)]
@@ -173,7 +169,6 @@ def _result_from_interference(
     amplitude: float,
     theta1: float,
     theta2: float,
-    method: str,
     estimate: float,
 ) -> CorrelationResult:
     """P(s1,s2) = (1/4)*{1 + s1 s2 [cos2t1 cos2t2 + sin2t1 sin2t2 * e_int]}.
@@ -202,7 +197,6 @@ def _result_from_interference(
     return CorrelationResult(
         p=p,
         e_value=e_value,
-        method=method,
         quadrature_error_estimate=estimate,
         visibility=abs(s_term) * amplitude,
     )
@@ -226,22 +220,22 @@ def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: fl
     return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
 
 
-def _gaussian_interference(gaussians, p_ref, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for a separable Gaussian pair, internal units
-    (momenta in p_ref).
+def _gaussian_interference(scales, p_ref, m_int, sl_int, dl_int, level=1.0):
+    """Interference integral for the separable Gaussian pair of ``scales``
+    (c.m. mean 0, relative mean p0_rel), internal units (momenta in p_ref).
 
     ``level`` scales every node count; returns (value, capped) where
     capped means some factor's node count sits at MAX_NODES, so raising
     the level further adds no nodes there.
     """
 
-    def factor(mode, a, b):
-        mean = mode.mean_p / p_ref
-        sigma = mode.sigma_p / p_ref
-        return _window_integral(mean, sigma, a, b, level, MIN_NODES, MAX_NODES)
+    def factor(mean_p, sigma_p, a, b):
+        return _window_integral(
+            mean_p / p_ref, sigma_p / p_ref, a, b, level, MIN_NODES, MAX_NODES
+        )
 
-    i_cm, cm_capped = factor(gaussians.cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
-    i_rel, rel_capped = factor(gaussians.rel, dl_int, 1.0 / m_int)
+    i_cm, cm_capped = factor(0.0, scales.sigma_p_cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
+    i_rel, rel_capped = factor(scales.p0_rel, scales.sigma_p_rel, dl_int, 1.0 / m_int)
     return i_cm * i_rel, cm_capped or rel_capped
 
 
@@ -281,20 +275,20 @@ def correlate_quadrature(
     QuadratureError is raised (dissociation._converge).
     """
     dist = pair.distribution
-    if isinstance(dist, GaussianPair):
-        p_ref = dist.rel.mean_p
+    if isinstance(dist, TimescaleSummary):
+        p_ref = dist.p0_rel
     elif isinstance(dist, FeshbachDistribution):
         p_ref = dist.p0
     else:
         raise ValidationError(
             f"unsupported distribution type {type(dist).__name__}; "
-            "expected GaussianPair or FeshbachDistribution"
+            "expected TimescaleSummary or FeshbachDistribution"
         )
     m_int, sl_int, dl_int = _internal_units(
         p_ref, pair.tau, pair.species.atom_mass, s1.ell, s2.ell
     )
 
-    if isinstance(dist, GaussianPair):
+    if isinstance(dist, TimescaleSummary):
         compute = lambda level: _gaussian_interference(dist, p_ref, m_int, sl_int, dl_int, level)
         tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
     else:
@@ -309,9 +303,7 @@ def correlate_quadrature(
 
     fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine), rate=True)
     e_interference = float(np.real(phase_ref * fine))
-    return _result_from_interference(
-        e_interference, abs(fine), s1.theta, s2.theta, "Quadrature", estimate
-    )
+    return _result_from_interference(e_interference, abs(fine), s1.theta, s2.theta, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +357,7 @@ def correlate_closed_form(
     prefactor, envelope, phase = closed_form_parts(scales, tau, phi_tau, ell1, ell2)
     return _result_from_interference(
         prefactor * envelope * math.cos(phase), prefactor * envelope,
-        math.pi / 4.0, math.pi / 4.0, "ClosedForm", 0.0,
+        math.pi / 4.0, math.pi / 4.0, 0.0,
     )
 
 

@@ -18,6 +18,8 @@ import numpy as np
 from .scenario import (
     CONSTANTS,
     Scenario,
+    Species,
+    TimescaleSummary,
     ValidationError,
     _check_source_domain,
     _delta_p,
@@ -25,11 +27,10 @@ from .scenario import (
     _p_bar,
     _sigma_p_cm_ground_state,
     _sigma_p_rel,
+    derive_scales,
 )
 
 __all__ = [
-    "GaussianMode",
-    "GaussianPair",
     "FeshbachDistribution",
     "StabilityReport",
     "distribution_from_scenario",
@@ -59,32 +60,6 @@ PANEL_NODE_CAP = 8192
 # normalization must agree with its half-level pass to NORM_TARGET
 MAX_LEVEL = 8.0
 NORM_TARGET = 3e-7
-
-
-@dataclass(frozen=True)
-class GaussianMode:
-    """1D Gaussian momentum mode, SI."""
-
-    mean_p: float
-    sigma_p: float
-
-    def __post_init__(self) -> None:
-        if not (self.sigma_p > 0.0 and math.isfinite(self.sigma_p)):
-            raise ValidationError(f"sigma_p must be positive and finite, got {self.sigma_p}")
-        if not math.isfinite(self.mean_p):
-            raise ValidationError("mean_p must be finite")
-
-    def density(self, p):
-        z = (np.asarray(p, dtype=float) - self.mean_p) / self.sigma_p
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma_p)
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    """Centre-of-mass and relative Gaussian modes of the dissociated pair."""
-
-    cm: GaussianMode
-    rel: GaussianMode
 
 
 class QuadratureError(RuntimeError):
@@ -119,8 +94,9 @@ class FeshbachDistribution:
 
         N * (kappa b^2 / pi) * sinc^2(x) * f_cm(p_cm) / (p0 * (x/kappa + b)^2)
 
-    where x = kappa*(c^2/4 + r^2 - 1), kappa = (p0/delta_p)^2 and
-    b = (p_bar/p0)^2.  sinc(x) = sin(x)/x with sinc(0) = 1.  N is fixed
+    where x = kappa*(c^2/4 + r^2 - 1), kappa = (p0/delta_p)^2,
+    b = (p_bar/p0)^2 and f_cm is the zero-mean c.m. Gaussian of width
+    sigma_p_cm.  sinc(x) = sin(x)/x with sinc(0) = 1.  N is fixed
     numerically so the density integrates to one; the analytic limit
     delta_p, sigma_cm << p0 gives N -> 1.  N is computed on first use of
     ``normalization`` (or anything that needs it) and cached: callers
@@ -130,14 +106,14 @@ class FeshbachDistribution:
     p0: float
     p_bar: float
     delta_p: float
-    cm_state: GaussianMode
+    sigma_p_cm: float
 
     def __post_init__(self) -> None:
-        for name in ("p0", "p_bar", "delta_p"):
+        for name in ("p0", "p_bar", "delta_p", "sigma_p_cm"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
-        _check_source_domain(self.p0, self.p_bar, self.delta_p, self.cm_state.sigma_p)
+        _check_source_domain(self.p0, self.p_bar, self.delta_p, self.sigma_p_cm)
 
     @functools.cached_property
     def _normalized(self) -> tuple[float, float]:
@@ -247,7 +223,9 @@ class FeshbachDistribution:
         r = np.asarray(p_rel, dtype=float) / self.p0
         u = c * c / 4.0
         pref = self.normalization * self.kappa * self.b**2 / math.pi
-        return pref * self._scaled_kernel(u, r) * self.cm_state.density(p_cm) / self.p0
+        z = np.asarray(p_cm, dtype=float) / self.sigma_p_cm
+        f_cm = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma_p_cm)
+        return pref * self._scaled_kernel(u, r) * f_cm / self.p0
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +383,14 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
 
 
 def _cm_window(dist: FeshbachDistribution):
-    """(u_lo, u_hi, rows): the range in u = c^2/4 of the c.m. window in
-    c = p_cm/p0, and the Chebyshev rows in u per unit level."""
-    cm_mean = dist.cm_state.mean_p / dist.p0
-    cm_sigma = dist.cm_state.sigma_p / dist.p0
-    lo = cm_mean - WINDOW_SIGMAS * cm_sigma
-    hi = cm_mean + WINDOW_SIGMAS * cm_sigma
-    u_hi = max(lo * lo, hi * hi) / 4.0
-    u_lo = 0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi) / 4.0
+    """(u_hi, rows): the c.m. window c = p_cm/p0 in [-WINDOW_SIGMAS sigma,
+    WINDOW_SIGMAS sigma] spans u = c^2/4 in [0, u_hi]; rows is the number
+    of Chebyshev rows in u per unit level."""
+    half = WINDOW_SIGMAS * (dist.sigma_p_cm / dist.p0)
+    u_hi = half * half / 4.0
     # G oscillates in u with period 2 pi / kappa
-    cycles = (u_hi - u_lo) * dist.kappa / (2.0 * math.pi)
-    return u_lo, u_hi, math.ceil(7.0 * cycles) + 10
+    cycles = u_hi * dist.kappa / (2.0 * math.pi)
+    return u_hi, math.ceil(7.0 * cycles) + 10
 
 
 def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
@@ -430,11 +405,12 @@ def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
     and nondecreasing, h/|psi_j'| decreases and integration by parts
     gives |integral from R of h e^{i psi_j}| <= 2 h(R)/|psi_j'(R)|
     (non-stationary phase; Stein, Harmonic Analysis, 1993, ch. VIII).
-    psi_j' does not depend on u and h is largest at the window's u_lo,
-    so that row bounds every row.  The label fold (2), the prefactor
-    N kappa b_env^2/pi and the Lebesgue constant (2/pi) ln(n + 1) + 1 of
-    the pass's n Chebyshev rows in u carry it to the interference value;
-    the c.m. weights sum to the Gaussian's window mass, one to rounding.
+    psi_j' does not depend on u and h is largest at u = 0, the window's
+    lower end, so that row bounds every row.  The label fold (2), the
+    prefactor N kappa b_env^2/pi and the Lebesgue constant (2/pi)
+    ln(n + 1) + 1 of the pass's n Chebyshev rows in u carry it to the
+    interference value; the c.m. weights sum to the Gaussian's window
+    mass, one to rounding.
 
     R is the smallest admissible radius whose bound is at most an eighth
     of tail_bound(), so every pass, at any level, stays within that
@@ -444,8 +420,8 @@ def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
     the result is (None, 0.0).
     """
     kappa, b_env = dist.kappa, dist.b
-    u_lo, _, rows = _cm_window(dist)
-    r_lo = math.sqrt(max(0.0, 1.0 - u_lo))  # x > 0 above it
+    _, rows = _cm_window(dist)
+    r_lo = 1.0  # x > 0 above it
     slopes = (-2.0 * b, -2.0 * b + 4.0 * kappa, -2.0 * b - 4.0 * kappa)
     for slope in slopes:
         if slope == 0.0:
@@ -454,7 +430,7 @@ def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
         else:
             # |a + slope r| grows from zero at r = -a/slope on
             r_lo = max(r_lo, -a / slope)
-    r_hi = dist.r_hi(u_lo)
+    r_hi = dist.r_hi()
     if r_lo >= r_hi:
         return None, 0.0
 
@@ -463,7 +439,7 @@ def _tail_cut(dist: FeshbachDistribution, a: float, b: float, level=1.0):
     scale = 4.0 * dist.normalization * kappa * b_env**2 / math.pi * lebesgue
 
     def bound(r):
-        x = kappa * (u_lo + r * r - 1.0)
+        x = kappa * (r * r - 1.0)
         h = 1.0 / (2.0 * x * x * (x / kappa + b_env) ** 2)
         weighted = 0.0  # a plain loop: sum() rounds differently from Python 3.12 on
         for w, s in zip((1.0, 0.5, 0.5), slopes):
@@ -493,29 +469,25 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     sampled at Chebyshev points in u and interpolated onto the c.m.
     grid: a dozen line integrals, not one per c.m. node.
     """
-    u_lo, u_hi, rows = _cm_window(dist)
-    u_width = (u_hi - u_lo) if u_hi > u_lo else 1.0
+    u_hi, rows = _cm_window(dist)
 
     n_u = int(math.ceil(rows * level))
     k = np.arange(n_u)
-    u_nodes = 0.5 * (u_lo + u_hi) + 0.5 * (u_hi - u_lo) * np.cos(
-        math.pi * (2.0 * k + 1.0) / (2.0 * n_u)
-    )
+    u_nodes = 0.5 * u_hi + 0.5 * u_hi * np.cos(math.pi * (2.0 * k + 1.0) / (2.0 * n_u))
     r_cut, _ = _tail_cut(dist, a_rel, b_rel, level)
     g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level, r_cut)
     cheb = np.polynomial.chebyshev
-    x_norm = (2.0 * u_nodes - (u_lo + u_hi)) / u_width
+    x_norm = (2.0 * u_nodes - u_hi) / u_hi
     coef_re = cheb.chebfit(x_norm, g_vals.real, n_u - 1)
     coef_im = cheb.chebfit(x_norm, g_vals.imag, n_u - 1)
 
     def g_interp(c):
-        xc = (2.0 * (c * c / 4.0) - (u_lo + u_hi)) / u_width
+        xc = (2.0 * (c * c / 4.0) - u_hi) / u_hi
         return cheb.chebval(xc, coef_re) + 1j * cheb.chebval(xc, coef_im)
 
-    cm_mean, cm_sigma = dist.cm_state.mean_p / dist.p0, dist.cm_state.sigma_p / dist.p0
     value, hit = _window_integral(
-        cm_mean, cm_sigma, a_cm, b_cm, level, MIN_NODES, MAX_NODES, dist.kappa * (u_hi - u_lo),
-        g_interp,
+        0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, MIN_NODES, MAX_NODES,
+        dist.kappa * u_hi, g_interp,
     )
     return value, capped or hit
 
@@ -525,25 +497,25 @@ def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:
 
     p_bar^2 = m * mu * pulse_height (resonance passage depth) and
     delta_p^2 = 2 m hbar / pulse_duration (spectral width of one pulse);
-    the c.m. mode is the molecular trap ground state.
+    the c.m. width is that of the molecular trap ground state.
     """
-    p0 = _p0_from_fields(scenario)
-    cm_state = GaussianMode(mean_p=0.0, sigma_p=_sigma_p_cm_ground_state(scenario))
     return FeshbachDistribution(
-        p0=p0, p_bar=_p_bar(scenario), delta_p=_delta_p(scenario), cm_state=cm_state
+        p0=_p0_from_fields(scenario),
+        p_bar=_p_bar(scenario),
+        delta_p=_delta_p(scenario),
+        sigma_p_cm=_sigma_p_cm_ground_state(scenario),
     )
 
 
-def gaussian_approximation(dist: FeshbachDistribution) -> GaussianPair:
-    """Gaussian pair matching the distribution's lobes.
+def gaussian_approximation(dist: FeshbachDistribution, species: Species) -> TimescaleSummary:
+    """Dispersion scales of the Gaussian pair matching the distribution's lobes.
 
     The relative mode is centred on p0 with the pinned main-lobe width
-    sigma_p_rel = SINC_WIDTH_FACTOR * delta_p^2 / (2 p0); the c.m. mode is
+    sigma_p_rel = SINC_WIDTH_FACTOR * delta_p^2 / (2 p0); the c.m. width is
     the distribution's own.  For a distribution from a scenario these are
-    the widths scales_from_scenario reads, computed by the same helpers.
+    the scales scales_from_scenario returns, computed by the same helpers.
     """
-    rel = GaussianMode(mean_p=dist.p0, sigma_p=_sigma_p_rel(dist.p0, dist.delta_p))
-    return GaussianPair(cm=dist.cm_state, rel=rel)
+    return derive_scales(species, dist.sigma_p_cm, _sigma_p_rel(dist.p0, dist.delta_p), dist.p0)
 
 
 def phi_tau(scenario: Scenario) -> float:

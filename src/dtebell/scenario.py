@@ -114,7 +114,7 @@ class TrapGuide:
             warnings.warn(
                 "omega_trap is not small compared with omega_guide; "
                 "the longitudinal reduction is marginal",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
 
@@ -313,11 +313,11 @@ def derive_scales(
 def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
     """Scales for a scenario: threshold kinematics plus Gaussian-equivalent widths.
 
-    The widths are those of gaussian_approximation(distribution_from_scenario(
-    scenario)), computed by the same helpers, so these scales equal the
-    ones the correlators derive, bit for bit.  A scenario outside the
-    source's validity domain is refused with the source's own message,
-    without building the source.
+    These are the Gaussian pair that both correlation routes read.  They
+    equal gaussian_approximation(distribution_from_scenario(scenario),
+    scenario.species) bit for bit, since both are computed by the same
+    helpers.  A scenario outside the source's validity domain is refused
+    with the source's own message, without building the source.
     """
     p0 = _p0_from_fields(scenario)
     delta_p = _delta_p(scenario)

@@ -18,7 +18,7 @@ def spin_correlation(x: InterferometerSetting, y: InterferometerSetting) -> Corr
     p = {(s1, s2): 0.25 * (1.0 + s1 * s2 * e) for s1 in (1, -1) for s2 in (1, -1)}
     e_value = p[(1, 1)] - p[(1, -1)] - p[(-1, 1)] + p[(-1, -1)]
     return CorrelationResult(
-        p=p, e_value=e_value, method="ClosedForm", quadrature_error_estimate=0.0,
+        p=p, e_value=e_value, quadrature_error_estimate=0.0,
         visibility=1.0,
     )
 

@@ -36,10 +36,7 @@ from dtebell.correlation import (
 )
 from dtebell.dissociation import (
     PHASE_BUDGET,
-    GaussianMode,
-    GaussianPair,
     distribution_from_scenario,
-    gaussian_approximation,
     phase_stability,
     phi_tau,
 )
@@ -157,14 +154,11 @@ class TestOracleEquivalence:
             sigma_rel = rng.uniform(0.002, 0.02) * p0
             tau = rng.uniform(0.3, 2.5)
             pulse_phase = rng.uniform(0.0, 2.0 * math.pi)
-            gaussians = GaussianPair(
-                cm=GaussianMode(0.0, sigma_cm), rel=GaussianMode(p0, sigma_rel)
-            )
             scales = derive_scales(species, sigma_cm, sigma_rel, p0)
             v = 2.0 * p0 / species.atom_mass
             period = 2.0 * math.pi * CONSTANTS.hbar / p0
             pair = DtePair(
-                distribution=gaussians,
+                distribution=scales,
                 tau=tau,
                 phi_tau=pulse_phase,
                 species=species,
@@ -270,7 +264,7 @@ class TestCrossModuleInvariants:
             assert total == pytest.approx(1.0, abs=1e-9)
         scn = shipped_scenario
         pair = DtePair(
-            distribution=gaussian_approximation(distribution_from_scenario(scn)),
+            distribution=scales_from_scenario(scn),
             tau=scn.pulses.pulse_separation,
             phi_tau=phi_tau(scn),
             species=scn.species,
@@ -307,7 +301,7 @@ class TestCrossModuleInvariants:
         # independent quadrature family: Gauss-Legendre x composite Simpson
         from scipy.integrate import simpson
 
-        sc = dist.cm_state.sigma_p / p0
+        sc = dist.sigma_p_cm / p0
         cycles = (8.5 * sc) ** 2 / 4.0 * dist.kappa / (2.0 * math.pi)
         n_c = max(64, 16 * int(math.ceil(cycles)) + 48)
         x, w = np.polynomial.legendre.leggauss(n_c)

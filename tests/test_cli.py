@@ -631,8 +631,9 @@ class TestFeasibility:
 
 
 class TestSourceBuilds:
-    """The closed form reads the dispersion scales, so only the quadrature
-    routes build a FeshbachDistribution: once per scenario."""
+    """The closed form and the Gaussian quadrature read the dispersion
+    scales, so only the sinc^2 route (--source-model-check) builds a
+    FeshbachDistribution: once per scenario."""
 
     @pytest.mark.parametrize(
         "argv, builds",
@@ -649,9 +650,9 @@ class TestSourceBuilds:
             (("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1",
               "--steps", "3"), 0),
             (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
-              "--steps", "3", "--method", "quad"), 1),
+              "--steps", "3", "--method", "quad"), 0),
             (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
-              "--steps", "3", "--method", "quad"), 3),
+              "--steps", "3", "--method", "quad"), 0),
             (("feasibility", "--steps", "3", "--source-model-check"), 1),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
@@ -671,6 +672,28 @@ class TestSourceBuilds:
         assert code == 0
         assert not any(row.get("error") for row in parse_csv(out))
         assert len(calls) == builds
+
+    def test_quad_scan_derives_the_scales_once(self, monkeypatch):
+        # every row's DtePair reads the scenario's scales; none derives its own
+        import sys
+
+        import dtebell.scenario as scn
+
+        original = scn.derive_scales
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dtebell") and getattr(module, "derive_scales", None) is original:
+                monkeypatch.setattr(module, "derive_scales", counting)
+        code, out, _ = invoke("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+                              "--steps", "5", "--method", "quad")
+        assert code == 0
+        assert len(parse_csv(out)) == 5
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ parsing

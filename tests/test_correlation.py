@@ -24,16 +24,12 @@ from dtebell.correlation import (
     correlate_quadrature,
     fringe_phase,
 )
-from dtebell.dissociation import (
-    GaussianMode,
-    GaussianPair,
-    _tail_cut,
-    distribution_from_scenario,
-    gaussian_approximation,
-)
+from dtebell.dissociation import _tail_cut, distribution_from_scenario
 from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
     CONSTANTS,
+    Species,
+    TrapGuide,
     ValidationError,
     derive_scales,
     reference_scenario,
@@ -61,16 +57,6 @@ def scales(scenario):
 @pytest.fixture(scope="module")
 def fesh(scenario):
     return distribution_from_scenario(scenario)
-
-
-@pytest.fixture(scope="module")
-def gaussians(fesh):
-    return gaussian_approximation(fesh)
-
-
-@pytest.fixture(scope="module")
-def gdist(gaussians):
-    return gaussians
 
 
 @pytest.fixture(scope="module")
@@ -161,53 +147,74 @@ def test_setting_validation():
         InterferometerSetting(ell=math.inf)
 
 
-def test_distribution_requires_outward_rel(gaussians, scenario, phi_tau):
-    # each detector sees only the outward branch of the relative momentum
-    for mean_p in (-gaussians.rel.mean_p, 0.0):
-        bad = GaussianPair(
-            cm=gaussians.cm, rel=GaussianMode(mean_p=mean_p, sigma_p=gaussians.rel.sigma_p)
-        )
+def test_distribution_requires_outward_rel(scales, scenario, phi_tau):
+    # each detector sees only the outward branch of the relative momentum;
+    # derive_scales refuses the scales before a DtePair can hold them
+    for p0_rel in (-scales.p0_rel, 0.0):
         with pytest.raises(ValidationError):
+            bad = derive_scales(scenario.species, scales.sigma_p_cm, scales.sigma_p_rel, p0_rel)
             DtePair(distribution=bad, tau=1.0, phi_tau=phi_tau, species=scenario.species)
 
 
-def test_pair_margin_value(gdist, scenario, phi_tau):
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+def test_pair_refuses_scales_of_another_mass(scales, scenario, phi_tau):
+    # the pair carries the mass twice, in species and inside the scales
+    heavier = Species(name="heavier", atom_mass=2.0 * scenario.species.atom_mass)
+    other = derive_scales(heavier, scales.sigma_p_cm, scales.sigma_p_rel, scales.p0_rel)
+    with pytest.raises(ValidationError, match="another atom mass"):
+        DtePair(distribution=other, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    # the same widths derived for the species' own mass pass, bit for bit
+    same = derive_scales(scenario.species, scales.sigma_p_cm, scales.sigma_p_rel, scales.p0_rel)
+    assert same == scales
+    DtePair(distribution=same, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+
+
+def test_pair_margin_value(scales, scenario, phi_tau):
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     assert pair.separation_margin() == pytest.approx(MARGIN_REF, rel=1e-8)
 
 
-def test_pair_margin_warning(gdist, scenario, phi_tau):
+def test_pair_margin_warning(scales, scenario, phi_tau):
     # tau small enough that packets barely separate
     with pytest.warns(UserWarning, match="separation margin"):
-        DtePair(distribution=gdist, tau=0.05, phi_tau=phi_tau, species=scenario.species)
+        DtePair(distribution=scales, tau=0.05, phi_tau=phi_tau, species=scenario.species)
 
 
-def test_pair_margin_error(gaussians, scenario, phi_tau):
-    wide = GaussianPair(
-        cm=gaussians.cm,
-        rel=GaussianMode(mean_p=gaussians.rel.mean_p, sigma_p=200.0 * gaussians.rel.sigma_p),
+def test_constructor_warnings_point_at_the_caller(scales, scenario, phi_tau):
+    # not at the dataclass-generated __init__, which reports "<string>"
+    with pytest.warns(UserWarning) as caught:
+        DtePair(distribution=scales, tau=0.05, phi_tau=phi_tau, species=scenario.species)
+        TrapGuide(omega_trap=900.0, omega_guide=1000.0, trap_depth=1e-30)
+    margin, quasi_1d = caught
+    assert "separation margin" in str(margin.message)
+    assert "omega_trap" in str(quasi_1d.message)
+    assert (margin.filename, quasi_1d.filename) == (__file__, __file__)
+
+
+def test_pair_margin_error(scales, scenario, phi_tau):
+    wide = derive_scales(
+        scenario.species, scales.sigma_p_cm, 200.0 * scales.sigma_p_rel, scales.p0_rel
     )
     with pytest.raises(ValidationError, match="not separated"):
         DtePair(distribution=wide, tau=1.0, phi_tau=phi_tau, species=scenario.species)
 
 
-def test_pair_tau_validation(gdist, scenario):
+def test_pair_tau_validation(scales, scenario):
     with pytest.raises(ValidationError):
-        DtePair(distribution=gdist, tau=0.0, phi_tau=0.0, species=scenario.species)
+        DtePair(distribution=scales, tau=0.0, phi_tau=0.0, species=scenario.species)
     with pytest.raises(ValidationError):
-        DtePair(distribution=gdist, tau=1.0, phi_tau=math.nan, species=scenario.species)
+        DtePair(distribution=scales, tau=1.0, phi_tau=math.nan, species=scenario.species)
 
 
 def test_result_validation():
     with pytest.raises(ValidationError):
         CorrelationResult(
-            p={k: 0.3 for k in SIGN_PAIRS}, e_value=0.0, method="ClosedForm",
+            p={k: 0.3 for k in SIGN_PAIRS}, e_value=0.0,
             quadrature_error_estimate=0.0, visibility=0.0,
         )
     with pytest.raises(ValidationError):
         CorrelationResult(
             p={(1, 1): 1.2, (1, -1): -0.2, (-1, 1): 0.0, (-1, -1): 0.0},
-            e_value=0.0, method="ClosedForm", quadrature_error_estimate=0.0,
+            e_value=0.0, quadrature_error_estimate=0.0,
             visibility=0.0,
         )
 
@@ -219,7 +226,6 @@ def test_result_validation():
 def test_closed_form_center_value(scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
     res = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
-    assert res.method == "ClosedForm"
     assert res.quadrature_error_estimate == 0.0
     assert res.e_value == pytest.approx(E_CENTER_REF, rel=1e-10)
     prefactor, envelope, phase = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
@@ -228,13 +234,13 @@ def test_closed_form_center_value(scales, phi_tau):
     assert res.e_value == pytest.approx(prefactor * math.cos(phase), rel=1e-12)
 
 
-def test_closed_form_no_dispersion_limit(gaussians, scenario, scales, phi_tau):
+def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
     # shrink both widths so T_cm, T_rel blow up: unit visibility, pure fringe
     tiny = derive_scales(
         scenario.species,
-        sigma_p_cm=1e-6 * gaussians.cm.sigma_p,
-        sigma_p_rel=1e-6 * gaussians.rel.sigma_p,
-        p0_rel=gaussians.rel.mean_p,
+        sigma_p_cm=1e-6 * scales.sigma_p_cm,
+        sigma_p_rel=1e-6 * scales.sigma_p_rel,
+        p0_rel=scales.p0_rel,
     )
     tau = 1.0
     ell1, ell2 = center_lengths(scales, tau)
@@ -247,27 +253,27 @@ def test_closed_form_no_dispersion_limit(gaussians, scenario, scales, phi_tau):
         assert p == pytest.approx(0.25 * (1.0 + s1 * s2 * expected), abs=1e-9)
 
 
-def test_closed_form_requires_outward(gaussians, scenario):
+def test_closed_form_requires_outward(scales, scenario):
     # the closed form is written in scales, and derive_scales refuses an
     # inward relative mode
     with pytest.raises(ValidationError, match="p0_rel must be positive"):
         derive_scales(
             scenario.species,
-            sigma_p_cm=gaussians.cm.sigma_p,
-            sigma_p_rel=gaussians.rel.sigma_p,
-            p0_rel=-gaussians.rel.mean_p,
+            sigma_p_cm=scales.sigma_p_cm,
+            sigma_p_rel=scales.sigma_p_rel,
+            p0_rel=-scales.p0_rel,
         )
 
 
 def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
     import dtebell.bell as bell
-    import dtebell.correlation as corr
+    import dtebell.dissociation as dis
     import dtebell.scenario as scn
 
     def refuse(*args, **kwargs):
         raise AssertionError("derive_scales called on a closed-form route")
 
-    for module in (scn, corr):
+    for module in (scn, dis):
         monkeypatch.setattr(module, "derive_scales", refuse)
     ell1, ell2 = center_lengths(scales, 1.0)
     parts = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
@@ -330,9 +336,9 @@ def test_fringe_phase_slope(scales, phi_tau):
     assert (up - dn) / (2.0 * h) == pytest.approx(1.0 / scales.lambda_bar_rel, rel=1e-5)
 
 
-def test_fringe_phase_tau_to_zero(gaussians, scales):
+def test_fringe_phase_tau_to_zero(scales):
     # phi0 and the chirps vanish with tau; only the linear fringe survives
-    lam = CONSTANTS.hbar / gaussians.rel.mean_p
+    lam = CONSTANTS.hbar / scales.p0_rel
     phase = fringe_phase(scales, 1e-9, 0.0, 2e-6, -1e-6)
     assert phase == pytest.approx(3e-6 / lam, rel=1e-4)
 
@@ -341,14 +347,13 @@ def test_fringe_phase_tau_to_zero(gaussians, scales):
 # quadrature vs closed form (the central two-route check)
 
 
-def test_quadrature_matches_closed_form_center(gdist, scenario, scales, phi_tau):
+def test_quadrature_matches_closed_form_center(scenario, scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
-    assert quad.method == "Quadrature"
     assert quad.quadrature_error_estimate < 1e-6
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-9)
@@ -440,11 +445,11 @@ def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, mo
     ],
 )
 def test_quadrature_matches_closed_form_offsets(
-    gdist, scenario, scales, phi_tau, d1, d2, tau
+    scenario, scales, phi_tau, d1, d2, tau
 ):
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
-    pair = DtePair(distribution=gdist, tau=tau, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
@@ -453,7 +458,7 @@ def test_quadrature_matches_closed_form_offsets(
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
 
 
-def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, scenario, scales):
+def test_visibility_is_the_fringe_amplitude_on_both_routes(scenario, scales):
     """Both routes report the same |I| at any setting pair, and it bounds
     the fringe: |E - cos2t1 cos2t2| <= visibility, also off 45 degrees."""
     rng = np.random.default_rng(12)
@@ -465,7 +470,7 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, scenario, scal
         ell1 = 0.5 * tau * scales.v_rel + rng.uniform(-3.0, 3.0) * period
         ell2 = -0.5 * tau * scales.v_rel + rng.uniform(-3.0, 3.0) * period
         theta1, theta2 = rng.uniform(0.0, 0.5 * math.pi, 2)
-        pair = DtePair(distribution=gdist, tau=tau, phi_tau=pulse_phase, species=species)
+        pair = DtePair(distribution=scales, tau=tau, phi_tau=pulse_phase, species=species)
         prefactor, envelope, _ = closed_form_parts(scales, tau, pulse_phase, ell1, ell2)
         closed = correlate_closed_form(scales, tau, pulse_phase, ell1, ell2)
         quad = correlate_quadrature(
@@ -485,9 +490,9 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(gdist, scenario, scal
             assert abs(result.e_value - untilted) <= result.visibility + 1e-12
 
 
-def test_quadrature_at_origin(gdist, scales, scenario, phi_tau):
+def test_quadrature_at_origin(scales, scenario, phi_tau):
     # ell1 = ell2 = 0: packets never overlap in arrival time, E ~ 0, P = 1/4
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=0.0, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=0.0, species=scenario.species)
     zero = InterferometerSetting(ell=0.0)
     quad = correlate_quadrature(pair, zero, zero)
     closed = correlate_closed_form(scales, 1.0, 0.0, 0.0, 0.0)
@@ -503,10 +508,7 @@ def test_narrow_spike_limit(scenario, scales):
     # the literal dispersion-free limit is unreachable because packets
     # must separate before they stop dispersing
     p0 = scales.p0_rel
-    spike = GaussianPair(
-        cm=GaussianMode(mean_p=0.0, sigma_p=2.5e-3 * p0),
-        rel=GaussianMode(mean_p=p0, sigma_p=2.5e-3 * p0),
-    )
+    spike = derive_scales(scenario.species, 2.5e-3 * p0, 2.5e-3 * p0, p0)
     tau = 0.3
     phi = 0.7
     with pytest.warns(UserWarning, match="separation margin"):
@@ -521,9 +523,9 @@ def test_narrow_spike_limit(scenario, scales):
     assert res.e_value == pytest.approx(expected, abs=1e-2)
 
 
-def test_sign_structure(gdist, scenario, scales, phi_tau):
+def test_sign_structure(scenario, scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     res = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1 + 1.3e-6), InterferometerSetting(ell=ell2)
     )
@@ -531,9 +533,9 @@ def test_sign_structure(gdist, scenario, scales, phi_tau):
     assert res.p[(1, -1)] == res.p[(-1, 1)]
 
 
-def test_refinement_self_consistency(gdist, scenario, scales, phi_tau):
+def test_refinement_self_consistency(scenario, scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     s1, s2 = InterferometerSetting(ell=ell1 + 8e-7), InterferometerSetting(ell=ell2)
     base = correlate_quadrature(pair, s1, s2)
     finer = correlate_quadrature(pair, s1, s2, refine=1)
@@ -542,7 +544,7 @@ def test_refinement_self_consistency(gdist, scenario, scales, phi_tau):
 
 
 def test_quadrature_failure_carries_estimate(
-    gdist, scenario, scales, phi_tau, monkeypatch
+    scenario, scales, phi_tau, monkeypatch
 ):
     # force the node ceiling far below the phase budget so the half-node
     # comparison cannot agree and the capped state must surface
@@ -551,7 +553,7 @@ def test_quadrature_failure_carries_estimate(
     monkeypatch.setattr(corr, "MIN_NODES", 8)
     monkeypatch.setattr(corr, "MAX_NODES", 16)
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     with pytest.raises(QuadratureError) as excinfo:
         correlate_quadrature(
             pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
@@ -564,8 +566,8 @@ def test_unsupported_distribution(scenario, phi_tau):
         pass
 
     with pytest.raises(ValidationError):
-        # DtePair itself rejects unknown distribution objects when it
-        # tries to build gaussian modes, so construct directly
+        # DtePair's own checks read the distribution's widths, so
+        # construct directly
         pair = DtePair.__new__(DtePair)
         object.__setattr__(pair, "distribution", Fake())
         object.__setattr__(pair, "tau", 1.0)
@@ -580,7 +582,7 @@ def test_unsupported_distribution(scenario, phi_tau):
 # generalized mirror angles, checked against a (p1, p2) brute force
 
 
-def brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2, n=1200):
+def brute_force_probabilities(scales, scenario, tau, phi_tau, s1, s2, n=1200):
     """Direct 2D integral of |early + late|^2 in particle momenta.
 
     Completely independent route: no (p_cm, p_rel) factorization, no
@@ -588,22 +590,21 @@ def brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2, n=1200)
     """
     from scipy.special import roots_legendre
 
-    p0 = gaussians.rel.mean_p
+    p0 = scales.p0_rel
     # momenta in p0 and times in tau make the mass m hbar / (p0^2 tau)
     m_int = scenario.species.atom_mass * CONSTANTS.hbar / (p0**2 * tau)
-    sc = gaussians.cm.sigma_p / p0
-    sr = gaussians.rel.sigma_p / p0
-    cmean = gaussians.cm.mean_p / p0
+    sc = scales.sigma_p_cm / p0
+    sr = scales.sigma_p_rel / p0
     w = 8.5 * (0.5 * sc + sr)
 
     x, wts = roots_legendre(n)
-    p1 = 0.5 * cmean + 1.0 + w * x
-    p2 = 0.5 * cmean - 1.0 + w * x
+    p1 = 1.0 + w * x
+    p2 = -1.0 + w * x
     w1 = wts * w
     c = p1[:, None] + p2[None, :]
     r = 0.5 * (p1[:, None] - p2[None, :])
     dens = (
-        np.exp(-0.5 * ((c - cmean) / sc) ** 2) / (math.sqrt(2 * math.pi) * sc)
+        np.exp(-0.5 * (c / sc) ** 2) / (math.sqrt(2 * math.pi) * sc)
         * np.exp(-0.5 * ((r - 1.0) / sr) ** 2) / (math.sqrt(2 * math.pi) * sr)
     )
     weight = w1[:, None] * w1[None, :] * dens
@@ -627,24 +628,24 @@ def brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2, n=1200)
 
 
 @pytest.mark.parametrize("theta1, theta2", [(math.pi / 4, math.pi / 4), (0.3, 1.1), (0.6, math.pi / 4)])
-def test_quadrature_matches_brute_force(gdist, gaussians, scenario, scales, phi_tau, theta1, theta2):
+def test_quadrature_matches_brute_force(scenario, scales, phi_tau, theta1, theta2):
     tau = 1.0
     ell1, ell2 = center_lengths(scales, tau)
     ell1 += 0.9e-6
     s1 = InterferometerSetting(ell=ell1, theta=theta1)
     s2 = InterferometerSetting(ell=ell2, theta=theta2)
-    pair = DtePair(distribution=gdist, tau=tau, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
     quad = correlate_quadrature(pair, s1, s2)
-    brute = brute_force_probabilities(gaussians, scenario, tau, phi_tau, s1, s2)
+    brute = brute_force_probabilities(scales, scenario, tau, phi_tau, s1, s2)
     assert abs(sum(brute.values()) - 1.0) < 1e-9
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(brute[key], abs=1e-8)
 
 
-def test_theta_zero_kills_interference(gdist, scenario, scales, phi_tau):
+def test_theta_zero_kills_interference(scenario, scales, phi_tau):
     # a fully transmissive mirror on one side leaves a fixed imbalance
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=gdist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     theta2 = 0.4
     res = correlate_quadrature(
         pair,
@@ -740,9 +741,7 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
     assert peak < 150 * 2**20
 
 
-def test_quadrature_asks_for_power_of_two_rules(
-    gdist, fesh, scenario, scales, phi_tau, monkeypatch
-):
+def test_quadrature_asks_for_power_of_two_rules(fesh, scenario, scales, phi_tau, monkeypatch):
     import dtebell.dissociation as dis
 
     requested = []
@@ -754,7 +753,7 @@ def test_quadrature_asks_for_power_of_two_rules(
 
     monkeypatch.setattr(dis, "_gauss_legendre", recording)
     s1, s2 = _sinc2_settings(scales, 3)
-    for dist in (gdist, fesh):
+    for dist in (scales, fesh):
         pair = DtePair(distribution=dist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
         correlate_quadrature(pair, s1, s2)
     assert requested
@@ -807,11 +806,11 @@ def test_feshbach_estimate_describes_returned_pass(
     ],
 )
 def test_gaussian_estimate_describes_returned_pass(
-    gdist, scenario, scales, phi_tau, d1, d2, tau, monkeypatch
+    scenario, scales, phi_tau, d1, d2, tau, monkeypatch
 ):
     s1 = InterferometerSetting(ell=0.5 * tau * scales.v_rel + d1)
     s2 = InterferometerSetting(ell=-0.5 * tau * scales.v_rel + d2)
-    pair = DtePair(distribution=gdist, tau=tau, phi_tau=phi_tau, species=scenario.species)
+    pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
     reference = correlate_quadrature(pair, s1, s2, refine=2)
     passes = _record_passes(monkeypatch, "_gaussian_interference")
     res = correlate_quadrature(pair, s1, s2)
@@ -834,9 +833,8 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
 
     fast, _ = _feshbach_interference(fesh, m_int, sl_int, dl_int)
 
-    cm = fesh.cm_state
-    cm_mean, cm_sigma = cm.mean_p / p0, cm.sigma_p / p0
-    lo, hi = cm_mean - 8.5 * cm_sigma, cm_mean + 8.5 * cm_sigma
+    cm_sigma = fesh.sigma_p_cm / p0
+    lo, hi = -8.5 * cm_sigma, 8.5 * cm_sigma
     n_c = 401
     xc, wc = roots_legendre(n_c)
     half = 0.5 * (hi - lo)
@@ -853,7 +851,7 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
     for i0 in range(0, n_c, chunk):
         kern = fesh._scaled_kernel(u[i0 : i0 + chunk, None], r[None, :])
         inner[i0 : i0 + chunk] = simpson(kern * osc[None, :], x=r, axis=1)
-    f_cm = np.exp(-0.5 * ((c - cm_mean) / cm_sigma) ** 2) / (math.sqrt(2 * math.pi) * cm_sigma)
+    f_cm = np.exp(-0.5 * (c / cm_sigma) ** 2) / (math.sqrt(2 * math.pi) * cm_sigma)
     phase_c = np.exp(1j * (0.5 * sl_int * c - c * c / (4.0 * m_int)))
     pref = fesh.normalization * fesh.kappa * fesh.b**2 / math.pi
     reference = pref * complex(np.dot(wc * half, f_cm * phase_c * inner))

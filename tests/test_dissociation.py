@@ -14,7 +14,6 @@ from dtebell.scenario import (
     PulseSequence,
     Scenario,
     ValidationError,
-    derive_scales,
     reference_scenario,
     scales_from_scenario,
 )
@@ -60,14 +59,13 @@ def simpson_mass(d, n_c=None, n_r=160001):
     from scipy.integrate import simpson
 
     p0 = d.p0
-    sc = d.cm_state.sigma_p / p0
-    mc = d.cm_state.mean_p / p0
+    sc = d.sigma_p_cm / p0
     if n_c is None:
         # the inner mass oscillates in c^2/4 with period 2pi/kappa
-        cycles = (abs(mc) + 8.5 * sc) ** 2 / 4.0 * d.kappa / (2.0 * math.pi)
+        cycles = (8.5 * sc) ** 2 / 4.0 * d.kappa / (2.0 * math.pi)
         n_c = max(64, 16 * int(math.ceil(cycles)) + 48)
     x, w = np.polynomial.legendre.leggauss(n_c)
-    c = mc + 8.5 * sc * x
+    c = 8.5 * sc * x
     r = np.linspace(0.0, d.r_hi(), n_r)
     total = 0.0
     for ci, wi in zip(c, w):
@@ -83,7 +81,7 @@ class TestFeshbachDistribution:
         assert dist.x_cut == pytest.approx(X_CUT_REF, rel=1e-3)
         # spectral preconditions of the model hold comfortably here
         assert dist.delta_p / dist.p0 == pytest.approx(0.1109, rel=1e-3)
-        assert dist.cm_state.sigma_p / dist.p0 == pytest.approx(0.03405, rel=1e-3)
+        assert dist.sigma_p_cm / dist.p0 == pytest.approx(0.03405, rel=1e-3)
 
     def test_normalization_independent_oracle(self, dist):
         assert simpson_mass(dist) == pytest.approx(1.0, abs=1e-6)
@@ -98,7 +96,7 @@ class TestFeshbachDistribution:
                 p0=p0,
                 p_bar=math.sqrt(b) * p0,
                 delta_p=p0 / math.sqrt(kappa),
-                cm_state=dis.GaussianMode(0.0, rng.uniform(0.01, 0.2) * p0),
+                sigma_p_cm=rng.uniform(0.01, 0.2) * p0,
             )
             assert simpson_mass(d) == pytest.approx(1.0, abs=1e-6)
 
@@ -130,15 +128,19 @@ class TestFeshbachDistribution:
 
     def test_precondition_violations(self, dist):
         good = dict(p0=dist.p0, p_bar=dist.p_bar, delta_p=dist.delta_p,
-                    cm_state=dist.cm_state)
+                    sigma_p_cm=dist.sigma_p_cm)
         with pytest.raises(ValidationError, match="delta_p/p0"):
             dis.FeshbachDistribution(**{**good, "delta_p": 0.3 * dist.p0})
         with pytest.raises(ValidationError, match="sigma_p_cm/p0"):
-            dis.FeshbachDistribution(
-                **{**good, "cm_state": dis.GaussianMode(0.0, 0.25 * dist.p0)}
-            )
+            dis.FeshbachDistribution(**{**good, "sigma_p_cm": 0.25 * dist.p0})
         with pytest.raises(ValidationError, match="pole"):
             dis.FeshbachDistribution(**{**good, "p_bar": 0.9 * dist.p0})
+
+    def test_sigma_p_cm_validation(self, dist):
+        good = dict(p0=dist.p0, p_bar=dist.p_bar, delta_p=dist.delta_p)
+        for sigma_p_cm in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="sigma_p_cm must be positive"):
+                dis.FeshbachDistribution(**good, sigma_p_cm=sigma_p_cm)
 
     def test_truncation_bookkeeping(self, dist):
         assert dist.tail_bound() < 1e-6
@@ -165,8 +167,8 @@ class TestLazyNormalization:
         from dtebell.correlation import DtePair
 
         fresh = dis.distribution_from_scenario(scenario)
-        gaussians = dis.gaussian_approximation(fresh)
-        for source in (gaussians, fresh):
+        scales = dis.gaussian_approximation(fresh, scenario.species)
+        for source in (scales, fresh):
             DtePair(
                 distribution=source,
                 tau=scenario.pulses.pulse_separation,
@@ -342,14 +344,8 @@ def fit_sinc_width_factor(dist, n_samples=201):
 
 
 def _correlator_scales(scn):
-    """The scales the correlators derive from a scenario's Gaussian pair."""
-    pair = dis.gaussian_approximation(dis.distribution_from_scenario(scn))
-    return derive_scales(
-        scn.species,
-        sigma_p_cm=pair.cm.sigma_p,
-        sigma_p_rel=pair.rel.sigma_p,
-        p0_rel=pair.rel.mean_p,
-    )
+    """The scales the quadrature reads for a scenario's sinc^2 source."""
+    return dis.gaussian_approximation(dis.distribution_from_scenario(scn), scn.species)
 
 
 class TestGaussianApproximation:
@@ -358,7 +354,6 @@ class TestGaussianApproximation:
         assert dataclasses.asdict(scales_from_scenario(scenario)) == dataclasses.asdict(
             _correlator_scales(scenario)
         )
-        assert dis.gaussian_approximation(dist).cm.mean_p == 0.0
 
     @given(
         st.floats(0.03, 0.5),
@@ -380,12 +375,6 @@ class TestGaussianApproximation:
         # amplitude-pinned least squares over the main lobe lands ~4.3%
         # below the pinned 1.196; the criterion difference is documented
         assert abs(factor - 1.196) / 1.196 < 0.05
-
-    def test_gaussian_mode_validation(self):
-        with pytest.raises(ValidationError, match="sigma_p"):
-            dis.GaussianMode(0.0, -1.0)
-        with pytest.raises(ValidationError, match="mean_p"):
-            dis.GaussianMode(math.inf, 1.0)
 
 
 class TestPhiTau:

@@ -64,7 +64,7 @@ def reference_setup():
 
 def degenerate_result():
     p = {(1, 1): 1.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0}
-    return CorrelationResult(p=p, e_value=1.0, method="ClosedForm", quadrature_error_estimate=0.0,
+    return CorrelationResult(p=p, e_value=1.0, quadrature_error_estimate=0.0,
                              visibility=1.0)
 
 
