@@ -51,6 +51,7 @@ CASES = {
     # the only case where the wave-packet separation margin warns
     "tau008_scan_ell1_quad": ("scan", "cfg/tau008.cfg", "--axis", "ell1", "--start", "425",
                               "--stop", "431", "--steps", "3", "--method", "quad"),
+    "tau008_bell_optimize": ("bell", "cfg/tau008.cfg", "--optimize"),
     "montecarlo_switched": ("montecarlo", "--events", "10000"),
     "montecarlo_beamsplitter": ("montecarlo", "cfg/beamsplitter.cfg", "--events", "10000"),
     # failures
@@ -60,6 +61,10 @@ CASES = {
     "field543800_scales": ("scales", "cfg/field543800.cfg"),
     "field543800_bell": ("bell", "cfg/field543800.cfg", "--optimize"),
     "theta30_bell": ("bell", "cfg/theta30.cfg", "--optimize"),
+    # wave-packet separation margin 1.17, below the 2x refusal
+    "unseparated_bell": ("bell", "cfg/unseparated.cfg", "--optimize"),
+    "unseparated_scan_ell1_quad": ("scan", "cfg/unseparated.cfg", "--axis", "ell1", "--start",
+                                   "340", "--stop", "350", "--steps", "2", "--method", "quad"),
     "theta225_bell": ("bell", "cfg/theta225.cfg", "--optimize"),
     "bad_flag": ("scales", "--no-such-flag"),
     "malformed_config": ("scales", "cfg/malformed.cfg"),
