@@ -14,8 +14,10 @@ frontier has its own schema, FEASIBILITY_COLUMNS.  Floats are written
 with repr, so every emitted number parses back to the exact binary value.
 
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
-usage failure.  Identical (config, flags, seed) produce byte-identical
-output; --seed overrides the config seed.
+usage failure.  Wave packets that are not separated (DtePair) are a
+runtime failure of every correlating command, closed or quad; tau and
+field scans put it in each row's error cell.  Identical (config, flags,
+seed) produce byte-identical output; --seed overrides the config seed.
 
 V is the fringe amplitude of E at the row's settings on every route:
 the correlator's own visibility on scan rows, and on the bell summary
@@ -30,7 +32,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,7 +70,6 @@ from .scenario import (  # the config names are re-exported for dtebell.cli call
     ConfigDocument,
     ConfigError,
     Scenario,
-    TimescaleSummary,
     ValidationError,
     load_config,
     scales_from_scenario,
@@ -205,23 +205,14 @@ def cmd_scales(args, stdout, stderr) -> int:
 _SCAN_AXES = ("ell1", "ell2", "tau", "field")
 
 
-@dataclass(frozen=True)
-class _ScenarioTools:
-    """What the correlators of one scenario read: both the closed form and
-    the Gaussian quadrature read ``scales``, so a scan builds no source."""
-
-    scenario: Scenario
-    scales: TimescaleSummary
-    pulse_phase: float
-    tau: float
-
-
-def _tools_for(scenario: Scenario) -> _ScenarioTools:
-    return _ScenarioTools(
-        scenario=scenario,
-        scales=scales_from_scenario(scenario),
-        pulse_phase=phi_tau(scenario),
+def _pair_for(scenario: Scenario) -> DtePair:
+    """The pair every correlating route reads; the closed form takes its
+    scales, tau and phi_tau, so both routes run its separation check."""
+    return DtePair(
+        distribution=scales_from_scenario(scenario),
         tau=scenario.pulses.pulse_separation,
+        phi_tau=phi_tau(scenario),
+        species=scenario.species,
     )
 
 
@@ -244,7 +235,7 @@ def _require_45_degrees(document: ConfigDocument) -> None:
             )
 
 
-def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
+def _scan_point(document: ConfigDocument, base: Optional[DtePair],
                 axis: str, value: float, method: str) -> dict:
     """One grid point; computation errors land in the row's error cell."""
     document = document.replace(*_SCAN_KEYS[axis], value)
@@ -252,20 +243,12 @@ def _scan_point(document: ConfigDocument, base: Optional[_ScenarioTools],
     row = _row(document, "scan", axis=axis, axis_value=value, ell1_um=inter["ell1_um"],
                ell2_um=inter["ell2_um"], method=method)
     try:
-        tools = base if base is not None else _tools_for(document.to_scenario())
+        pair = base if base is not None else _pair_for(document.to_scenario())
         ell1 = inter["ell1_um"] / 1e6
         ell2 = inter["ell2_um"] / 1e6
         if method == "closed":
-            result = correlate_closed_form(
-                tools.scales, tools.tau, tools.pulse_phase, ell1, ell2
-            )
+            result = correlate_closed_form(pair.distribution, pair.tau, pair.phi_tau, ell1, ell2)
         else:
-            pair = DtePair(
-                distribution=tools.scales,
-                tau=tools.tau,
-                phi_tau=tools.pulse_phase,
-                species=tools.scenario.species,
-            )
             result = correlate_quadrature(
                 pair,
                 InterferometerSetting(ell=ell1, theta=math.radians(inter["theta1_deg"])),
@@ -291,7 +274,7 @@ def cmd_scan(args, stdout, stderr) -> int:
         _require_45_degrees(document)
     base = None
     if args.axis in ("ell1", "ell2"):
-        base = _tools_for(document.to_scenario())
+        base = _pair_for(document.to_scenario())
     grid = np.linspace(args.start, args.stop, args.steps)
     rows = [_scan_point(document, base, args.axis, float(value), args.method)
             for value in grid]
@@ -312,11 +295,11 @@ def _chosen_settings(document: ConfigDocument, settings_um):
     The angles are checked before the scenario is built, so that every
     angle other than 45 degrees gets the same usage error."""
     _require_45_degrees(document)
-    tools = _tools_for(document.to_scenario())
-    correlator = closed_form_correlator(tools.scales, tools.tau, tools.pulse_phase)
+    pair = _pair_for(document.to_scenario())
+    correlator = closed_form_correlator(pair.distribution, pair.tau, pair.phi_tau)
     if settings_um is None:
         chosen = optimize_settings(
-            correlator, seed_settings(tools.scales, tools.tau, tools.pulse_phase)
+            correlator, seed_settings(pair.distribution, pair.tau, pair.phi_tau)
         ).settings
         return correlator, chosen
     inter = document.values["interferometer"]

@@ -79,16 +79,16 @@ class DtePair:
     ``distribution`` is the Gaussian pair, given by its dispersion scales
     (a TimescaleSummary: c.m. width, relative width and mean relative
     momentum p0_rel, the c.m. mean being 0), or the squared-sinc
-    FeshbachDistribution.  Each detector sees only the outward branch of
-    the relative momentum, so p0_rel > 0 (derive_scales refuses anything
-    else).  Scales derived for another atom mass than ``species``'s are
-    refused.
+    FeshbachDistribution; any other type is refused.  Each detector sees
+    only the outward branch of the relative momentum, so p0_rel > 0
+    (derive_scales refuses anything else).  Scales derived for another
+    atom mass than ``species``'s are refused.
 
     Checks the separation condition: the dispersion-broadened
     single-atom packet width at interrogation time must stay well below
     the half separation v_rel*tau/2 (warning below a 10x margin, error
     below 2x), otherwise the two interferometers do not address distinct
-    particles.
+    particles.  Every correlating CLI command reads one.
     """
 
     distribution: TimescaleSummary | FeshbachDistribution
@@ -102,6 +102,11 @@ class DtePair:
         if not math.isfinite(self.phi_tau):
             raise ValidationError("phi_tau must be finite")
         scales = self.distribution
+        if not isinstance(scales, (TimescaleSummary, FeshbachDistribution)):
+            raise ValidationError(
+                f"unsupported distribution type {type(scales).__name__}; "
+                "expected TimescaleSummary or FeshbachDistribution"
+            )
         # derive_scales writes v_rel with exactly this expression
         if isinstance(scales, TimescaleSummary) and (
             scales.v_rel != 2.0 * scales.p0_rel / self.species.atom_mass
@@ -275,20 +280,13 @@ def correlate_quadrature(
     QuadratureError is raised (dissociation._converge).
     """
     dist = pair.distribution
-    if isinstance(dist, TimescaleSummary):
-        p_ref = dist.p0_rel
-    elif isinstance(dist, FeshbachDistribution):
-        p_ref = dist.p0
-    else:
-        raise ValidationError(
-            f"unsupported distribution type {type(dist).__name__}; "
-            "expected TimescaleSummary or FeshbachDistribution"
-        )
+    gaussian = isinstance(dist, TimescaleSummary)
+    p_ref = dist.p0_rel if gaussian else dist.p0
     m_int, sl_int, dl_int = _internal_units(
         p_ref, pair.tau, pair.species.atom_mass, s1.ell, s2.ell
     )
 
-    if isinstance(dist, TimescaleSummary):
+    if gaussian:
         compute = lambda level: _gaussian_interference(dist, p_ref, m_int, sl_int, dl_int, level)
         tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
     else:

@@ -48,7 +48,7 @@ CASES = {
                           "543200.1", "--steps", "3"),
     "scan_ell1_quad": ("scan", "--axis", "ell1", *ELL1_WINDOW, "--steps", "50",
                        "--method", "quad"),
-    # the only case where the wave-packet separation margin warns
+    # the wave-packet separation margin warns (5.8x), once per scenario
     "tau008_scan_ell1_quad": ("scan", "cfg/tau008.cfg", "--axis", "ell1", "--start", "425",
                               "--stop", "431", "--steps", "3", "--method", "quad"),
     "tau008_bell_optimize": ("bell", "cfg/tau008.cfg", "--optimize"),

@@ -147,7 +147,10 @@ class TestScales:
     )
     @example(field=543800.0, duration=60.0)
     @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:wave-packet separation margin")
     def test_scales_refuses_exactly_what_bell_refuses(self, tmp_path_factory, field, duration):
+        """scales and bell share the source validity domain; only bell,
+        which correlates, also checks wave-packet separation."""
         path = tmp_path_factory.mktemp("domain") / "case.cfg"
         path.write_text(
             f"[pulses]\nbase_field_mG = {field!r}\nduration_ms = {duration!r}\n",
@@ -630,48 +633,86 @@ class TestFeasibility:
 # ------------------------------------------------------------ source builds
 
 
+_BUILD_CASES = (
+    (("bell", "--optimize"), 0, 1),
+    (("bell", "--settings", *SETTINGS_UM), 0, 1),
+    (("montecarlo", "--events", "100"), 0, 1),
+    (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+      "--steps", "3"), 0, 1),
+    (("scan", "--axis", "ell2", "--start", "-5360", "--stop", "-5340",
+      "--steps", "3"), 0, 1),
+    (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
+      "--steps", "3"), 0, 3),
+    (("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1",
+      "--steps", "3"), 0, 3),
+    (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
+      "--steps", "3", "--method", "quad"), 0, 1),
+    (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
+      "--steps", "3", "--method", "quad"), 0, 3),
+    (("feasibility", "--steps", "3", "--source-model-check"), 1, 1),
+)
+
+
 class TestSourceBuilds:
     """The closed form and the Gaussian quadrature read the dispersion
     scales, so only the sinc^2 route (--source-model-check) builds a
-    FeshbachDistribution: once per scenario."""
+    FeshbachDistribution: once per scenario.  Every correlating route
+    reads one DtePair per scenario, so each runs the separation check."""
 
     @pytest.mark.parametrize(
-        "argv, builds",
-        [
-            (("bell", "--optimize"), 0),
-            (("bell", "--settings", *SETTINGS_UM), 0),
-            (("montecarlo", "--events", "100"), 0),
-            (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
-              "--steps", "3"), 0),
-            (("scan", "--axis", "ell2", "--start", "-5360", "--stop", "-5340",
-              "--steps", "3"), 0),
-            (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
-              "--steps", "3"), 0),
-            (("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1",
-              "--steps", "3"), 0),
-            (("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360",
-              "--steps", "3", "--method", "quad"), 0),
-            (("scan", "--axis", "tau", "--start", "0.9", "--stop", "1.1",
-              "--steps", "3", "--method", "quad"), 0),
-            (("feasibility", "--steps", "3", "--source-model-check"), 1),
-        ],
-        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+        "argv, builds, pairs",
+        _BUILD_CASES,
+        # ids name the command and its source builds
+        ids=[f"{' '.join(argv)}-{builds}" for argv, builds, _ in _BUILD_CASES],
     )
-    def test_only_quadrature_routes_build_the_source(self, monkeypatch, argv, builds):
+    def test_only_quadrature_routes_build_the_source(self, monkeypatch, argv, builds,
+                                                     pairs):
+        import dtebell.correlation as cor
         import dtebell.dissociation as dis
 
-        original = dis.FeshbachDistribution.__post_init__
-        calls = []
+        calls = {dis.FeshbachDistribution: [], cor.DtePair: []}
+        for cls, seen in calls.items():
+            def counting(self, original=cls.__post_init__, seen=seen):
+                seen.append(self)
+                original(self)
 
-        def counting(self):
-            calls.append(self)
-            original(self)
-
-        monkeypatch.setattr(dis.FeshbachDistribution, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         code, out, _ = invoke(*argv)
         assert code == 0
         assert not any(row.get("error") for row in parse_csv(out))
-        assert len(calls) == builds
+        assert len(calls[dis.FeshbachDistribution]) == builds
+        assert len(calls[cor.DtePair]) == pairs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bell", "--optimize"),
+            ("bell", "--settings", *SETTINGS_UM),
+            ("montecarlo", "--events", "100"),
+            ("scan", "--axis", "ell1", "--start", "340", "--stop", "350", "--steps", "2"),
+            ("scan", "--axis", "ell1", "--start", "340", "--stop", "350", "--steps", "2",
+             "--method", "quad"),
+            ("scan", "--axis", "tau", "--start", "0.065", "--stop", "0.1", "--steps", "2"),
+            ("scan", "--axis", "tau", "--start", "0.065", "--stop", "0.1", "--steps", "2",
+             "--method", "quad"),
+        ],
+        ids=" ".join,
+    )
+    def test_unseparated_pair_fails_every_correlating_route(self, tmp_path, argv):
+        # separation margin 1.17 at tau = 0.065 s, below DtePair's refusal at 2
+        path = write_cfg(tmp_path, "[scenario]\nomega_trap_hz = 0.005\n"
+                                   "[pulses]\nseparation_s = 0.065\n"
+                                   "[interferometer]\nell1_um = 345\nell2_um = -345\n")
+        code, out, err = invoke(argv[0], path, *argv[1:])
+        message = "wave packets not separated"
+        if "tau" in argv:
+            assert code == 0
+            rows = parse_csv(out)
+            assert len(rows) == 2
+            assert all(message in row["error"] for row in rows)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {message}")
 
     def test_quad_scan_derives_the_scales_once(self, monkeypatch):
         # every row's DtePair reads the scenario's scales; none derives its own

@@ -561,21 +561,12 @@ def test_quadrature_failure_carries_estimate(
     assert excinfo.value.estimate > 1e-6
 
 
-def test_unsupported_distribution(scenario, phi_tau):
+def test_unsupported_distribution(scenario):
     class Fake:
         pass
 
-    with pytest.raises(ValidationError):
-        # DtePair's own checks read the distribution's widths, so
-        # construct directly
-        pair = DtePair.__new__(DtePair)
-        object.__setattr__(pair, "distribution", Fake())
-        object.__setattr__(pair, "tau", 1.0)
-        object.__setattr__(pair, "phi_tau", 0.0)
-        object.__setattr__(pair, "species", scenario.species)
-        correlate_quadrature(
-            pair, InterferometerSetting(ell=0.0), InterferometerSetting(ell=0.0)
-        )
+    with pytest.raises(ValidationError, match="unsupported distribution type"):
+        DtePair(distribution=Fake(), tau=1.0, phi_tau=0.0, species=scenario.species)
 
 
 # ---------------------------------------------------------------------------
