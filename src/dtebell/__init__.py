@@ -4,6 +4,11 @@ A two-particle matter-wave interferometry simulator: momentum
 distributions from pulsed Feshbach dissociation, joint detection
 probabilities through switched unbalanced interferometers, CHSH
 analysis, and Monte Carlo event generation, with a CLI front end.
+
+Importing it loads neither numpy nor scipy.  numpy is imported inside
+the functions that build arrays (quadrature, source model, Monte Carlo)
+and scipy inside the Gauss-Legendre rule, so the closed-form routes run
+on the standard library alone.
 """
 
 from .scenario import (

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .correlation import (
     CorrelationResult,
     InterferometerSetting,
@@ -222,6 +220,25 @@ def closed_form_correlator(scales: TimescaleSummary, tau: float, phi_tau: float)
     return correlator
 
 
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
+    """``num`` evenly spaced floats, bit for bit as numpy 2's linspace.
+
+    Point i is start + i * step, or start + i / div * delta when step
+    underflows to zero; with ``endpoint`` the last point is ``stop``.
+    Needs num >= 2 (num >= 1 without ``endpoint``).
+    """
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    if endpoint:
+        points[-1] = stop
+    return points
+
+
 def seed_settings(scales: TimescaleSummary, tau: float, phi_tau: float) -> ChshSettings:
     """Initial CHSH length settings from the fringe phase.
 
@@ -256,8 +273,8 @@ def seed_settings(scales: TimescaleSummary, tau: float, phi_tau: float) -> ChshS
 
     best = None
     best_s = -math.inf
-    for chi in np.linspace(0.0, 2.0 * math.pi, _GAUGE_SAMPLES, endpoint=False):
-        candidate = build(float(chi))
+    for chi in _linspace(0.0, 2.0 * math.pi, _GAUGE_SAMPLES, endpoint=False):
+        candidate = build(chi)
         s = abs(_signed_chsh(correlator, candidate))
         if s > best_s:
             best_s = s
@@ -401,15 +418,18 @@ def optimize_settings(
             hi = values[i] + 2.0 * local_scale
             if not hi > lo:
                 continue
-            grid = np.linspace(lo, hi, n_grid)
+            grid = _linspace(lo, hi, n_grid)
 
             def at(x, index=i):
                 trial = list(values)
                 trial[index] = x
                 return objective_at(trial)
 
-            scores = [at(float(x)) for x in grid]
-            k = int(np.argmax(scores))
+            scores = [at(x) for x in grid]
+            # the first maximum, as np.argmax; argmax would also stop at a
+            # NaN, which the closed form never returns for validated finite
+            # inputs
+            k = scores.index(max(scores))
             b_lo = grid[max(k - 1, 0)]
             b_hi = grid[min(k + 1, n_grid - 1)]
             x_min, f_min = _bounded_minimize(
@@ -418,7 +438,7 @@ def optimize_settings(
                 b_hi,
                 xatol=max(abs(values[i]) * 1e-12, (b_hi - b_lo) * 1e-9),
             )
-            candidates = [(scores[k], float(grid[k])), (-f_min, float(x_min))]
+            candidates = [(scores[k], grid[k]), (-f_min, x_min)]
             cand_best, cand_x = max(candidates)
             if cand_best > best:
                 best = cand_best

@@ -16,8 +16,11 @@ with repr, so every emitted number parses back to the exact binary value.
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
 usage failure.  Wave packets that are not separated (DtePair) are a
 runtime failure of every correlating command, closed or quad; tau and
-field scans put it in each row's error cell.  Identical (config, flags,
-seed) produce byte-identical output; --seed overrides the config seed.
+field scans put it in each row's error cell.  Model warnings (the
+library's UserWarnings, such as a separation margin below 10) go to
+stderr as one `warning: <message>` line each, once per message per
+command, when they are raised.  Identical (config, flags, seed) produce
+byte-identical output; --seed overrides the config seed.
 
 V is the fringe amplitude of E at the row's settings on every route:
 the correlator's own visibility on scan rows, and on the bell summary
@@ -32,13 +35,13 @@ import csv
 import json
 import math
 import sys
+import warnings
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .bell import (
     ChshSettings,
     TSIRELSON_BOUND,
+    _linspace,
     chsh_value,
     closed_form_correlator,
     crossing_tau,
@@ -275,9 +278,8 @@ def cmd_scan(args, stdout, stderr) -> int:
     base = None
     if args.axis in ("ell1", "ell2"):
         base = _pair_for(document.to_scenario())
-    grid = np.linspace(args.start, args.stop, args.steps)
-    rows = [_scan_point(document, base, args.axis, float(value), args.method)
-            for value in grid]
+    grid = _linspace(args.start, args.stop, args.steps)
+    rows = [_scan_point(document, base, args.axis, value, args.method) for value in grid]
     _write_csv(stdout, RESULT_COLUMNS, rows)
     return 0
 
@@ -434,8 +436,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     scales = scales_from_scenario(scenario)
 
     rows = []
-    for tau in np.linspace(args.start, args.stop, args.steps):
-        tau = float(tau)
+    for tau in _linspace(args.start, args.stop, args.steps):
         report = feasible(scales, tau)
         rows.append(
             {
@@ -565,19 +566,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _route_model_warnings(stderr) -> None:
+    """Within a catch_warnings block: write each UserWarning to ``stderr``
+    as one ``warning: <message>`` line, once per message; other warning
+    categories keep the handler and filters around the block."""
+    shown = set()
+    fallback = warnings.showwarning
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, UserWarning):
+            fallback(message, category, filename, lineno, file, line)
+        elif str(message) not in shown:
+            shown.add(str(message))
+            stderr.write(f"warning: {message}\n")
+
+    warnings.simplefilter("always", UserWarning)
+    warnings.showwarning = show
+
+
 def main(argv: Optional[Sequence[str]] = None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, stdout, stderr)
-    except (ConfigError, BelowThresholdError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValidationError, QuadratureError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        _route_model_warnings(stderr)
+        try:
+            return args.func(args, stdout, stderr)
+        except (ConfigError, BelowThresholdError) as exc:
+            stderr.write(f"error: {exc}\n")
+            return 2
+        except (ValidationError, QuadratureError) as exc:
+            stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .dissociation import (
     MAX_NODES,
     MIN_NODES,
@@ -279,6 +277,8 @@ def correlate_quadrature(
     half-level pass in every node count; where a node cap rules that out,
     QuadratureError is raised (dissociation._converge).
     """
+    import numpy as np
+
     dist = pair.distribution
     gaussian = isinstance(dist, TimescaleSummary)
     p_ref = dist.p0_rel if gaussian else dist.p0

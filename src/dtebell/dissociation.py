@@ -5,6 +5,10 @@ interference of the two dissociation pulses times a Lorentzian resonance
 factor and the trap ground-state profile), its Gaussian approximation,
 the accumulated two-pulse phase and its stability budget, and the mean
 dissociation yield.
+
+numpy is imported inside the functions that build arrays: the
+closed-form routes read phi_tau and the stability budget from here and
+never load it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .scenario import (
     CONSTANTS,
@@ -180,6 +182,8 @@ class FeshbachDistribution:
         corresponding zero lies below r = 0, so a single static panel
         count serves every u.
         """
+        import numpy as np
+
         u = np.atleast_1d(np.asarray(u, dtype=float))
         kappa = self.kappa
         k_lo = math.floor(-kappa / math.pi) - 1
@@ -194,6 +198,8 @@ class FeshbachDistribution:
         return np.concatenate([lo, edges, hi], axis=1)
 
     def _scaled_kernel(self, u, r):
+        import numpy as np
+
         # sinc^2(x) / (x/kappa + b)^2 in (u, r); the c.m. profile and the
         # kappa b^2/pi prefactor are applied by the callers
         x = self.kappa * (u + r * r - 1.0)
@@ -219,6 +225,8 @@ class FeshbachDistribution:
 
     def density(self, p_cm, p_rel):
         """Joint density in SI (per momentum squared), vectorized."""
+        import numpy as np
+
         c = np.asarray(p_cm, dtype=float) / self.p0
         r = np.asarray(p_rel, dtype=float) / self.p0
         u = c * c / 4.0
@@ -306,6 +314,8 @@ def _node_count(need, level: float, cap: int):
     the need is clipped before scaling, a pass at half a starting level
     >= 1 is never capped, and nodes(2 level) = min(2 nodes(level), cap).
     """
+    import numpy as np
+
     mantissa, exponent = np.frexp(np.minimum(need, cap) * level)
     nodes = np.minimum(np.ldexp(1.0, exponent - (mantissa == 0.5)), cap).astype(int)
     return nodes, nodes == cap
@@ -316,6 +326,8 @@ def _window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weigh
     over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
     per radian of phase range plus ``extra_span`` (what ``weight`` adds),
     at least ``floor``, and _node_count sizes it at ``level``."""
+    import numpy as np
+
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
     n, capped = _node_count(max(math.ceil(8.0 * span), floor), level, cap)
@@ -343,6 +355,8 @@ def _line_values(dist: FeshbachDistribution, u, a_lin: float, b_quad: float, lev
     panel edges are clipped there and panels wholly above it are not
     evaluated.  Without it the line runs to the truncation edge r_hi.
     """
+    import numpy as np
+
     u = np.atleast_1d(np.asarray(u, dtype=float))
     edges = dist.rel_panel_edges(u)
     if r_cut is not None:
@@ -469,6 +483,8 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     sampled at Chebyshev points in u and interpolated onto the c.m.
     grid: a dozen line integrals, not one per c.m. node.
     """
+    import numpy as np
+
     u_hi, rows = _cm_window(dist)
 
     n_u = int(math.ceil(rows * level))

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import numpy as np
-
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult
 from .scenario import ValidationError
@@ -63,6 +61,8 @@ class RunConfig:
     settings: ChshSettings
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not isinstance(self.events_per_setting, (int, np.integer)):
             raise ValidationError("events_per_setting must be an integer")
         if self.events_per_setting < 1:
@@ -152,11 +152,15 @@ class ChshEstimate:
 
 def pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     """The documented per-pair stream: Philox keyed by (seed, pair_index)."""
+    import numpy as np
+
     key = np.array([seed, pair_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _probability_vector(p: CorrelationResult) -> np.ndarray:
+    import numpy as np
+
     vec = np.array([p.p[pair] for pair in OUTCOMES], dtype=float)
     total = float(vec.sum())
     if abs(total - 1.0) > 1e-9 or np.any(vec < -1e-12):
@@ -168,6 +172,8 @@ def sample_event(p: CorrelationResult, mode: str, rng_state: np.random.Generator
     """One categorical draw over the four outcomes; BeamSplitter mode
     first discards the event with probability 1/2 (independent of the
     outcome), consuming its uniform either way."""
+    import numpy as np
+
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     vec = _probability_vector(p)
@@ -193,6 +199,8 @@ def run(
     depend on the chunk size.  Correlator errors (validation, quadrature
     failures) propagate.
     """
+    import numpy as np
+
     counts = []
     discarded = []
     n = config.events_per_setting
@@ -271,6 +279,8 @@ def multi_dissociation_rate(p_single: float, n_molecules: int) -> float:
     the fraction of shots the post-selection on single-pair events
     throws away.
     """
+    import numpy as np
+
     if not 0.0 <= p_single <= 1.0:
         raise ValidationError(f"p_single must be in [0, 1], got {p_single}")
     if not isinstance(n_molecules, (int, np.integer)) or n_molecules < 1:

@@ -3,9 +3,15 @@
 Each case runs in-process through ``dtebell.cli.main`` from this directory,
 so the config paths in ``cfg/`` appear in messages exactly as written here.
 argparse's own writes to ``sys.stdout``/``sys.stderr`` and its
-``SystemExit`` are captured as well, and so are Python warnings, which a
-terminal would show on stderr.  ``versions.txt`` records the numpy
-and scipy versions the corpus was written with.
+``SystemExit`` are captured as well.  ``main`` writes the model's
+warnings to stderr itself, as ``warning: <message>`` lines, so they sit
+in the stderr section; the warnings section records any Python warning
+that escapes ``main`` and is empty in every case.  ``versions.txt``
+records the numpy and scipy versions the corpus was written with.
+
+Each of the ``demos/*.py`` scripts is a case too (``demo_<name>``), run
+in a fresh interpreter from this directory with the package's ``src`` on
+``PYTHONPATH``; its stdout, stderr and exit code are recorded.
 
 Rewrite the corpus after an intended change of output:
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import warnings
 
@@ -26,6 +33,7 @@ import numpy
 import scipy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
 
 ELL1_WINDOW = ("--start", "5330", "--stop", "5370")
 EXAMPLE_SETTINGS = ("5346.82", "5349.92", "-5349.94", "-5346.84")
@@ -72,6 +80,13 @@ CASES = {
     "montecarlo_negative_seed": ("montecarlo", "--events", "100", "--seed", "-3"),
 }
 
+# case name -> demo script under demos/
+DEMOS = {
+    f"demo_{script[:-3]}": script
+    for script in sorted(os.listdir(os.path.join(ROOT, "demos")))
+    if script.endswith(".py")
+}
+
 
 def versions() -> str:
     return f"numpy {numpy.__version__}\nscipy {scipy.__version__}\n"
@@ -81,8 +96,27 @@ def _section(name: str, text: str) -> str:
     return f"--- {name} ({len(text.splitlines())} lines)\n{text}"
 
 
+def _render_demo(name: str) -> str:
+    script = f"demos/{DEMOS[name]}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", DEMOS[name])], cwd=HERE, env=env,
+        capture_output=True, encoding="utf-8", timeout=300,
+    )
+    return (
+        f"$ python {script}\nexit {proc.returncode}\n"
+        + _section("stdout", proc.stdout)
+        + _section("stderr", proc.stderr)
+    )
+
+
 def render(name: str) -> str:
     """Run one case from this directory and render its golden text."""
+    if name in DEMOS:
+        return _render_demo(name)
     from dtebell.cli import main
 
     argv = CASES[name]
@@ -113,7 +147,7 @@ def path_for(name: str) -> str:
 
 
 def main() -> None:
-    for name in CASES:
+    for name in (*CASES, *DEMOS):
         with open(path_for(name), "w", encoding="utf-8", newline="") as handle:
             handle.write(render(name))
     with open(os.path.join(HERE, "versions.txt"), "w", encoding="utf-8") as handle:

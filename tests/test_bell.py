@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from dtebell.bell import (
     TSIRELSON_BOUND,
     _bounded_minimize,
+    _linspace,
     BellOutcome,
     ChshSettings,
     chsh_value,
@@ -413,6 +414,28 @@ def test_bounded_search_matches_scipy_at_maxfun():
     assert res.nfev == 500 and res.status == 1
     x, fx = _bounded_minimize(abs, -1.0, 2.0, 1e-300)
     assert (x.hex(), fx.hex()) == (float(res.x).hex(), float(res.fun).hex())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=finite, stop=finite, num=st.integers(2, 10_001), endpoint=st.booleans())
+@example(start=0.0, stop=5e-324, num=10_001, endpoint=True)  # step underflows to 0
+@example(start=0.0, stop=2.0 * math.pi, num=64, endpoint=False)  # seed_settings' gauge
+@example(start=-1.7e308, stop=1.7e308, num=5, endpoint=True)  # stop - start overflows
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num, endpoint):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, num, endpoint=endpoint)
+    points = _linspace(start, stop, num, endpoint)
+    assert all(type(x) is float for x in points)
+    assert [x.hex() for x in points] == [float(x).hex() for x in expected]
+
+
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=30))
+def test_first_maximum_matches_argmax_on_ties(scores):
+    # optimize_settings picks its grid point with scores.index(max(scores))
+    assert scores.index(max(scores)) == int(np.argmax(scores))
 
 
 # ------------------------------------------------- dense grid-search oracle

@@ -1,4 +1,5 @@
-"""Golden CLI corpus: every case in tests/golden/ must reproduce byte for byte.
+"""Golden corpus of CLI commands and demos: every case in tests/golden/ must
+reproduce byte for byte.
 
 A change that moves output on purpose rewrites the corpus with
 `PYTHONPATH=src python tests/golden/regen.py`, so the git diff names the
@@ -35,10 +36,10 @@ def test_versions_match_corpus():
 
 def test_every_corpus_file_has_a_case():
     stored = {name[:-4] for name in os.listdir(GOLDEN) if name.endswith(".txt")}
-    assert stored - {"versions"} == set(regen.CASES)
+    assert stored - {"versions"} == set(regen.CASES) | set(regen.DEMOS)
 
 
-@pytest.mark.parametrize("name", sorted(regen.CASES))
+@pytest.mark.parametrize("name", sorted((*regen.CASES, *regen.DEMOS)))
 def test_golden_case(name):
     with open(regen.path_for(name), encoding="utf-8", newline="") as handle:
         expected = handle.read()

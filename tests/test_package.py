@@ -1,6 +1,7 @@
 """Process-level behaviour: what `import dtebell` loads, `python -m dtebell`, the demos,
 and the names the package and its benchmark tracer rely on."""
 
+import ast
 import glob
 import importlib
 import importlib.util
@@ -16,13 +17,14 @@ import dtebell
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dtebell.__file__)))
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
     )
 
 
@@ -100,6 +102,98 @@ def test_package_source_never_names_scipy_optimize():
 
 def test_montecarlo_loads_no_scipy():
     assert _scipy_modules_after("montecarlo", "--events", "5", "--seed", "1") == []
+
+
+CLOSED_COMMANDS = (
+    ("scales", "--json"),
+    ("feasibility",),
+    ("bell", "--optimize"),
+    ("bell", "--settings", "5346.82", "5349.92", "-5349.94", "-5346.84"),
+    ("scan", "--axis", "ell1", "--start", "5330", "--stop", "5370", "--steps", "5"),
+    ("scan", "--axis", "ell2", "--start", "-5370", "--stop", "-5330", "--steps", "5"),
+    ("scan", "--axis", "tau", "--start", "0.999", "--stop", "1.001", "--steps", "3"),
+    ("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1", "--steps", "3"),
+)
+
+
+def _numpy_loaded_after(*commands):
+    """In one fresh interpreter: import dtebell, then dtebell.cli, then run each
+    command; return [step, exit code or None, numpy loaded] after every step."""
+    code = (
+        "import io, json, sys\n"
+        "steps = []\n"
+        "import dtebell\n"
+        "steps.append(['import dtebell', None, 'numpy' in sys.modules])\n"
+        "from dtebell.cli import main\n"
+        "steps.append(['import dtebell.cli', None, 'numpy' in sys.modules])\n"
+        f"for argv in {[list(c) for c in commands]!r}:\n"
+        "    rc = main(argv, stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "    steps.append([' '.join(argv), rc, 'numpy' in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_routes_load_no_numpy():
+    steps = _numpy_loaded_after(*CLOSED_COMMANDS)
+    assert len(steps) == 2 + len(CLOSED_COMMANDS)
+    assert [step for step in steps if step[1] not in (None, 0)] == []
+    assert [step[0] for step in steps if step[2]] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360", "--steps", "3",
+     "--method", "quad"),
+    ("montecarlo", "--events", "5"),
+], ids=["scan_quad", "montecarlo"])
+def test_array_routes_load_numpy(argv):
+    # the probe itself sees numpy once a route builds arrays
+    *_, (_, rc, loaded) = _numpy_loaded_after(argv)
+    assert (rc, loaded) == (0, True)
+
+
+def _imports_outside_functions(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _imports_outside_functions(child)
+
+
+def test_package_modules_import_no_numpy_or_scipy_at_top_level():
+    # numpy and scipy are imported inside the functions that build arrays
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "dtebell", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in _imports_outside_functions(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if node.level == 0 else []
+            if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_cli_warning_is_one_line_without_path(tmp_path):
+    # the separation margin at tau = 0.065 s is 4.8, below the 10x warning level
+    errs = []
+    for name in ("one", "two"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = run_python("-m", "dtebell", "bell", "--optimize", "--tau", "0.065", cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    lines = errs[0].splitlines()
+    assert lines[0] == "warning: wave-packet separation margin is only 4.8x"
+    assert lines[1].startswith("S = ")
+    assert [line for line in lines if "warning" in line.lower()] == lines[:1]
+    assert ".py" not in errs[0] and "DtePair(" not in errs[0] and os.sep not in errs[0]
 
 
 def test_public_names_import():
