@@ -4,11 +4,11 @@ Each atom passes an unbalanced guided-path interferometer whose long arm
 is switched in for the early dissociation branch and out for the late
 one; the four coincidence probabilities P(s1, s2) then interfere the two
 dissociation times.  Two evaluation routes are provided: direct 2D
-quadrature of the momentum integral (a DtePair, holding the Gaussian
-pair or the squared-sinc source), and the Gaussian closed form.  Both
-read the Gaussian pair as one TimescaleSummary, as scales_from_scenario
-returns it.  Keeping the two routes genuinely independent is the point:
-the closed form is the oracle for the quadrature and vice versa.
+quadrature of the momentum integral of a DtePair (the Gaussian pair or
+the squared-sinc source; the engine is _quadrature), and the Gaussian
+closed form.  Both read the Gaussian pair as one TimescaleSummary, as
+scales_from_scenario returns it.  Keeping the two routes genuinely
+independent is the point: each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -18,23 +18,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dissociation import (
-    MAX_NODES,
-    MIN_NODES,
-    WINDOW_SIGMAS,
-    FeshbachDistribution,
-    QuadratureError,
-    _converge,
-    _pair_integral,
-    _tail_cut,
-    _window_integral,
-    gaussian_approximation,
-)
+from ._quadrature import QuadratureError, _converge, _interference
+from .dissociation import FeshbachDistribution, gaussian_approximation
 from .scenario import (
     CONSTANTS,
     Species,
     TimescaleSummary,
     ValidationError,
+    _dispersion_factors,
     _dispersion_product,
 )
 
@@ -132,9 +123,8 @@ class DtePair:
         sx_cm = hbar / (2.0 * scales.sigma_p_cm)
         sx_rel = hbar / (2.0 * scales.sigma_p_rel)
         # single-atom spatial variance: c.m. plus a quarter of the relative
-        width_sq = sx_cm**2 * (1.0 + (self.tau / scales.t_cm) ** 2) + 0.25 * sx_rel**2 * (
-            1.0 + (self.tau / scales.t_rel) ** 2
-        )
+        grow_cm, grow_rel = _dispersion_factors(scales, self.tau)
+        width_sq = sx_cm**2 * grow_cm + 0.25 * sx_rel**2 * grow_rel
         half_separation = 0.5 * scales.v_rel * self.tau
         return half_separation / math.sqrt(width_sq)
 
@@ -206,50 +196,7 @@ def _result_from_interference(
 
 
 # ---------------------------------------------------------------------------
-# quadrature machinery
-
-
-def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: float):
-    """(m_int, sl_int, dl_int): the atom mass and the arm-length sum and
-    difference in the quadrature's units.
-
-    Momenta are in units of p_ref, times in units of tau and lengths in
-    units of hbar/p_ref, so hbar is exactly 1 inside and the mass unit is
-    p_ref*tau/length; internal masses come out small for heavy slow
-    particles, which keeps the phase factors O(1) on the grid.
-    """
-    length = CONSTANTS.hbar / p_ref
-    m_int = mass / ((p_ref * tau) * length**-1)
-    return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
-
-
-def _gaussian_interference(scales, p_ref, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for the separable Gaussian pair of ``scales``
-    (c.m. mean 0, relative mean p0_rel), internal units (momenta in p_ref).
-
-    ``level`` scales every node count; returns (value, capped) where
-    capped means some factor's node count sits at MAX_NODES, so raising
-    the level further adds no nodes there.
-    """
-
-    def factor(mean_p, sigma_p, a, b):
-        return _window_integral(
-            mean_p / p_ref, sigma_p / p_ref, a, b, level, MIN_NODES, MAX_NODES
-        )
-
-    i_cm, cm_capped = factor(0.0, scales.sigma_p_cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
-    i_rel, rel_capped = factor(scales.p0_rel, scales.sigma_p_rel, dl_int, 1.0 / m_int)
-    return i_cm * i_rel, cm_capped or rel_capped
-
-
-def _feshbach_interference(dist, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for the squared-sinc source, internal units;
-    returns (value, capped)."""
-    value, capped = _pair_integral(
-        dist, 0.5 * sl_int, 1.0 / (4.0 * m_int), dl_int, 1.0 / m_int, level
-    )
-    pref = dist.normalization * dist.kappa * dist.b**2 / math.pi
-    return pref * value, capped
+# quadrature
 
 
 def correlate_quadrature(
@@ -268,31 +215,18 @@ def correlate_quadrature(
     probabilities: a quarter of the difference to the half-level pass,
     rate-corrected when that alone misses P_TARGET, plus the truncated
     tail mass and a rounding floor.  On the sinc^2 route the tail term
-    also carries the bound of dissociation._tail_cut: each line integral
+    also carries the bound of _quadrature._tail_cut: each line integral
     stops where its phase has no stationary point left, and that
     non-stationary-phase bound on the dropped part (at most an eighth of
     the envelope tail) is charged here.  ``refine`` forces that many extra
     node doublings beyond the adaptive schedule (testing hook for the
     self-consistency property).  The returned pass differs from its
     half-level pass in every node count; where a node cap rules that out,
-    QuadratureError is raised (dissociation._converge).
+    QuadratureError is raised (_quadrature._converge).
     """
     import numpy as np
 
-    dist = pair.distribution
-    gaussian = isinstance(dist, TimescaleSummary)
-    p_ref = dist.p0_rel if gaussian else dist.p0
-    m_int, sl_int, dl_int = _internal_units(
-        p_ref, pair.tau, pair.species.atom_mass, s1.ell, s2.ell
-    )
-
-    if gaussian:
-        compute = lambda level: _gaussian_interference(dist, p_ref, m_int, sl_int, dl_int, level)
-        tail = 2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0))
-    else:
-        compute = lambda level: _feshbach_interference(dist, m_int, sl_int, dl_int, level)
-        tail = dist.tail_bound() + _tail_cut(dist, dl_int, 1.0 / m_int)[1]
-
+    compute, tail = _interference(pair, s1.ell, s2.ell)
     phase_ref = np.exp(-1j * pair.phi_tau)
 
     # the 1e-12 floor covers double-precision summation noise
@@ -313,7 +247,8 @@ def closed_form_parts(
 ):
     """Visibility prefactor, envelope, and cosine argument of the Gaussian
     interference term, written in the dispersion scales t_cm, t_rel, the
-    reduced fringe wavelength and the relative velocity."""
+    reduced fringe wavelength and the relative velocity.  A tau or arm
+    length that takes the phase past the float range is refused."""
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be positive and finite, got {tau}")
     t_cm, t_rel = scales.t_cm, scales.t_rel
@@ -325,22 +260,29 @@ def closed_form_parts(
     prefactor = _dispersion_product(scales, tau) ** -0.25
     two_v_lam = 2.0 * v * lam  # equals 4 hbar / m
     rel_shift = dl - tau * v
-    envelope = math.exp(
-        -(t_rel / (t_rel**2 + tau**2)) * rel_shift**2 / two_v_lam
-        - (t_cm / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
-    )
-    phi0 = (
-        tau * v / lam
-        + math.atan(tau / t_cm)
-        + math.atan(tau / t_rel)
-        + 2.0 * phi_tau
-    )
-    phase = (
-        dl / lam
-        + (tau / (t_rel**2 + tau**2)) * rel_shift**2 / two_v_lam
-        + (tau / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
-        - 0.5 * phi0
-    )
+    try:
+        envelope = math.exp(
+            -(t_rel / (t_rel**2 + tau**2)) * rel_shift**2 / two_v_lam
+            - (t_cm / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
+        )
+        phi0 = (
+            tau * v / lam
+            + math.atan(tau / t_cm)
+            + math.atan(tau / t_rel)
+            + 2.0 * phi_tau
+        )
+        phase = (
+            dl / lam
+            + (tau / (t_rel**2 + tau**2)) * rel_shift**2 / two_v_lam
+            + (tau / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
+            - 0.5 * phi0
+        )
+    except OverflowError:  # a square past the float range
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise ValidationError(
+            f"fringe phase overflows at tau = {tau:g} s, ell1 = {ell1:g} m, ell2 = {ell2:g} m"
+        )
     return prefactor, envelope, phase
 
 

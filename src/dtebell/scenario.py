@@ -331,10 +331,21 @@ def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
     )
 
 
+def _dispersion_factors(scales: TimescaleSummary, tau: float) -> tuple[float, float]:
+    """(1 + tau^2/t_cm^2, 1 + tau^2/t_rel^2): the growth of the c.m. and
+    relative position variances over tau; a tau whose square overflows is
+    refused."""
+    try:
+        return 1.0 + (tau / scales.t_cm) ** 2, 1.0 + (tau / scales.t_rel) ** 2
+    except OverflowError:
+        raise ValidationError(f"tau = {tau:g} s is out of range: tau^2/t^2 overflows") from None
+
+
 def _dispersion_product(scales: TimescaleSummary, tau: float) -> float:
     """(1 + tau^2/t_cm^2)(1 + tau^2/t_rel^2): the visibility is its -1/4
     power, and a violation needs it below 4."""
-    return (1.0 + (tau / scales.t_cm) ** 2) * (1.0 + (tau / scales.t_rel) ** 2)
+    grow_cm, grow_rel = _dispersion_factors(scales, tau)
+    return grow_cm * grow_rel
 
 
 # ------------------------------------------------ lab-unit config documents

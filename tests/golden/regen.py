@@ -78,6 +78,15 @@ CASES = {
     "malformed_config": ("scales", "cfg/malformed.cfg"),
     "feasibility_negative_stability": ("feasibility", "--stability-rel", "-1"),
     "montecarlo_negative_seed": ("montecarlo", "--events", "100", "--seed", "-3"),
+    # a phase range past every node cap ends at the ceiling, in the row
+    "scan_ell1_quad_huge_phase": ("scan", "--axis", "ell1", "--start", "1e20", "--stop", "2e20",
+                                  "--steps", "2", "--method", "quad"),
+    # finite lengths and times whose squares overflow a float
+    "feasibility_huge_tau": ("feasibility", "--stop", "1e160"),
+    "bell_optimize_huge_tau": ("bell", "--optimize", "--tau", "1e200"),
+    "scan_tau_huge_closed": ("scan", "--axis", "tau", "--start", "1", "--stop", "1e200",
+                             "--steps", "2"),
+    "bell_settings_huge_ell": ("bell", "--settings", "1e160", "0", "0", "0"),
 }
 
 # case name -> demo script under demos/

@@ -614,9 +614,9 @@ class TestFeasibility:
         assert f"center: {results[0][1].visibility:.6f} " in err
 
     def test_capped_normalization_exits_1(self, monkeypatch):
-        import dtebell.dissociation as dis
+        import dtebell._quadrature as quad
 
-        monkeypatch.setattr(dis, "MAX_LEVEL", 1.0)
+        monkeypatch.setattr(quad, "MAX_LEVEL", 1.0)
         code, _, err = invoke(
             "feasibility", "--steps", "3", "--source-model-check"
         )

@@ -18,13 +18,13 @@ from dtebell.correlation import (
     DtePair,
     InterferometerSetting,
     QuadratureError,
-    _internal_units,
     closed_form_parts,
     correlate_closed_form,
     correlate_quadrature,
     fringe_phase,
 )
-from dtebell.dissociation import _tail_cut, distribution_from_scenario
+from dtebell._quadrature import _internal_units, _tail_cut
+from dtebell.dissociation import distribution_from_scenario
 from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
     CONSTANTS,
@@ -360,9 +360,9 @@ def test_quadrature_matches_closed_form_center(scenario, scales, phi_tau):
 
 
 def _uncut(monkeypatch):
-    import dtebell.dissociation as dis
+    import dtebell._quadrature as quad
 
-    monkeypatch.setattr(dis, "_tail_cut", lambda *args: (None, 0.0))
+    monkeypatch.setattr(quad, "_tail_cut", lambda *args: (None, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -376,7 +376,7 @@ def test_sinc2_tail_cut_within_its_bound(fesh, scenario, scales, tau, offset_um,
     """The cut line integral differs from the full one by at most the
     bound charged for it, at the check phases, other tau and arm offsets
     that move the stationary point."""
-    from dtebell.correlation import _feshbach_interference
+    from dtebell._quadrature import _feshbach_interference
 
     shift = scales.lambda_bar_rel * 2.0 * math.pi * eighths / 8.0
     dl = tau * scales.v_rel + shift + offset_um * 1e-6
@@ -394,12 +394,12 @@ def test_sinc2_tail_cut_within_its_bound(fesh, scenario, scales, tau, offset_um,
 def test_sinc2_line_without_admissible_cut_is_unchanged(fesh, a, b, monkeypatch):
     """Zero phase, and a stationary point beyond the truncation edge,
     leave nothing to cut: the result is the full one, bit for bit."""
-    import dtebell.dissociation as dis
+    import dtebell._quadrature as quad
 
     assert _tail_cut(fesh, a, b) == (None, 0.0)
-    kept, _ = dis._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
+    kept, _ = quad._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
     _uncut(monkeypatch)
-    full, _ = dis._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
+    full, _ = quad._pair_integral(fesh, 0.0, 0.0, a, b, 1.0)
     assert kept == full
 
 
@@ -407,11 +407,12 @@ def test_sinc2_line_without_admissible_cut_is_unchanged(fesh, a, b, monkeypatch)
 def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, monkeypatch):
     """Machine-independent guard on the cost of a sinc^2 call: its line
     integrals evaluate under a tenth of the panels of rel_panel_edges."""
+    import dtebell._quadrature as quad
     import dtebell.dissociation as dis
 
     fesh.normalization  # computed before counting
     rows = panels = 0
-    line_values = dis._line_values
+    line_values = quad._line_values
     scaled_kernel = dis.FeshbachDistribution._scaled_kernel
 
     def counting_lines(dist, u, *args):
@@ -424,7 +425,7 @@ def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, mo
         panels += r.shape[0] * r.shape[1]
         return scaled_kernel(dist, u, r)
 
-    monkeypatch.setattr(dis, "_line_values", counting_lines)
+    monkeypatch.setattr(quad, "_line_values", counting_lines)
     monkeypatch.setattr(dis.FeshbachDistribution, "_scaled_kernel", counting_kernel)
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     correlate_quadrature(pair, *_sinc2_settings(scales, eighths))
@@ -548,10 +549,10 @@ def test_quadrature_failure_carries_estimate(
 ):
     # force the node ceiling far below the phase budget so the half-node
     # comparison cannot agree and the capped state must surface
-    import dtebell.correlation as corr
+    import dtebell._quadrature as quad
 
-    monkeypatch.setattr(corr, "MIN_NODES", 8)
-    monkeypatch.setattr(corr, "MAX_NODES", 16)
+    monkeypatch.setattr(quad, "MIN_NODES", 8)
+    monkeypatch.setattr(quad, "MAX_NODES", 16)
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     with pytest.raises(QuadratureError) as excinfo:
@@ -678,19 +679,19 @@ def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
 
 
 def _record_passes(monkeypatch, name):
-    """Log {level: value} of every pass made through correlation.<name>,
+    """Log {level: value} of every pass made through _quadrature.<name>,
     a (value, capped) function that takes the level last."""
-    import dtebell.correlation as corr
+    import dtebell._quadrature as quad
 
     passes = {}
-    original = getattr(corr, name)
+    original = getattr(quad, name)
 
     def recording(*args):
         value, capped = original(*args)
         passes[args[-1]] = value
         return value, capped
 
-    monkeypatch.setattr(corr, name, recording)
+    monkeypatch.setattr(quad, name, recording)
     return passes
 
 
@@ -733,16 +734,16 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
 
 
 def test_quadrature_asks_for_power_of_two_rules(fesh, scenario, scales, phi_tau, monkeypatch):
-    import dtebell.dissociation as dis
+    import dtebell._quadrature as quad
 
     requested = []
-    original = dis._gauss_legendre
+    original = quad._gauss_legendre
 
     def recording(n):
         requested.append(n)
         return original(n)
 
-    monkeypatch.setattr(dis, "_gauss_legendre", recording)
+    monkeypatch.setattr(quad, "_gauss_legendre", recording)
     s1, s2 = _sinc2_settings(scales, 3)
     for dist in (scales, fesh):
         pair = DtePair(distribution=dist, tau=1.0, phi_tau=phi_tau, species=scenario.species)
@@ -814,7 +815,7 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
     from scipy.integrate import simpson
     from scipy.special import roots_legendre
 
-    from dtebell.correlation import _feshbach_interference
+    from dtebell._quadrature import _feshbach_interference
 
     tau = 0.05
     p0 = fesh.p0

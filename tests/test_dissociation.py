@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtebell import _quadrature as quad
 from dtebell import dissociation as dis
 from dtebell.scenario import (
     CONSTANTS,
@@ -201,9 +202,9 @@ class TestLazyNormalization:
     def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
         # zero phase: the line values the normalization integrates
         u = np.linspace(0.0, 3e-3, 11)
-        blocked, _ = dis._line_values(dist, u, 0.0, 0.0)
-        monkeypatch.setattr(dis, "U_ROWS_PER_BLOCK", len(u))
-        np.testing.assert_array_equal(blocked, dis._line_values(dist, u, 0.0, 0.0)[0])
+        blocked, _ = quad._line_values(dist, u, 0.0, 0.0)
+        monkeypatch.setattr(quad, "U_ROWS_PER_BLOCK", len(u))
+        np.testing.assert_array_equal(blocked, quad._line_values(dist, u, 0.0, 0.0)[0])
 
     @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_u", [6, 7, 12, 24])
@@ -213,9 +214,9 @@ class TestLazyNormalization:
         # on a lone row, which must join the block before it
         u = np.linspace(0.0, 3e-3, n_u)
         a_lin, b_quad = 542.3, 271.0
-        blocked, _ = dis._line_values(dist, u, a_lin, b_quad, level)
-        monkeypatch.setattr(dis, "U_ROWS_PER_BLOCK", n_u)
-        one_block, _ = dis._line_values(dist, u, a_lin, b_quad, level)
+        blocked, _ = quad._line_values(dist, u, a_lin, b_quad, level)
+        monkeypatch.setattr(quad, "U_ROWS_PER_BLOCK", n_u)
+        one_block, _ = quad._line_values(dist, u, a_lin, b_quad, level)
         np.testing.assert_array_equal(blocked, one_block)
 
     def test_normalization_matches_reference(self, dist):
@@ -226,12 +227,12 @@ class TestLazyNormalization:
         import dtebell
         from dtebell import correlation
 
-        assert correlation.QuadratureError is dis.QuadratureError
-        assert dtebell.QuadratureError is dis.QuadratureError
+        assert correlation.QuadratureError is quad.QuadratureError
+        assert dtebell.QuadratureError is quad.QuadratureError
         # levels 0.5 and 1 disagree by ~1e-3, so a cap at level 1 must raise
-        monkeypatch.setattr(dis, "MAX_LEVEL", 1.0)
+        monkeypatch.setattr(quad, "MAX_LEVEL", 1.0)
         fresh = dis.distribution_from_scenario(scenario)
-        with pytest.raises(dis.QuadratureError) as excinfo:
+        with pytest.raises(quad.QuadratureError) as excinfo:
             fresh.normalization
         assert excinfo.value.estimate > dis.NORM_TARGET
 
@@ -247,7 +248,7 @@ class TestConverge:
             levels.append(level)
             return values[level], level >= capped_from
 
-        value, estimate = dis._converge(compute, lambda error: error, target, rate=rate)
+        value, estimate = quad._converge(compute, lambda error: error, target, rate=rate)
         return value, estimate, levels
 
     # differences 1e-4, 1e-6, 1e-8: each doubling shrinks by rho = 1e-2
@@ -279,40 +280,40 @@ class TestConverge:
         assert estimate == pytest.approx(1e-9 * 1e-3 / (1.0 - 1e-3), rel=1e-3)
 
     def test_capped_pass_is_never_rate_corrected(self):
-        with pytest.raises(dis.QuadratureError) as excinfo:
+        with pytest.raises(quad.QuadratureError) as excinfo:
             self.run(self.FAST, 5e-7, rate=True, capped_from=1.0)
         assert excinfo.value.estimate == abs(self.FAST[1.0] - self.FAST[0.5])
 
     def test_capped_half_level_pass_raises(self):
         # a half-level pass at its node ceiling gets the same nodes at every
         # finer level, so no pass difference can speak for its error
-        with pytest.raises(dis.QuadratureError):
-            dis._converge(lambda level: (1.0, True), lambda error: error, 1e-6)
-        with pytest.raises(dis.QuadratureError) as excinfo:
+        with pytest.raises(quad.QuadratureError):
+            quad._converge(lambda level: (1.0, True), lambda error: error, 1e-6)
+        with pytest.raises(quad.QuadratureError) as excinfo:
             self.run(self.FAST, 5e-7, rate=True, capped_from=0.5)
         assert excinfo.value.estimate == math.inf
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_correction_never_raises_the_difference(self, error, previous):
-        assert 0.0 <= dis._rate_corrected(error, previous) <= error
+        assert 0.0 <= quad._rate_corrected(error, previous) <= error
 
 
 class TestNodeCount:
     @given(
         st.integers(2, 100_000),
         st.floats(0.5, 8.0),
-        st.sampled_from([16, dis.MAX_NODES, dis.PANEL_NODE_CAP]),
+        st.sampled_from([16, quad.MAX_NODES, quad.PANEL_NODE_CAP]),
     )
     def test_one_power_of_two_rule(self, need, level, cap):
-        nodes, capped = dis._node_count(need, level, cap)
+        nodes, capped = quad._node_count(need, level, cap)
         scaled = min(need, cap) * level
         assert nodes & (nodes - 1) == 0 and 0 < nodes <= cap
         # the smallest power of two covering the scaled need, or the cap
         assert nodes // 2 < scaled and (nodes >= scaled or capped)
         assert capped == (nodes == cap)
-        assert dis._node_count(need, 2.0 * level, cap)[0] == min(2 * nodes, cap)
-        assert not dis._node_count(need, 0.5, cap)[1]
-        vector, _ = dis._node_count(np.array([need, 12]), level, cap)
+        assert quad._node_count(need, 2.0 * level, cap)[0] == min(2 * nodes, cap)
+        assert not quad._node_count(need, 0.5, cap)[1]
+        vector, _ = quad._node_count(np.array([need, 12]), level, cap)
         assert vector[0] == nodes
 
 

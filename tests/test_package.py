@@ -179,6 +179,59 @@ def test_package_modules_import_no_numpy_or_scipy_at_top_level():
     assert offenders == []
 
 
+QUADRATURE_CONSTANTS = {
+    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "MAX_NODES", "PANEL_NODE_CAP", "MAX_LEVEL",
+}
+QUADRATURE_DEFINITIONS = {
+    "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
+    "_node_count", "_window_integral", "_line_values", "_cm_window", "_tail_cut",
+    "_pair_integral", "_internal_units", "_gaussian_interference", "_feshbach_interference",
+    "_interference",
+}
+
+
+def _package_trees():
+    for path in sorted(glob.glob(os.path.join(SRC, "dtebell", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            yield os.path.basename(path), ast.parse(handle.read(), filename=path)
+
+
+def _defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_only_the_quadrature_module_defines_the_engine():
+    # the node, level and window policy and the engine live in one module
+    engine = QUADRATURE_CONSTANTS | QUADRATURE_DEFINITIONS
+    defined = {name: set(_defined_names(tree)) & engine for name, tree in _package_trees()}
+    assert defined.pop("_quadrature.py") == engine
+    assert {name: names for name, names in defined.items() if names} == {}
+
+
+def test_quadrature_module_imports():
+    # what each model module reads of the engine, and no cycle back into it
+    imported, lazy = {}, []
+    for name, tree in _package_trees():
+        top = set(_imports_outside_functions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node not in top:
+                    lazy.append(f"{name}:{node.lineno}")
+                imported.setdefault(name, {})[node.module] = {a.name for a in node.names}
+    assert imported["correlation.py"]["_quadrature"] == {
+        "QuadratureError", "_converge", "_interference",
+    }
+    assert imported["dissociation.py"]["_quadrature"] == {"_converge", "_pair_integral"}
+    assert set(imported["_quadrature.py"]) == {"scenario"}
+    assert lazy == []
+
+
 def test_cli_warning_is_one_line_without_path(tmp_path):
     # the separation margin at tau = 0.065 s is 4.8, below the 10x warning level
     errs = []

@@ -193,8 +193,8 @@ def test_derive_scales_validates_inputs():
 
 
 def test_reference_internal_mass():
-    # the quadrature's unit conversion, dtebell.correlation._internal_units
-    from dtebell.correlation import _internal_units
+    # the quadrature's unit conversion, dtebell._quadrature._internal_units
+    from dtebell._quadrature import _internal_units
 
     p0 = scales_from_scenario(reference_scenario()).p0_rel
     m_int, _, _ = _internal_units(p0, 1.0, M_LI6, 0.0, 0.0)
