@@ -103,18 +103,14 @@ def _rate_corrected(error: float, previous: float) -> float:
     return error
 
 
-def _quadratic_span(a: float, b: float, lo, hi):
-    """max-min of a*x - b*x^2 on [lo, hi], elementwise over arrays of
-    edges; b >= 0, so an interior vertex is the maximum."""
-    import numpy as np
-
-    f_lo, f_hi = a * lo - b * lo * lo, a * hi - b * hi * hi
-    top, bot = np.maximum(f_lo, f_hi), np.minimum(f_lo, f_hi)
-    if b > 0.0:
+def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
+    """max-min of a*x - b*x^2 on [lo, hi]."""
+    values = [a * lo - b * lo * lo, a * hi - b * hi * hi]
+    if b != 0.0:
         vertex = a / (2.0 * b)
-        inside = (lo < vertex) & (vertex < hi)
-        top = np.where(inside, np.maximum(top, a * vertex - b * vertex * vertex), top)
-    return top - bot
+        if lo < vertex < hi:
+            values.append(a * vertex - b * vertex * vertex)
+    return max(values) - min(values)
 
 
 def _node_count(need, level: float, cap: int):
@@ -175,7 +171,18 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
         kept = int((edges[:, :-1] < r_cut).any(axis=0).sum())
         edges = np.minimum(edges[:, : kept + 1], r_cut)
     lo_e, hi_e = edges[:, :-1], edges[:, 1:]
-    span = _quadratic_span(a_lin, b_quad, lo_e, hi_e).max(axis=0)
+
+    def phase(r):
+        return a_lin * r - b_quad * r * r
+
+    f_lo, f_hi = phase(lo_e), phase(hi_e)
+    top = np.maximum(f_lo, f_hi)
+    bot = np.minimum(f_lo, f_hi)
+    if b_quad > 0.0:
+        vertex = a_lin / (2.0 * b_quad)
+        inside = (lo_e < vertex) & (vertex < hi_e)
+        top = np.where(inside, np.maximum(top, phase(vertex)), top)
+    span = (top - bot).max(axis=0)
     buckets, capped = _node_count(np.ceil(0.7 * span) + 12, level, PANEL_NODE_CAP)
 
     half_width = 0.5 * (hi_e - lo_e)
@@ -191,7 +198,7 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
             half = half_width[rows][:, sel][:, :, None]
             r = mid[rows][:, sel][:, :, None] + half * gl_x
             kern = dist._scaled_kernel(u[rows, None, None], r)
-            osc = 2.0 * np.exp(1j * (a_lin * r - b_quad * r * r))
+            osc = 2.0 * np.exp(1j * phase(r))
             result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
     return result, bool(capped.any())
 

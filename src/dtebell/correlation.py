@@ -277,12 +277,12 @@ def closed_form_parts(
             + (tau / (t_cm**2 + tau**2)) * sl**2 / two_v_lam
             - 0.5 * phi0
         )
-    except OverflowError:  # a square past the float range
-        phase = math.inf
-    if not math.isfinite(phase):
+        if not math.isfinite(phase):  # a product past the float range
+            raise OverflowError
+    except OverflowError:  # that, or a square past it
         raise ValidationError(
             f"fringe phase overflows at tau = {tau:g} s, ell1 = {ell1:g} m, ell2 = {ell2:g} m"
-        )
+        ) from None
     return prefactor, envelope, phase
 
 
