@@ -13,6 +13,12 @@ S, stderr, error - cells that do not apply stay empty.  The feasibility
 frontier has its own schema, FEASIBILITY_COLUMNS.  Floats are written
 with repr, so every emitted number parses back to the exact binary value.
 
+bell and montecarlo share one CHSH front end (_chsh_settings, _pair_rows):
+the four lengths a a' b b' come from --settings, echoed in the rows
+exactly as given, or from the seeded optimizer; a non-finite --settings
+length is a usage failure.  Negative numbers may take exponent form
+(-5.37e3) on every command.
+
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
 usage failure.  Wave packets that are not separated (DtePair) are a
 runtime failure of every correlating command, closed or quad; tau and
@@ -32,8 +38,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -290,12 +298,15 @@ def cmd_scan(args, stdout, stderr) -> int:
 _PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
-def _chosen_settings(document: ConfigDocument, settings_um):
-    """Closed-form correlator and the CHSH settings to evaluate it at:
-    the ``--settings`` lengths (um) if given, else seeded and optimized.
-    Lengths are CHSH order a a' b b'; a and a' take the side-1 angle.
-    The angles are checked before the scenario is built, so that every
-    angle other than 45 degrees gets the same usage error."""
+def _chsh_settings(document: ConfigDocument, settings_um):
+    """Closed-form correlator, the CHSH settings to evaluate it at, and
+    the four lengths (um) the rows echo: the ``--settings`` lengths
+    exactly if given (the m <-> um round trip is lossy), else the seeded
+    and optimized ones.  Lengths are CHSH order a a' b b'.  The lengths
+    and angles are checked before the scenario is built, so that each
+    gets its usage error."""
+    if settings_um is not None and not all(map(math.isfinite, settings_um)):
+        raise ConfigError(f"--settings lengths must be finite, got {settings_um}")
     _require_45_degrees(document)
     pair = _pair_for(document.to_scenario())
     correlator = closed_form_correlator(pair.distribution, pair.tau, pair.phi_tau)
@@ -303,53 +314,37 @@ def _chosen_settings(document: ConfigDocument, settings_um):
         chosen = optimize_settings(
             correlator, seed_settings(pair.distribution, pair.tau, pair.phi_tau)
         ).settings
-        return correlator, chosen
-    inter = document.values["interferometer"]
-    thetas = [math.radians(inter["theta1_deg"])] * 2
-    thetas += [math.radians(inter["theta2_deg"])] * 2
-    chosen = ChshSettings(
-        *(
-            InterferometerSetting(ell=u / 1e6, theta=theta)
-            for u, theta in zip(settings_um, thetas)
-        )
-    )
-    return correlator, chosen
+        return correlator, chosen, [s.ell * 1e6 for s in chosen.as_tuple()]
+    # the closed form ignores theta, and the 45-degree check above holds
+    chosen = ChshSettings(*(InterferometerSetting(ell=u / 1e6) for u in settings_um))
+    return correlator, chosen, settings_um
 
 
-def _bell_rows_and_outcome(document: ConfigDocument, tau_override, settings_um,
-                           optimize: bool):
-    if tau_override is not None:
-        if not (tau_override > 0 and math.isfinite(tau_override)):
-            raise ConfigError(f"--tau must be positive and finite, got {tau_override}")
-        document = document.replace("pulses", "separation_s", float(tau_override))
-    correlator, chosen = _chosen_settings(document, settings_um)
-    outcome = chsh_value(correlator, chosen)
-
-    # echo --settings inputs exactly; the m <-> um round trip is lossy
-    if settings_um is not None:
-        um = settings_um
-    else:
-        um = [s.ell * 1e6 for s in chosen.as_tuple()]
-    um_pairs = [(um[0], um[2]), (um[0], um[3]), (um[1], um[2]), (um[1], um[3])]
-
-    rows = []
-    for name, (x, y, _sign), (u1, u2) in zip(_PAIR_NAMES, chosen.pairs(), um_pairs):
-        result = correlator(x, y)
-        rows.append(
-            _row(document, f"bell_{name}", ell1_um=u1, ell2_um=u2, method="closed",
-                 **_correlation_cells(result.probability, result.e_value))
-        )
-    rows.append(
-        _row(document, "bell_summary", method="optimize" if optimize else "settings",
-             S=outcome.s_value, V=outcome.visibility)
-    )
-    return rows, outcome, chosen
+def _pair_rows(document: ConfigDocument, command: str, um, cells) -> list:
+    """The four pair rows in CHSH order (a,b), (a,b'), (a',b), (a',b');
+    ``um`` holds the lengths a a' b b' and ``cells`` each pair's other cells."""
+    ells = itertools.product(um[:2], um[2:])
+    return [
+        _row(document, f"{command}_{name}", ell1_um=u1, ell2_um=u2, **more)
+        for name, (u1, u2), more in zip(_PAIR_NAMES, ells, cells)
+    ]
 
 
 def cmd_bell(args, stdout, stderr) -> int:
     document = load_config(args.config)
-    rows, outcome, chosen = _bell_rows_and_outcome(
-        document, args.tau, args.settings, args.optimize
+    if args.tau is not None:
+        if not (args.tau > 0 and math.isfinite(args.tau)):
+            raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
+        document = document.replace("pulses", "separation_s", float(args.tau))
+    correlator, chosen, um = _chsh_settings(document, args.settings)
+    outcome = chsh_value(correlator, chosen)
+    results = [correlator(x, y) for x, y, _sign in chosen.pairs()]
+    rows = _pair_rows(document, "bell", um, (
+        {"method": "closed", **_correlation_cells(r.probability, r.e_value)} for r in results
+    ))
+    rows.append(
+        _row(document, "bell_summary", method="optimize" if args.optimize else "settings",
+             S=outcome.s_value, V=outcome.visibility)
     )
     _write_csv(stdout, RESULT_COLUMNS, rows)
     ells = ", ".join(f"{s.ell * 1e6:.6f}" for s in chosen.as_tuple())
@@ -376,7 +371,7 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
         if not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
         document = document.replace("run", "seed", int(args.seed))
-    correlator, chosen = _chosen_settings(document, args.settings)
+    correlator, chosen, um = _chsh_settings(document, args.settings)
     mode = document.get("interferometer", "mode")
     config = RunConfig(
         events_per_setting=document.events,
@@ -389,15 +384,12 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
 
     run_cells = {"method": "montecarlo", "events": config.events_per_setting,
                  "seed": config.seed}
-    rows = []
-    for i, (name, (x, y, _sign)) in enumerate(zip(_PAIR_NAMES, chosen.pairs())):
-        kept = table.kept(i)
-        rows.append(
-            _row(document, f"montecarlo_{name}", ell1_um=x.ell * 1e6, ell2_um=y.ell * 1e6,
-                 discarded=table.discarded[i], stderr=estimate.e_stderr[i], **run_cells,
-                 **_correlation_cells(lambda *outcome: table.count(i, outcome) / kept,
-                                      estimate.e_values[i]))
-        )
+    rows = _pair_rows(document, "montecarlo", um, (
+        {"discarded": table.discarded[i], "stderr": estimate.e_stderr[i], **run_cells,
+         **_correlation_cells(lambda *outcome: table.count(i, outcome) / table.kept(i),
+                              estimate.e_values[i])}
+        for i in range(4)
+    ))
     rows.append(
         _row(document, "montecarlo_summary", S=estimate.s_value,
              V=estimate.visibility, stderr=estimate.stderr, **run_cells)
@@ -506,6 +498,11 @@ def cmd_feasibility(args, stdout, stderr) -> int:
 # --------------------------------------------------------------------- main
 
 
+# Python 3.11's argparse reads only plain decimals as negative numbers, so
+# -5.37e3 or -inf would parse as an option flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtebell",
@@ -563,6 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also compute the true two-pulse source fringe amplitude "
                              "(slow quadrature)")
     p_feas.set_defaults(func=cmd_feasibility)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

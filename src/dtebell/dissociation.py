@@ -26,11 +26,8 @@ from .scenario import (
     TimescaleSummary,
     ValidationError,
     _check_source_domain,
-    _delta_p,
-    _p0_from_fields,
-    _p_bar,
-    _sigma_p_cm_ground_state,
     _sigma_p_rel,
+    _source_momenta,
     derive_scales,
 )
 
@@ -206,18 +203,9 @@ class FeshbachDistribution:
 
 
 def distribution_from_scenario(scenario: Scenario) -> FeshbachDistribution:
-    """Canonical distribution for a scenario.
-
-    p_bar^2 = m * mu * pulse_height (resonance passage depth) and
-    delta_p^2 = 2 m hbar / pulse_duration (spectral width of one pulse);
-    the c.m. width is that of the molecular trap ground state.
-    """
-    return FeshbachDistribution(
-        p0=_p0_from_fields(scenario),
-        p_bar=_p_bar(scenario),
-        delta_p=_delta_p(scenario),
-        sigma_p_cm=_sigma_p_cm_ground_state(scenario),
-    )
+    """Canonical distribution for a scenario: the source momenta p0,
+    p_bar, delta_p and sigma_p_cm that scales_from_scenario reads too."""
+    return FeshbachDistribution(*_source_momenta(scenario))
 
 
 def gaussian_approximation(dist: FeshbachDistribution, species: Species) -> TimescaleSummary:

@@ -205,41 +205,38 @@ class TimescaleSummary:
     p0_rel: float
 
 
-def _energy_bracket(scenario: Scenario) -> float:
-    """Kinetic energy released into the relative motion, p0^2/m per atom pair."""
+def _source_momenta(scenario: Scenario) -> tuple[float, float, float, float]:
+    """(p0, p_bar, delta_p, sigma_p_cm) of the two-pulse source, checked
+    against its validity domain.
+
+    p0^2 = m * (mu detuning - 2 U_T - hbar omega_G), the kinetic energy
+    released into the relative motion; p_bar^2 = m * mu * pulse_height,
+    the resonance passage depth; delta_p^2 = 2 m hbar / pulse_duration,
+    the spectral width of one pulse; sigma_p_cm is the momentum spread of
+    the molecular (mass 2m) trap ground state.
+    """
+    m = scenario.species.atom_mass
     mu = scenario.resonance.moment_difference
-    detuning = (
-        scenario.pulses.base_field
-        + scenario.pulses.pulse_height
-        - scenario.resonance.position
+    pulses = scenario.pulses
+    guide = scenario.trap_guide
+    bracket = (
+        mu * (pulses.base_field + pulses.pulse_height - scenario.resonance.position)
+        - 2.0 * guide.trap_depth
+        - CONSTANTS.hbar * guide.omega_guide
     )
-    return (
-        mu * detuning
-        - 2.0 * scenario.trap_guide.trap_depth
-        - CONSTANTS.hbar * scenario.trap_guide.omega_guide
-    )
-
-
-def _p0_from_fields(scenario: Scenario) -> float:
-    bracket = _energy_bracket(scenario)
     if bracket <= 0.0:
         raise BelowThresholdError(
             "below-threshold pulse: field detuning does not overcome trap depth "
             f"and guide zero-point energy (energy bracket {bracket:.6e} J)"
         )
-    return math.sqrt(scenario.species.atom_mass * bracket)
-
-
-def _delta_p(scenario: Scenario) -> float:
-    # spectral width of one pulse, delta_p^2 = 2 m hbar / pulse_duration
-    m = scenario.species.atom_mass
-    return math.sqrt(2.0 * m * CONSTANTS.hbar / scenario.pulses.pulse_duration)
-
-
-def _p_bar(scenario: Scenario) -> float:
-    # resonance passage depth, p_bar^2 = m * mu * pulse_height
-    m = scenario.species.atom_mass
-    return math.sqrt(m * scenario.resonance.moment_difference * scenario.pulses.pulse_height)
+    p0 = math.sqrt(m * bracket)
+    p_bar = math.sqrt(m * mu * pulses.pulse_height)
+    delta_p = math.sqrt(2.0 * m * CONSTANTS.hbar / pulses.pulse_duration)
+    sigma_p_cm = math.sqrt(
+        CONSTANTS.hbar * guide.omega_trap * scenario.species.molecule_mass / 2.0
+    )
+    _check_source_domain(p0, p_bar, delta_p, sigma_p_cm)
+    return p0, p_bar, delta_p, sigma_p_cm
 
 
 def _check_source_domain(p0: float, p_bar: float, delta_p: float, sigma_p_cm: float) -> None:
@@ -269,12 +266,6 @@ def _sigma_p_rel(p0: float, delta_p: float) -> float:
     # Width of the Gaussian fitted to the squared-sinc main lobe of the
     # two-pulse spectrum: the mass-free form of factor * m hbar / (p0 T).
     return SINC_WIDTH_FACTOR * delta_p**2 / (2.0 * p0)
-
-
-def _sigma_p_cm_ground_state(scenario: Scenario) -> float:
-    # Momentum spread of the molecular (mass 2m) trap ground state.
-    big_m = scenario.species.molecule_mass
-    return math.sqrt(CONSTANTS.hbar * scenario.trap_guide.omega_trap * big_m / 2.0)
 
 
 def derive_scales(
@@ -315,14 +306,11 @@ def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
 
     These are the Gaussian pair that both correlation routes read.  They
     equal gaussian_approximation(distribution_from_scenario(scenario),
-    scenario.species) bit for bit, since both are computed by the same
-    helpers.  A scenario outside the source's validity domain is refused
-    with the source's own message, without building the source.
+    scenario.species) bit for bit, since both read _source_momenta and
+    _sigma_p_rel.  A scenario outside the source's validity domain is
+    refused with the source's own message, without building the source.
     """
-    p0 = _p0_from_fields(scenario)
-    delta_p = _delta_p(scenario)
-    sigma_p_cm = _sigma_p_cm_ground_state(scenario)
-    _check_source_domain(p0, _p_bar(scenario), delta_p, sigma_p_cm)
+    p0, _, delta_p, sigma_p_cm = _source_momenta(scenario)
     return derive_scales(
         scenario.species,
         sigma_p_cm=sigma_p_cm,

@@ -62,6 +62,9 @@ CASES = {
     "tau008_bell_optimize": ("bell", "cfg/tau008.cfg", "--optimize"),
     "montecarlo_switched": ("montecarlo", "--events", "10000"),
     "montecarlo_beamsplitter": ("montecarlo", "cfg/beamsplitter.cfg", "--events", "10000"),
+    # 4029.18 um is echoed as given, not as its m <-> um round trip
+    "montecarlo_settings": ("montecarlo", "--events", "10", "--seed", "1", "--settings",
+                            "4029.18", *EXAMPLE_SETTINGS[1:]),
     # failures
     "theta120_scales": ("scales", "cfg/theta120.cfg"),
     "theta120_scan_tau_quad": ("scan", "cfg/theta120.cfg", "--axis", "tau", "--start", "0.9",
@@ -87,6 +90,7 @@ CASES = {
     "scan_tau_huge_closed": ("scan", "--axis", "tau", "--start", "1", "--stop", "1e200",
                              "--steps", "2"),
     "bell_settings_huge_ell": ("bell", "--settings", "1e160", "0", "0", "0"),
+    "bell_settings_nan": ("bell", "--settings", "nan", *EXAMPLE_SETTINGS[1:]),
 }
 
 # case name -> demo script under demos/

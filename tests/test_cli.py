@@ -346,16 +346,26 @@ class TestBell:
         assert s == pytest.approx(2.03037, abs=1e-4)
         assert "violated = true" in err
 
-    def test_explicit_settings_echoed_exactly(self):
-        code, out, _ = invoke("bell", "--settings", *SETTINGS_UM)
+    @pytest.mark.parametrize("command", ["bell", "montecarlo"])
+    def test_explicit_settings_echoed_exactly(self, command):
+        # 4029.18 um does not survive the m <-> um round trip
+        a, a_prime, b, b_prime = "4029.18", *SETTINGS_UM[1:]
+        assert float(a) / 1e6 * 1e6 != float(a)
+        events = ("--events", "10") if command == "montecarlo" else ()
+        code, out, _ = invoke(command, *events, "--settings", a, a_prime, b, b_prime)
         assert code == 0
-        rows = parse_csv(out)
-        assert rows[0]["ell1_um"] == SETTINGS_UM[0]
-        assert rows[0]["ell2_um"] == SETTINGS_UM[2]
-        assert rows[1]["ell2_um"] == SETTINGS_UM[3]
-        assert rows[2]["ell1_um"] == SETTINGS_UM[1]
-        assert rows[3]["ell1_um"] == SETTINGS_UM[1]
-        assert rows[3]["ell2_um"] == SETTINGS_UM[3]
+        echoed = [(row["ell1_um"], row["ell2_um"]) for row in parse_csv(out)[:4]]
+        assert echoed == [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
+
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["bell", "montecarlo"])
+    def test_non_finite_settings_exit_2(self, tmp_path, command, length):
+        # refused as a usage error before the analyzer angles are checked
+        path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
+        code, out, err = invoke(command, path, "--settings", SETTINGS_UM[0], length,
+                                *SETTINGS_UM[2:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --settings lengths must be finite, got ")
 
     def test_s_matches_pair_correlations(self):
         code, out, _ = invoke("bell", "--settings", *SETTINGS_UM)
@@ -753,6 +763,23 @@ class TestRoundTrip:
         value = float(row["P_pp"])
         assert repr(value) == row["P_pp"]
         assert 0 < lam < 1e-5
+
+    @pytest.mark.parametrize(
+        "exponent, plain",
+        [
+            (("scan", "--axis", "ell2", "--start", "-5.37e3", "--stop", "-5.33e3",
+              "--steps", "2"),
+             ("scan", "--axis", "ell2", "--start", "-5370", "--stop", "-5330",
+              "--steps", "2")),
+            (("bell", "--settings", "5346.82", "5349.92", "-5.34994e3", "-5346.84"),
+             ("bell", "--settings", "5346.82", "5349.92", "-5349.94", "-5346.84")),
+        ],
+        ids=["scan-start", "bell-settings"],
+    )
+    def test_negative_numbers_in_exponent_form(self, exponent, plain):
+        result = invoke(*exponent)
+        assert result[0] == 0
+        assert result == invoke(*plain)
 
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
