@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .scenario import CONSTANTS, TimescaleSummary
+from .scenario import CONSTANTS, TimescaleSummary, _require_positive
 
 # c^2/4 rows per block of the sinc^2 line tensor (see _line_values)
 U_ROWS_PER_BLOCK = 2
@@ -326,6 +326,7 @@ def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: fl
     """
     length = CONSTANTS.hbar / p_ref
     m_int = mass / ((p_ref * tau) * length**-1)
+    _require_positive("internal mass m hbar/(p0^2 tau)", m_int)
     return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
 
 

@@ -148,8 +148,6 @@ class OptimizationResult:
 
 def visibility(scales: TimescaleSummary, tau: float) -> float:
     """Fringe-center visibility; envelope factors excluded."""
-    if tau < 0.0 or not math.isfinite(tau):
-        raise ValidationError(f"tau must be >= 0, got {tau}")
     return _dispersion_product(scales, tau) ** -0.25
 
 
@@ -160,21 +158,25 @@ def crossing_tau(scales: TimescaleSummary) -> float:
     With a = t_cm^2, b = t_rel^2 and x = tau^2 the product is 4 where
     x^2 + (a + b) x - 3ab = 0; the positive root is written without the
     cancellation of the textbook form, which loses all digits once one
-    time is far below the other.
+    time is far below the other.  Times whose squares overflow are refused.
     """
-    a, b = scales.t_cm**2, scales.t_rel**2
-    return math.sqrt(6.0 * a * b / ((a + b) + math.sqrt((a + b) ** 2 + 12.0 * a * b)))
+    try:
+        a, b = scales.t_cm**2, scales.t_rel**2
+        return math.sqrt(6.0 * a * b / ((a + b) + math.sqrt((a + b) ** 2 + 12.0 * a * b)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            f"crossing out of range at t_cm = {scales.t_cm:g} s, t_rel = {scales.t_rel:g} s"
+        ) from None
 
 
 def feasible(scales: TimescaleSummary, tau: float) -> FeasibilityReport:
     """Violation is possible iff the dispersion product stays below 4
     (strict) while the reduced fringe wavelength stays below 1% of the
     packet separation (_LAMBDA_RATIO_GUARD)."""
-    if tau < 0.0 or not math.isfinite(tau):
-        raise ValidationError(f"tau must be >= 0, got {tau}")
+    product = _dispersion_product(scales, tau)
     separation = tau * scales.v_rel
     ratio = math.inf if separation == 0.0 else scales.lambda_bar_rel / separation
-    return FeasibilityReport(product=_dispersion_product(scales, tau), lambda_ratio=ratio)
+    return FeasibilityReport(product=product, lambda_ratio=ratio)
 
 
 def _signed_chsh(correlator, settings: ChshSettings, results=None) -> float:
@@ -463,7 +465,8 @@ def periods_above_threshold(scales: TimescaleSummary, tau: float) -> float:
     envelope-adjusted visibility still exceeds 1/sqrt(2).
 
     Counted along the length-difference axis at zero length sum.  Zero
-    when even the center visibility is below threshold.
+    when even the center visibility is below threshold.  A t_rel whose
+    square overflows is refused.
     """
     v_center = visibility(scales, tau)
     threshold = 1.0 / math.sqrt(2.0)
@@ -472,7 +475,10 @@ def periods_above_threshold(scales: TimescaleSummary, tau: float) -> float:
     t_rel = scales.t_rel
     lam = scales.lambda_bar_rel
     v = scales.v_rel
-    k_rel = (t_rel / (t_rel**2 + tau**2)) / (2.0 * v * lam)
-    delta_max = math.sqrt(math.log(v_center * math.sqrt(2.0)) / k_rel)
+    try:
+        k_rel = (t_rel / (t_rel**2 + tau**2)) / (2.0 * v * lam)
+        delta_max = math.sqrt(math.log(v_center * math.sqrt(2.0)) / k_rel)
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"the fringe count is out of range at t_rel = {t_rel:g} s") from None
     period = 2.0 * math.pi * lam
     return 2.0 * delta_max / period

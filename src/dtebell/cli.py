@@ -20,9 +20,10 @@ length is a usage failure.  Negative numbers may take exponent form
 (-5.37e3) on every command.
 
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
-usage failure.  Wave packets that are not separated (DtePair) are a
-runtime failure of every correlating command, closed or quad; tau and
-field scans put it in each row's error cell.  Model warnings (the
+usage failure.  Runtime failures include wave packets that are not
+separated (DtePair), on every correlating command, and a finite config
+whose derived momenta or scales leave the float range; tau and field
+scans put such a failure in each row's error cell.  Model warnings (the
 library's UserWarnings, such as a separation margin below 10) go to
 stderr as one `warning: <message>` line each, once per message per
 command, when they are raised.  Identical (config, flags, seed) produce
@@ -82,6 +83,7 @@ from .scenario import (  # the config names are re-exported for dtebell.cli call
     ConfigError,
     Scenario,
     ValidationError,
+    _MAX_SEED,
     load_config,
     scales_from_scenario,
 )
@@ -212,9 +214,6 @@ def cmd_scales(args, stdout, stderr) -> int:
 
 
 # --------------------------------------------------------------------- scan
-
-_SCAN_AXES = ("ell1", "ell2", "tau", "field")
-
 
 def _pair_for(scenario: Scenario) -> DtePair:
     """The pair every correlating route reads; the closed form takes its
@@ -368,7 +367,7 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
             raise ConfigError(f"--events must be >= 1, got {args.events}")
         document = document.replace("run", "events", int(args.events))
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
+        if not 0 <= args.seed < _MAX_SEED:
             raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
         document = document.replace("run", "seed", int(args.seed))
     correlator, chosen, um = _chsh_settings(document, args.settings)
@@ -440,9 +439,9 @@ def cmd_feasibility(args, stdout, stderr) -> int:
                 "periods_above_threshold": periods_above_threshold(scales, tau),
             }
         )
+    crossing = crossing_tau(scales)  # refused before the table is written
     _write_csv(stdout, FEASIBILITY_COLUMNS, rows)
 
-    crossing = crossing_tau(scales)
     if args.start < crossing <= args.stop:
         stderr.write(f"visibility crosses 1/sqrt(2) at tau = {crossing:.6f} s\n")
     else:
@@ -521,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="correlation scan along one axis (CSV)")
     add_config(p_scan)
-    p_scan.add_argument("--axis", required=True, choices=_SCAN_AXES)
+    p_scan.add_argument("--axis", required=True, choices=tuple(_SCAN_KEYS))
     p_scan.add_argument("--start", required=True, type=float,
                         help="first grid value (um for ell axes, s for tau, mG for field)")
     p_scan.add_argument("--stop", required=True, type=float)

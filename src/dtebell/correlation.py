@@ -27,6 +27,8 @@ from .scenario import (
     ValidationError,
     _dispersion_factors,
     _dispersion_product,
+    _require_positive,
+    _theta_in_range,
 )
 
 __all__ = [
@@ -57,7 +59,7 @@ class InterferometerSetting:
     def __post_init__(self) -> None:
         if not math.isfinite(self.ell):
             raise ValidationError("ell must be finite")
-        if not (0.0 <= self.theta <= math.pi / 2.0):
+        if not _theta_in_range(self.theta):
             raise ValidationError(f"theta must lie in [0, pi/2], got {self.theta}")
 
 
@@ -86,8 +88,7 @@ class DtePair:
     species: Species
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
+        _require_positive("tau", self.tau)
         if not math.isfinite(self.phi_tau):
             raise ValidationError("phi_tau must be finite")
         scales = self.distribution
@@ -249,8 +250,7 @@ def closed_form_parts(
     interference term, written in the dispersion scales t_cm, t_rel, the
     reduced fringe wavelength and the relative velocity.  A tau or arm
     length that takes the phase past the float range is refused."""
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValidationError(f"tau must be positive and finite, got {tau}")
+    _require_positive("tau", tau)
     t_cm, t_rel = scales.t_cm, scales.t_rel
     lam = scales.lambda_bar_rel
     v = scales.v_rel

@@ -77,10 +77,6 @@ class FeshbachDistribution:
     sigma_p_cm: float
 
     def __post_init__(self) -> None:
-        for name in ("p0", "p_bar", "delta_p", "sigma_p_cm"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
         _check_source_domain(self.p0, self.p_bar, self.delta_p, self.sigma_p_cm)
 
     @functools.cached_property
@@ -116,9 +112,9 @@ class FeshbachDistribution:
         target = 1.0 / math.sqrt(TRUNCATION_LEVEL)
         return (-1.0 + math.sqrt(1.0 + 4.0 * a * target)) / (2.0 * a)
 
-    def r_hi(self, u: float = 0.0) -> float:
-        """Upper |p_rel|/p0 of the truncated support at c^2/4 = u."""
-        return math.sqrt(1.0 - u + self.x_cut / self.kappa)
+    def r_hi(self) -> float:
+        """Upper |p_rel|/p0 of the truncated support at zero c.m. momentum."""
+        return math.sqrt(1.0 + self.x_cut / self.kappa)
 
     def tail_bound(self) -> float:
         """Analytic bound on the relative mass beyond the truncation.
@@ -236,16 +232,6 @@ def phi_tau(scenario: Scenario) -> float:
     ) / CONSTANTS.hbar + g.omega_guide * p.pulse_separation
 
 
-_STABILITY_PARAMS = (
-    "base_field",
-    "pulse_height",
-    "resonance_position",
-    "pulse_duration",
-    "pulse_separation",
-    "trap_depth",
-)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Shot-to-shot phase drift budget.
@@ -308,15 +294,12 @@ def phase_stability(scenario: Scenario, relative_errors: float = 1e-5) -> Stabil
         ) / hbar + g.omega_guide,
         "trap_depth": 2.0 * tau / hbar,
     }
-    drifts = {
-        name: abs(sensitivities[name]) * r * abs(values[name])
-        for name in _STABILITY_PARAMS
-    }
+    drifts = {name: abs(sensitivities[name]) * r * abs(value) for name, value in values.items()}
     square_sum = 0.0  # a plain loop: sum() rounds differently from Python 3.12 on
     for d in drifts.values():
         square_sum += d * d
     total = math.sqrt(square_sum)
-    passes = {name: drifts[name] <= PHASE_BUDGET for name in _STABILITY_PARAMS}
+    passes = {name: drift <= PHASE_BUDGET for name, drift in drifts.items()}
     common = abs(sensitivities["base_field"] + sensitivities["resonance_position"])
     return StabilityReport(
         drifts=drifts,

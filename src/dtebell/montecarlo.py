@@ -17,7 +17,7 @@ from typing import Callable, Tuple
 
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult
-from .scenario import ValidationError
+from .scenario import _MAX_SEED, _MODES as MODES, ValidationError
 
 __all__ = [
     "DISCARDED",
@@ -35,16 +35,18 @@ __all__ = [
 ]
 
 OUTCOMES: Tuple[Tuple[int, int], ...] = SIGN_PAIRS
-MODES = ("Switched", "BeamSplitter")
 
 # sentinel returned by sample_event for post-selected-out events
 DISCARDED = "Discarded"
 
-_MAX_SEED = 2**64
-
 # events drawn per chunk of a pair's stream: run() memory stays bounded
 # for any event count (2**18 BeamSplitter draws are 4 MB)
 EVENT_CHUNK = 2**18
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 class InsufficientDataError(ValidationError):
@@ -73,8 +75,7 @@ class RunConfig:
             raise ValidationError("seed must be an integer")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _require_mode(self.mode)
         if not isinstance(self.settings, ChshSettings):
             raise ValidationError("settings must be a ChshSettings")
 
@@ -96,8 +97,7 @@ class CountTable:
     def __post_init__(self) -> None:
         if len(self.counts) != 4 or len(self.discarded) != 4:
             raise ValidationError("CountTable needs tallies for all four setting pairs")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _require_mode(self.mode)
         for i, (row, dropped) in enumerate(zip(self.counts, self.discarded)):
             if len(row) != 4 or any(n < 0 for n in row) or dropped < 0:
                 raise ValidationError(f"negative or malformed tally in pair {i}")
@@ -174,8 +174,7 @@ def sample_event(p: CorrelationResult, mode: str, rng_state: np.random.Generator
     outcome), consuming its uniform either way."""
     import numpy as np
 
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    _require_mode(mode)
     vec = _probability_vector(p)
     if mode == "BeamSplitter":
         discard = rng_state.random() < 0.5

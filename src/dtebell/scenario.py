@@ -55,6 +55,19 @@ class BelowThresholdError(ValidationError):
 # profile, amplitude-pinned least squares over the central lobe.
 SINC_WIDTH_FACTOR = 1.196
 
+_MODES = ("Switched", "BeamSplitter")  # interferometer switch modes
+_MAX_SEED = 2**64  # a seed keys a 64-bit Philox stream
+
+
+def _require_positive(name: str, value: float) -> None:
+    """The one positive-and-finite check; NaN fails it too."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _theta_in_range(theta: float) -> bool:  # an analyzer angle, rad
+    return 0.0 <= theta <= math.pi / 2.0
+
 
 @dataclass(frozen=True)
 class Constants:
@@ -82,8 +95,7 @@ class Species:
     atom_mass: float  # kg
 
     def __post_init__(self) -> None:
-        if not (self.atom_mass > 0.0 and math.isfinite(self.atom_mass)):
-            raise ValidationError(f"atom_mass must be positive and finite, got {self.atom_mass}")
+        _require_positive("atom_mass", self.atom_mass)
 
     @property
     def molecule_mass(self) -> float:
@@ -105,9 +117,7 @@ class TrapGuide:
 
     def __post_init__(self) -> None:
         for name in ("omega_trap", "omega_guide", "trap_depth"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
         # The quasi-1D treatment assumes the trap is soft compared with the
         # transverse guide confinement.  Not fatal, but worth flagging.
         if self.omega_trap * 10.0 > self.omega_guide:
@@ -136,9 +146,7 @@ class Resonance:
 
     def __post_init__(self) -> None:
         for name in ("width", "moment_difference", "position"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
         # scattering lengths are signed; only zero is meaningless
         a_bg = self.background_scattering_length
         if not (a_bg != 0.0 and math.isfinite(a_bg)):
@@ -164,9 +172,7 @@ class PulseSequence:
 
     def __post_init__(self) -> None:
         for name in ("base_field", "pulse_height", "pulse_duration", "pulse_separation"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
         if self.pulse_separation <= self.pulse_duration:
             raise ValidationError(
                 "pulse_separation must exceed pulse_duration, got "
@@ -240,9 +246,11 @@ def _source_momenta(scenario: Scenario) -> tuple[float, float, float, float]:
 
 
 def _check_source_domain(p0: float, p_bar: float, delta_p: float, sigma_p_cm: float) -> None:
-    """The validity domain of the two-pulse source model: both spectra
-    narrow (delta_p/p0 and sigma_p_cm/p0 at most 0.2) and the resonance
-    pole outside the momentum domain (p_bar > p0)."""
+    """The validity domain of the two-pulse source model: momenta positive
+    and finite, both spectra narrow (delta_p/p0, sigma_p_cm/p0 <= 0.2) and
+    the resonance pole outside the momentum domain (p_bar > p0)."""
+    for name, value in dict(p0=p0, p_bar=p_bar, delta_p=delta_p, sigma_p_cm=sigma_p_cm).items():
+        _require_positive(name, value)
     if delta_p / p0 > 0.2:
         raise ValidationError(
             "narrow-spectrum precondition violated: delta_p/p0 = "
@@ -279,26 +287,28 @@ def derive_scales(
     t_cm = 2 m hbar / sigma_p_cm^2 and t_rel = m hbar / (2 sigma_p_rel^2):
     the time for the respective coordinate-space width to grow by sqrt(2),
     written with the atom mass m (the centre of mass carries mass 2m, the
-    relative coordinate the reduced mass m/2).
+    relative coordinate the reduced mass m/2).  A width whose square
+    underflows, or a scale past the float range, is refused.
     """
-    for name, value in (
-        ("sigma_p_cm", sigma_p_cm),
-        ("sigma_p_rel", sigma_p_rel),
-        ("p0_rel", p0_rel),
-    ):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+    for name, value in dict(sigma_p_cm=sigma_p_cm, sigma_p_rel=sigma_p_rel, p0_rel=p0_rel).items():
+        _require_positive(name, value)
     m = species.atom_mass
     hbar = CONSTANTS.hbar
-    return TimescaleSummary(
-        t_cm=2.0 * m * hbar / sigma_p_cm**2,
-        t_rel=m * hbar / (2.0 * sigma_p_rel**2),
+    cm_sq, rel_sq = sigma_p_cm**2, sigma_p_rel**2
+    _require_positive("sigma_p_cm^2", cm_sq)
+    _require_positive("sigma_p_rel^2", rel_sq)
+    scales = TimescaleSummary(
+        t_cm=2.0 * m * hbar / cm_sq,
+        t_rel=m * hbar / (2.0 * rel_sq),
         lambda_bar_rel=hbar / p0_rel,
         v_rel=2.0 * p0_rel / m,
         sigma_p_cm=sigma_p_cm,
         sigma_p_rel=sigma_p_rel,
         p0_rel=p0_rel,
     )
+    for name in ("t_cm", "t_rel", "lambda_bar_rel", "v_rel"):
+        _require_positive(name, getattr(scales, name))
+    return scales
 
 
 def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
@@ -321,8 +331,10 @@ def scales_from_scenario(scenario: Scenario) -> TimescaleSummary:
 
 def _dispersion_factors(scales: TimescaleSummary, tau: float) -> tuple[float, float]:
     """(1 + tau^2/t_cm^2, 1 + tau^2/t_rel^2): the growth of the c.m. and
-    relative position variances over tau; a tau whose square overflows is
-    refused."""
+    relative position variances over tau; a tau below 0, not finite, or
+    whose square overflows is refused."""
+    if tau < 0.0 or not math.isfinite(tau):
+        raise ValidationError(f"tau must be >= 0, got {tau}")
     try:
         return 1.0 + (tau / scales.t_cm) ** 2, 1.0 + (tau / scales.t_rel) ** 2
     except OverflowError:
@@ -498,21 +510,19 @@ def load_config(path: Optional[str] = None) -> ConfigDocument:
             values[section].update(body)
     document = ConfigDocument(values=values)
     mode = document.get("interferometer", "mode")
-    if mode not in ("Switched", "BeamSplitter"):
+    if mode not in _MODES:
         raise ConfigError(
-            f"invalid value for interferometer.mode: {mode!r} "
-            "(expected Switched or BeamSplitter)"
+            f"invalid value for interferometer.mode: {mode!r} (expected {' or '.join(_MODES)})"
         )
     for key in ("theta1_deg", "theta2_deg"):
         theta = document.get("interferometer", key)
-        # the same test InterferometerSetting makes, in radians
-        if not 0.0 <= math.radians(theta) <= math.pi / 2.0:
+        if not _theta_in_range(math.radians(theta)):
             raise ConfigError(
                 f"invalid value for interferometer.{key}: {theta} (expected 0 to 90 degrees)"
             )
     if document.events < 1:
         raise ConfigError(f"run.events must be >= 1, got {document.events}")
-    if not 0 <= document.seed < 2**64:
+    if not 0 <= document.seed < _MAX_SEED:
         raise ConfigError(f"run.seed must fit in 64 bits, got {document.seed}")
     return document
 

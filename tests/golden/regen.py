@@ -91,6 +91,11 @@ CASES = {
                              "--steps", "2"),
     "bell_settings_huge_ell": ("bell", "--settings", "1e160", "0", "0", "0"),
     "bell_settings_nan": ("bell", "--settings", "nan", *EXAMPLE_SETTINGS[1:]),
+    # finite configs whose source momenta or scales leave the float range
+    "tiny_mass_bell": ("bell", "cfg/tiny_mass.cfg", "--optimize"),
+    "huge_field_scales": ("scales", "cfg/huge_field.cfg"),
+    "soft_trap_feasibility": ("feasibility", "cfg/soft_trap.cfg"),
+    "long_pulse_feasibility": ("feasibility", "cfg/long_pulse.cfg"),
 }
 
 # case name -> demo script under demos/

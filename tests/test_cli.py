@@ -784,3 +784,62 @@ class TestRoundTrip:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             invoke("transmogrify")
+
+
+# -------------------------------------------------------------- float range
+
+
+_FLOAT_FIELDS = sorted(
+    (section, key) for section, keys in CONFIG_SCHEMA.items()
+    for key, kind in keys.items() if kind == "float"
+)
+
+
+def _fuzz_commands(values):
+    tau = values["pulses"]["separation_s"]
+    ell1 = values["interferometer"]["ell1_um"]
+    return (
+        ("scales",),
+        ("feasibility",),
+        ("bell", "--optimize"),
+        ("bell", "--settings", *SETTINGS_UM),
+        ("scan", "--axis", "tau", "--start", repr(tau), "--stop", repr(2.0 * tau),
+         "--steps", "3"),
+        ("scan", "--axis", "ell1", "--start", repr(ell1), "--stop", repr(ell1 + 10.0),
+         "--steps", "3", "--method", "quad"),
+        ("montecarlo", "--events", "10"),
+    )
+
+
+class TestFloatRange:
+    # (section, key), decimal exponent, negate
+    @given(st.lists(
+        st.tuples(st.sampled_from(_FLOAT_FIELDS), st.floats(-300.0, 300.0), st.booleans()),
+        min_size=1, max_size=3, unique_by=lambda scaled: scaled[0],
+    ))
+    # the four sites a finite config used to escape from: p0 underflows;
+    # sigma_p_rel^2 underflows; t_cm^2 and t_rel^2 overflow
+    @example([(("scenario", "mass_amu"), -277.3, False)])
+    @example([(("pulses", "base_field_mG"), -5.73, False), (("pulses", "height_mG"), 277.7, False),
+              (("resonance", "position_mG"), 274.27, False)])
+    @example([(("scenario", "omega_trap_hz"), -160.0, False)])
+    @example([(("pulses", "duration_ms"), 78.22, False),
+              (("pulses", "separation_s"), 78.0, False)])
+    @settings(max_examples=25, deadline=None)
+    def test_every_finite_config_ends_in_a_documented_exit(self, tmp_path_factory, scaled):
+        """Fields scaled by up to 10^+-300: each command exits 0, 1 or 2,
+        nothing escapes main, and a failure is one error: line."""
+        values = {section: dict(body) for section, body in BUNDLED_DEFAULTS.items()}
+        for (section, key), exponent, negate in scaled:
+            value = values[section][key] * 10.0**exponent
+            values[section][key] = -value if negate else value
+        path = tmp_path_factory.mktemp("float_range") / "case.cfg"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
+            for section, body in values.items()
+        ), encoding="utf-8")
+        for command, *flags in _fuzz_commands(values):
+            code, _, err = invoke(command, str(path), *flags)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code in (0, 1, 2), (command, flags, err)
+            assert len(errors) == (code != 0), (command, flags, err)

@@ -214,6 +214,69 @@ def test_only_the_quadrature_module_defines_the_engine():
     assert {name: names for name, names in defined.items() if names} == {}
 
 
+def _text(node):
+    """The literal text of a string or f-string node; "" for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(_text, node.values))
+    return ""
+
+
+def _raises_validation_error(text):
+    def match(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValidationError"
+                and any(text in _text(arg) for arg in node.args))
+    return match
+
+
+def _sites(match):
+    """(module, enclosing function or None) of every node ``match`` accepts."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                yield function
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            yield from walk(child, inner)
+    return [(name, function) for name, tree in _package_trees() for function in walk(tree, None)]
+
+
+# each input rule and the one place that states it
+INPUT_RULES = {
+    "positive and finite": (
+        _raises_validation_error("must be positive and finite"),
+        ("scenario.py", "_require_positive"),
+    ),
+    "dispersion tau >= 0": (
+        _raises_validation_error("tau must be >= 0"), ("scenario.py", "_dispersion_factors"),
+    ),
+    "analyzer angle in [0, pi/2]": (
+        lambda node: isinstance(node, ast.Compare)
+        and ast.unparse(node.comparators[-1]) == "math.pi / 2.0",
+        ("scenario.py", "_theta_in_range"),
+    ),
+    "64-bit seed": (
+        lambda node: isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 64",
+        ("scenario.py", None),
+    ),
+    "switch modes": (
+        lambda node: isinstance(node, ast.Tuple)
+        and {"Switched", "BeamSplitter"} <= set(map(_text, node.elts)),
+        ("scenario.py", None),
+    ),
+    "switch mode check": (
+        _raises_validation_error("mode must be one of"), ("montecarlo.py", "_require_mode"),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(INPUT_RULES))
+def test_each_input_rule_is_written_once(rule):
+    # the CLI's --tau usage error names its flag and is a ConfigError, so it is not counted
+    match, home = INPUT_RULES[rule]
+    assert _sites(match) == [home]
+
+
 def test_quadrature_module_imports():
     # what each model module reads of the engine, and no cycle back into it
     imported, lazy = {}, []
