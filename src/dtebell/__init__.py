@@ -5,10 +5,11 @@ distributions from pulsed Feshbach dissociation, joint detection
 probabilities through switched unbalanced interferometers, CHSH
 analysis, and Monte Carlo event generation, with a CLI front end.
 
-Importing it loads neither numpy nor scipy.  numpy is imported inside
-the functions that build arrays (quadrature, source model, Monte Carlo)
-and scipy inside the Gauss-Legendre rule, so the closed-form routes run
-on the standard library alone.
+Importing it loads no numpy, and nothing in it imports scipy.  numpy is
+imported inside the functions that build arrays (quadrature, source
+model, Monte Carlo), so the closed-form routes run on the standard
+library alone.  The quadrature's Gauss-Legendre rules are a bundled
+table, data/gauss_legendre.npy.
 """
 
 from .scenario import (

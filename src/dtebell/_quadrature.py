@@ -1,14 +1,16 @@
 """The quadrature engine: node, level and window policy, the doubling
 loop, the Gaussian window and sinc^2 line integrals, and the interference
 integral of a DtePair.  dissociation normalizes with its zero-phase pair
-integral; correlation turns its passes into an error estimate.  numpy and
-scipy are imported inside the functions that build arrays.
+integral; correlation turns its passes into an error estimate.  numpy is
+imported inside the functions that build arrays; the Gauss-Legendre rules
+are read from the bundled table data/gauss_legendre.npy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from importlib import resources
 
 from .scenario import CONSTANTS, TimescaleSummary, _require_positive
 
@@ -33,18 +35,30 @@ class QuadratureError(RuntimeError):
 
 
 @functools.cache
+def _legendre_table():
+    """data/gauss_legendre.npy, read once: row 0 nodes, row 1 weights, the
+    n-node rule (n = 1, 2, 4, ..., PANEL_NODE_CAP) in columns n-1 ... 2n-2."""
+    import numpy as np
+
+    with resources.files("dtebell").joinpath("data/gauss_legendre.npy").open("rb") as handle:
+        table = np.load(handle)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only.
 
-    scipy's roots_legendre rather than numpy's leggauss: at the 4096-node
-    panels of the sinc^2 quadrature it is several times faster.
+    The rules are scipy.special.roots_legendre's, bit for bit, stored as
+    a table (tests/gauss_legendre_table.py rebuilds it), so no output
+    depends on the installed scipy.  Only powers of two up to
+    PANEL_NODE_CAP are stored, which is all _node_count asks for.
     """
-    from scipy.special import roots_legendre
-
-    nodes, weights = roots_legendre(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    table = _legendre_table()
+    if not (0 < n and n & (n - 1) == 0 and 2 * n - 1 <= table.shape[1]):
+        raise ValueError(f"no {n}-node Gauss-Legendre rule in the table")
+    return table[0, n - 1 : 2 * n - 1], table[1, n - 1 : 2 * n - 1]
 
 
 def _converge(compute, estimate_for, target: float, level: float = 1.0, rate: bool = False):

@@ -294,7 +294,7 @@ def derive_scales(
         _require_positive(name, value)
     m = species.atom_mass
     hbar = CONSTANTS.hbar
-    cm_sq, rel_sq = sigma_p_cm**2, sigma_p_rel**2
+    cm_sq, rel_sq = sigma_p_cm * sigma_p_cm, sigma_p_rel * sigma_p_rel
     _require_positive("sigma_p_cm^2", cm_sq)
     _require_positive("sigma_p_rel^2", rel_sq)
     scales = TimescaleSummary(

@@ -23,7 +23,7 @@ from dtebell.correlation import (
     correlate_quadrature,
     fringe_phase,
 )
-from dtebell._quadrature import _internal_units, _tail_cut
+from dtebell._quadrature import PANEL_NODE_CAP, _gauss_legendre, _internal_units, _tail_cut
 from dtebell.dissociation import distribution_from_scenario
 from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
@@ -750,6 +750,24 @@ def test_quadrature_asks_for_power_of_two_rules(fesh, scenario, scales, phi_tau,
         correlate_quadrature(pair, s1, s2)
     assert requested
     assert all(n > 0 and n & (n - 1) == 0 for n in requested)
+
+
+def test_gauss_legendre_table_is_scipys_rules_bit_for_bit():
+    from gauss_legendre_table import build_table, rule_sizes
+
+    table = build_table()
+    assert rule_sizes()[-1] == PANEL_NODE_CAP
+    for n in rule_sizes():
+        nodes, weights = _gauss_legendre(n)
+        assert nodes.tobytes() == table[0, n - 1 : 2 * n - 1].tobytes()
+        assert weights.tobytes() == table[1, n - 1 : 2 * n - 1].tobytes()
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
+
+@pytest.mark.parametrize("n", [3, 2 * PANEL_NODE_CAP])
+def test_gauss_legendre_refuses_sizes_the_table_lacks(n):
+    with pytest.raises(ValueError, match=f"no {n}-node"):
+        _gauss_legendre(n)
 
 
 def _assert_estimate_describes(res, reference, passes, tail):

@@ -100,6 +100,32 @@ def test_package_source_never_names_scipy_optimize():
     assert offenders == []
 
 
+def test_quadrature_routes_load_no_scipy():
+    # the Gauss-Legendre rules are a bundled table
+    assert _scipy_modules_after(
+        "scan", "--axis", "ell1", "--start", "5340", "--stop", "5360", "--steps", "3",
+        "--method", "quad",
+    ) == []
+    assert _scipy_modules_after("feasibility", "--source-model-check") == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_never_imports_scipy():
+    # scipy serves only as a test oracle
+    offenders = [
+        f"{name}: {module}" for name, tree in _package_trees()
+        for module in _imported_modules(tree) if module.split(".")[0] == "scipy"
+    ]
+    assert offenders == []
+
+
 def test_montecarlo_loads_no_scipy():
     assert _scipy_modules_after("montecarlo", "--events", "5", "--seed", "1") == []
 

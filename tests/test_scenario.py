@@ -190,6 +190,9 @@ def test_derive_scales_validates_inputs():
         derive_scales(li6, sigma_p_cm=-1.0, sigma_p_rel=1e-30, p0_rel=1e-28)
     with pytest.raises(ValidationError, match="p0_rel"):
         derive_scales(li6, sigma_p_cm=1e-30, sigma_p_rel=1e-30, p0_rel=0.0)
+    # a finite width whose square overflows
+    with pytest.raises(ValidationError, match=r"sigma_p_cm\^2 must be positive and finite, got inf"):
+        derive_scales(Species("x", 1e-26), 1e200, 1e-30, 1e-20)
 
 
 def test_reference_internal_mass():
