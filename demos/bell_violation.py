@@ -3,9 +3,10 @@ Optimizing the CHSH combination
 ===============================
 
 Seeds four arm-length settings from the fringe phase, polishes them with
-coordinate descent, and reports S against the local-realism bound 2 and
-the dispersion-limited ceiling 2*sqrt(2)*V.  Then repeats at a doubled
-pulse separation where dispersion has washed the violation out.
+bounded line searches along each length and along all four together, and
+reports S against the local-realism bound 2 and the dispersion-limited
+ceiling 2*sqrt(2)*V.  Then repeats at a doubled pulse separation where
+dispersion has washed the violation out.
 """
 
 import math

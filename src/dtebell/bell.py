@@ -50,6 +50,10 @@ _GAUGE_SAMPLES = 64
 # sweep counts as converged
 _MAX_SWEEPS = 40
 _SWEEP_TOL = 1e-12
+# optimize_settings(): line-search directions in (a, a', b, b'), each
+# arm length alone and then the common mode
+_DIRECTIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+               (0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -376,19 +380,22 @@ def optimize_settings(
     correlator: Callable[[InterferometerSetting, InterferometerSetting], CorrelationResult],
     initial: ChshSettings,
 ) -> OptimizationResult:
-    """Coordinate descent over the four settings maximizing |S|.
+    """Bounded line searches over the four arm lengths maximizing |S|.
 
-    Each pass scans one coordinate on a grid spanning twice the local
-    scale to either side of its current value, then refines the best
-    grid cell with a bounded Brent search (``_bounded_minimize``).  The
-    grid step keeps the refinement from tunneling to a neighboring
-    fringe.  The local scale is the larger same-side spacing
-    |a - a_prime|, |b - b_prime|, which for phase-derived seeds is a
-    fraction of the fringe period.  The search stops after a sweep that
-    gains less than 1e-12 in |S| (converged) or after 40 sweeps
-    (_SWEEP_TOL, _MAX_SWEEPS).  Only the arm lengths ell move; each
-    setting keeps its angle theta.  Local search only: the result is the
-    nearest optimum, deterministic given the initial settings.
+    Each sweep runs one bounded Brent search (``_bounded_minimize``) of
+    -|S| along each of the five _DIRECTIONS: every arm length alone, then
+    all four together.  Moving all four together leaves every ell1 - ell2
+    unchanged, so |S| is nearly flat along that common mode and
+    single-length steps only creep along it; it is searched on its own.
+    Each search spans the local scale to either side of the current point
+    and moves it only when |S| rises.  The local scale is the larger
+    same-side spacing |a - a_prime|, |b - b_prime|: a quarter fringe
+    period for phase-derived seeds, so the bracket spans half a period
+    and holds one maximum.  The search stops after a sweep that gains
+    less than 1e-12 in |S| (converged) or after 40 sweeps (_SWEEP_TOL,
+    _MAX_SWEEPS).  Only the arm lengths ell move; each setting keeps its
+    angle theta.  Local search only: the result is the nearest optimum,
+    deterministic given the initial settings.
     """
     values = [s.ell for s in initial.as_tuple()]
     templates = initial.as_tuple()
@@ -408,43 +415,21 @@ def optimize_settings(
     def objective_at(vals) -> float:
         return abs(_signed_chsh(correlator, rebuild(vals)))
 
-    n_grid = 21
     best = objective_at(values)
     converged = False
-    sweeps_done = 0
-    for sweep in range(_MAX_SWEEPS):
-        sweeps_done = sweep + 1
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         previous = best
-        for i in range(4):
-            lo = values[i] - 2.0 * local_scale
-            hi = values[i] + 2.0 * local_scale
-            if not hi > lo:
-                continue
-            grid = _linspace(lo, hi, n_grid)
+        for direction in _DIRECTIONS:
+            def moved(t, direction=direction):
+                return [v + t * d for v, d in zip(values, direction)]
 
-            def at(x, index=i):
-                trial = list(values)
-                trial[index] = x
-                return objective_at(trial)
-
-            scores = [at(x) for x in grid]
-            # the first maximum, as np.argmax; argmax would also stop at a
-            # NaN, which the closed form never returns for validated finite
-            # inputs
-            k = scores.index(max(scores))
-            b_lo = grid[max(k - 1, 0)]
-            b_hi = grid[min(k + 1, n_grid - 1)]
-            x_min, f_min = _bounded_minimize(
-                lambda x: -at(x),
-                b_lo,
-                b_hi,
-                xatol=max(abs(values[i]) * 1e-12, (b_hi - b_lo) * 1e-9),
+            xatol = max(max(abs(v) for v in values) * 1e-12, local_scale * 2e-9)
+            t, f = _bounded_minimize(
+                lambda t: -objective_at(moved(t)), -local_scale, local_scale, xatol
             )
-            candidates = [(scores[k], grid[k]), (-f_min, x_min)]
-            cand_best, cand_x = max(candidates)
-            if cand_best > best:
-                best = cand_best
-                values[i] = cand_x
+            if -f > best:
+                best = -f
+                values = moved(t)
         if best - previous < _SWEEP_TOL:
             converged = True
             break
@@ -456,7 +441,7 @@ def optimize_settings(
         s_value=outcome.s_value,
         outcome=outcome,
         converged=converged,
-        sweeps=sweeps_done,
+        sweeps=sweeps,
     )
 
 

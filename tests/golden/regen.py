@@ -7,7 +7,9 @@ argparse's own writes to ``sys.stdout``/``sys.stderr`` and its
 warnings to stderr itself, as ``warning: <message>`` lines, so they sit
 in the stderr section; the warnings section records any Python warning
 that escapes ``main`` and is empty in every case.  ``versions.txt``
-records the numpy and scipy versions the corpus was written with.
+records the numpy version the corpus was written with; no output
+depends on the installed scipy, since the Gauss-Legendre rules are a
+bundled table.
 
 Each of the ``demos/*.py`` scripts is a case too (``demo_<name>``), run
 in a fresh interpreter from this directory with the package's ``src`` on
@@ -30,7 +32,6 @@ import sys
 import warnings
 
 import numpy
-import scipy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -107,7 +108,7 @@ DEMOS = {
 
 
 def versions() -> str:
-    return f"numpy {numpy.__version__}\nscipy {scipy.__version__}\n"
+    return f"numpy {numpy.__version__}\n"
 
 
 def _section(name: str, text: str) -> str:

@@ -22,6 +22,7 @@ from dtebell.bell import (
     seed_settings,
     visibility,
 )
+from dtebell.cli import _pair_for
 from dtebell.correlation import (
     InterferometerSetting,
     QuadratureError,
@@ -33,6 +34,7 @@ from dtebell.scenario import (
     TimescaleSummary,
     ValidationError,
     derive_scales,
+    load_config,
     reference_scenario,
     scales_from_scenario,
 )
@@ -376,6 +378,18 @@ def test_optimize_tau2_no_violation(scenario):
     assert not feasible(scales2, 2.0)
 
 
+@pytest.mark.parametrize("tau", [0.7, 0.8, 0.9187, 1.0, 1.0147, 1.2, 1.3, 2.0])
+def test_optimize_converges_on_cli_tau_path(tau):
+    # as `bell --optimize --tau`: phi_tau follows tau
+    document = load_config(None).replace("pulses", "separation_s", tau)
+    pair = _pair_for(document.to_scenario())
+    correlator = closed_form_correlator(pair.distribution, pair.tau, pair.phi_tau)
+    seed = seed_settings(pair.distribution, pair.tau, pair.phi_tau)
+    result = optimize_settings(correlator, seed)
+    assert result.converged
+    assert result.sweeps <= 5
+
+
 # ------------------------------------------------- bounded Brent search
 
 
@@ -430,12 +444,6 @@ def test_linspace_matches_numpy_bit_for_bit(start, stop, num, endpoint):
     points = _linspace(start, stop, num, endpoint)
     assert all(type(x) is float for x in points)
     assert [x.hex() for x in points] == [float(x).hex() for x in expected]
-
-
-@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=30))
-def test_first_maximum_matches_argmax_on_ties(scores):
-    # optimize_settings picks its grid point with scores.index(max(scores))
-    assert scores.index(max(scores)) == int(np.argmax(scores))
 
 
 # ------------------------------------------------- dense grid-search oracle
@@ -518,6 +526,7 @@ def test_feasibility_equivalence(scenario, scales, pulse_phase, scm_frac, srel_f
     assume(not 3.75 < product < 4.1)  # skip hairline cases near the boundary
     correlator = closed_form_correlator(synthetic, tau, pulse_phase)
     result = optimize_settings(correlator, seed_settings(synthetic, tau, pulse_phase))
+    assert result.converged
     assert (result.s_value > 2.0) == bool(feasible(synthetic, tau))
 
 
