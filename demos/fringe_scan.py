@@ -38,7 +38,8 @@ print()
 print("ell1 offset (periods)    E         bar")
 for d in np.linspace(-1.0, 1.0, 21):
     result = correlate_closed_form(
-        scales, tau, pulse_phase, center1 + d * period, center2
+        scales, tau, pulse_phase,
+        InterferometerSetting(ell=center1 + d * period), InterferometerSetting(ell=center2),
     )
     e = result.e_value
     width = int(round(20 * (e + 1) / 2))
@@ -57,10 +58,9 @@ print()
 print("closed form vs direct quadrature at three offsets:")
 for d in (-0.5, 0.0, 0.5):
     ell1 = center1 + d * period
-    closed = correlate_closed_form(scales, tau, pulse_phase, ell1, center2)
-    quad = correlate_quadrature(
-        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=center2)
-    )
+    s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=center2)
+    closed = correlate_closed_form(scales, tau, pulse_phase, s1, s2)
+    quad = correlate_quadrature(pair, s1, s2)
     print(
         f"  offset {d:+4.1f}: E_closed = {closed.e_value:+.9f}  "
         f"E_quad = {quad.e_value:+.9f}  |diff| = {abs(closed.e_value - quad.e_value):.2e}"

@@ -3,9 +3,9 @@
 A correlator is a callable (InterferometerSetting, InterferometerSetting)
 -> CorrelationResult, so the same CHSH machinery runs on the Gaussian
 closed form or on full quadrature; a CHSH setting is one interferometer,
-chosen by its arm length ell.  The closed-form helpers here, like the
-closed form itself, read the dispersion scales (TimescaleSummary) and
-the pulse phase, never a source distribution.
+its arm length ell and analyzer angle theta.  The closed-form helpers
+here, like the closed form itself, read the dispersion scales
+(TimescaleSummary) and the pulse phase, never a source distribution.
 """
 
 from __future__ import annotations
@@ -218,10 +218,10 @@ def _wrap_near_zero(angle: float) -> float:
 
 
 def closed_form_correlator(scales: TimescaleSummary, tau: float, phi_tau: float):
-    """Adapter: (setting, setting) -> CorrelationResult via the closed form."""
+    """Adapter: (setting, setting) -> correlate_closed_form at both lengths and angles."""
 
     def correlator(s1: InterferometerSetting, s2: InterferometerSetting) -> CorrelationResult:
-        return correlate_closed_form(scales, tau, phi_tau, s1.ell, s2.ell)
+        return correlate_closed_form(scales, tau, phi_tau, s1, s2)
 
     return correlator
 

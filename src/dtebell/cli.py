@@ -16,8 +16,9 @@ with repr, so every emitted number parses back to the exact binary value.
 bell and montecarlo share one CHSH front end (_chsh_settings, _pair_rows):
 the four lengths a a' b b' come from --settings, echoed in the rows
 exactly as given, or from the seeded optimizer; a non-finite --settings
-length is a usage failure.  Negative numbers may take exponent form
-(-5.37e3) on every command.
+length is a usage failure.  Every correlating route reads theta1_deg
+(a, a') and theta2_deg (b, b') as the analyzer angles.  Negative numbers
+may take exponent form (-5.37e3) on every command.
 
 Exit codes: 0 success, 1 runtime or quadrature failure, 2 config or
 usage failure.  Runtime failures include wave packets that are not
@@ -234,17 +235,6 @@ _SCAN_KEYS = {
 }
 
 
-def _require_45_degrees(document: ConfigDocument) -> None:
-    """The closed form covers 45-degree analyzers only."""
-    inter = document.values["interferometer"]
-    for key in ("theta1_deg", "theta2_deg"):
-        if not math.isclose(inter[key], 45.0, abs_tol=1e-9):
-            raise ConfigError(
-                f"closed-form evaluation requires interferometer.{key} = 45; "
-                f"got {inter[key]} (scan --method quad takes any angle)"
-            )
-
-
 def _scan_point(document: ConfigDocument, base: Optional[DtePair],
                 axis: str, value: float, method: str) -> dict:
     """One grid point; computation errors land in the row's error cell."""
@@ -254,16 +244,12 @@ def _scan_point(document: ConfigDocument, base: Optional[DtePair],
                ell2_um=inter["ell2_um"], method=method)
     try:
         pair = base if base is not None else _pair_for(document.to_scenario())
-        ell1 = inter["ell1_um"] / 1e6
-        ell2 = inter["ell2_um"] / 1e6
+        s1 = InterferometerSetting(inter["ell1_um"] / 1e6, math.radians(inter["theta1_deg"]))
+        s2 = InterferometerSetting(inter["ell2_um"] / 1e6, math.radians(inter["theta2_deg"]))
         if method == "closed":
-            result = correlate_closed_form(pair.distribution, pair.tau, pair.phi_tau, ell1, ell2)
+            result = correlate_closed_form(pair.distribution, pair.tau, pair.phi_tau, s1, s2)
         else:
-            result = correlate_quadrature(
-                pair,
-                InterferometerSetting(ell=ell1, theta=math.radians(inter["theta1_deg"])),
-                InterferometerSetting(ell=ell2, theta=math.radians(inter["theta2_deg"])),
-            )
+            result = correlate_quadrature(pair, s1, s2)
     except (ValidationError, QuadratureError) as exc:
         row["error"] = str(exc).replace("\n", " ")
         return row
@@ -280,8 +266,6 @@ def cmd_scan(args, stdout, stderr) -> int:
         raise ConfigError("scan range must be finite")
     if args.start == args.stop:
         raise ConfigError("scan range is degenerate (start == stop)")
-    if args.method == "closed":
-        _require_45_degrees(document)
     base = None
     if args.axis in ("ell1", "ell2"):
         base = _pair_for(document.to_scenario())
@@ -301,22 +285,25 @@ def _chsh_settings(document: ConfigDocument, settings_um):
     """Closed-form correlator, the CHSH settings to evaluate it at, and
     the four lengths (um) the rows echo: the ``--settings`` lengths
     exactly if given (the m <-> um round trip is lossy), else the seeded
-    and optimized ones.  Lengths are CHSH order a a' b b'.  The lengths
-    and angles are checked before the scenario is built, so that each
-    gets its usage error."""
+    and optimized ones.  Lengths are CHSH order a a' b b'; a and a' take
+    the analyzer angle theta1_deg, b and b' theta2_deg, and the optimizer
+    moves the lengths only.  The lengths are checked before the scenario
+    is built, so that they get their usage error."""
     if settings_um is not None and not all(map(math.isfinite, settings_um)):
         raise ConfigError(f"--settings lengths must be finite, got {settings_um}")
-    _require_45_degrees(document)
+    inter = document.values["interferometer"]
+    theta1, theta2 = (math.radians(inter[key]) for key in ("theta1_deg", "theta2_deg"))
     pair = _pair_for(document.to_scenario())
     correlator = closed_form_correlator(pair.distribution, pair.tau, pair.phi_tau)
     if settings_um is None:
-        chosen = optimize_settings(
-            correlator, seed_settings(pair.distribution, pair.tau, pair.phi_tau)
-        ).settings
-        return correlator, chosen, [s.ell * 1e6 for s in chosen.as_tuple()]
-    # the closed form ignores theta, and the 45-degree check above holds
-    chosen = ChshSettings(*(InterferometerSetting(ell=u / 1e6) for u in settings_um))
-    return correlator, chosen, settings_um
+        ells = [s.ell for s in seed_settings(pair.distribution, pair.tau, pair.phi_tau).as_tuple()]
+    else:
+        ells = [u / 1e6 for u in settings_um]
+    chosen = ChshSettings(*map(InterferometerSetting, ells, (theta1, theta1, theta2, theta2)))
+    if settings_um is not None:
+        return correlator, chosen, settings_um
+    chosen = optimize_settings(correlator, chosen).settings
+    return correlator, chosen, [s.ell * 1e6 for s in chosen.as_tuple()]
 
 
 def _pair_rows(document: ConfigDocument, command: str, um, cells) -> list:
@@ -413,8 +400,6 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
 
 def cmd_feasibility(args, stdout, stderr) -> int:
     document = load_config(args.config)
-    if args.sweep != "tau":
-        raise ConfigError(f"only --sweep tau is supported, got {args.sweep!r}")
     if args.steps < 2:
         raise ConfigError(f"sweep needs steps >= 2, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
@@ -549,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feas = sub.add_parser("feasibility", help="violation frontier sweep (CSV + report)")
     add_config(p_feas)
-    p_feas.add_argument("--sweep", default="tau", help="sweep axis (only tau)")
     p_feas.add_argument("--start", type=float, default=0.0)
     p_feas.add_argument("--stop", type=float, default=3.0)
     p_feas.add_argument("--steps", type=int, default=61)

@@ -287,17 +287,20 @@ def closed_form_parts(
 
 
 def correlate_closed_form(
-    scales: TimescaleSummary, tau: float, phi_tau: float, ell1: float, ell2: float
+    scales: TimescaleSummary, tau: float, phi_tau: float,
+    s1: InterferometerSetting, s2: InterferometerSetting,
 ) -> CorrelationResult:
-    """Gaussian closed form of the coincidence probabilities at theta = pi/4.
+    """Gaussian closed form of the coincidence probabilities.
 
-    E = prefactor * envelope * cos(phase) with the parts documented in
-    closed_form_parts, and the visibility is prefactor * envelope.
+    The interference term is prefactor * envelope * cos(phase), with the
+    parts of closed_form_parts at s1.ell and s2.ell; the angles s1.theta
+    and s2.theta enter as on the quadrature route, so the visibility is
+    |sin2t1 sin2t2| * prefactor * envelope.
     """
-    prefactor, envelope, phase = closed_form_parts(scales, tau, phi_tau, ell1, ell2)
+    prefactor, envelope, phase = closed_form_parts(scales, tau, phi_tau, s1.ell, s2.ell)
     return _result_from_interference(
         prefactor * envelope * math.cos(phase), prefactor * envelope,
-        math.pi / 4.0, math.pi / 4.0, 0.0,
+        s1.theta, s2.theta, 0.0,
     )
 
 

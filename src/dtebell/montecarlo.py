@@ -50,7 +50,7 @@ def _require_mode(mode: str) -> None:
 
 
 class InsufficientDataError(ValidationError):
-    """A setting pair has too few kept events to estimate a correlation."""
+    """A setting pair has no kept events to estimate a correlation from."""
 
 
 @dataclass(frozen=True)
@@ -239,11 +239,11 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     the CHSH signs of counts.settings.pairs(); var(E_hat) = (1 -
     E_hat^2)/n_kept (multinomial), and the pair errors add in quadrature
     since the streams are independent.  That variance vanishes at
-    E_hat = +-1, so there the standard error is the distance
-    2/(n_kept + 1) from E_hat to the far end of the z = 1 Wilson (1927)
-    score interval for p = (1 + E)/2.  A finite sample can fluctuate past
-    the quantum bound; the estimate then flags exceeds_tsirelson instead
-    of raising.
+    E_hat = +-1 (always so for one kept event), so there the standard
+    error is the distance 2/(n_kept + 1) from E_hat to the far end of the
+    z = 1 Wilson (1927) score interval for p = (1 + E)/2; only a pair with
+    no kept event is refused.  A finite sample can fluctuate past the
+    quantum bound; the estimate then flags exceeds_tsirelson instead of raising.
     """
     e_values = []
     variances = []
@@ -251,10 +251,8 @@ def estimate_chsh(counts: CountTable) -> ChshEstimate:
     for i, (_x, _y, sign) in enumerate(counts.settings.pairs()):
         n_pp, n_pm, n_mp, n_mm = counts.counts[i]
         kept = n_pp + n_pm + n_mp + n_mm
-        if kept < 2:
-            raise InsufficientDataError(
-                f"setting pair {i} has {kept} kept events; need at least 2"
-            )
+        if kept == 0:
+            raise InsufficientDataError(f"setting pair {i} has no kept events")
         e_hat = (n_pp + n_mm - n_pm - n_mp) / kept
         e_values.append(e_hat)
         if abs(e_hat) == 1.0:

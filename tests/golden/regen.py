@@ -66,13 +66,18 @@ CASES = {
     # 4029.18 um is echoed as given, not as its m <-> um round trip
     "montecarlo_settings": ("montecarlo", "--events", "10", "--seed", "1", "--settings",
                             "4029.18", *EXAMPLE_SETTINGS[1:]),
+    # one kept event per pair: E = +-1 with the Wilson standard error 1
+    "montecarlo_one_event": ("montecarlo", "--events", "1", "--seed", "3"),
+    # a 30-degree analyzer on side 1 scales every fringe by sin 60 degrees
+    "theta30_bell": ("bell", "cfg/theta30.cfg", "--optimize"),
+    "theta30_scan_ell1_closed": ("scan", "cfg/theta30.cfg", "--axis", "ell1", *ELL1_WINDOW,
+                                 "--steps", "5"),
     # failures
     "theta120_scales": ("scales", "cfg/theta120.cfg"),
     "theta120_scan_tau_quad": ("scan", "cfg/theta120.cfg", "--axis", "tau", "--start", "0.9",
                                "--stop", "1.1", "--steps", "3", "--method", "quad"),
     "field543800_scales": ("scales", "cfg/field543800.cfg"),
     "field543800_bell": ("bell", "cfg/field543800.cfg", "--optimize"),
-    "theta30_bell": ("bell", "cfg/theta30.cfg", "--optimize"),
     # wave-packet separation margin 1.17, below the 2x refusal
     "unseparated_bell": ("bell", "cfg/unseparated.cfg", "--optimize"),
     "unseparated_scan_ell1_quad": ("scan", "cfg/unseparated.cfg", "--axis", "ell1", "--start",

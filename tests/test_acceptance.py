@@ -167,14 +167,10 @@ class TestOracleEquivalence:
                 for d2 in np.linspace(-1.5, 1.5, 5):
                     ell1 = tau * v / 2.0 + d1 * period
                     ell2 = -tau * v / 2.0 + d2 * period
-                    closed = correlate_closed_form(
-                        scales, tau, pulse_phase, ell1, ell2
-                    )
-                    quad = correlate_quadrature(
-                        pair,
-                        InterferometerSetting(ell=ell1),
-                        InterferometerSetting(ell=ell2),
-                    )
+                    arm1 = InterferometerSetting(ell=ell1)
+                    arm2 = InterferometerSetting(ell=ell2)
+                    closed = correlate_closed_form(scales, tau, pulse_phase, arm1, arm2)
+                    quad = correlate_quadrature(pair, arm1, arm2)
                     for s1 in (1, -1):
                         for s2 in (1, -1):
                             worst = max(

@@ -458,7 +458,9 @@ def _grid_powell_oracle(tau, phase, scales, n_coarse=61, top_k=24):
     centers = np.array([c1, c1, -c1, -c1])
 
     def e_val(l1, l2):
-        return correlate_closed_form(scales, tau, phase, l1, l2).e_value
+        return correlate_closed_form(
+            scales, tau, phase, InterferometerSetting(ell=l1), InterferometerSetting(ell=l2)
+        ).e_value
 
     half = 0.75 * period
     axes = [np.linspace(c - half, c + half, n_coarse) for c in centers]
@@ -568,5 +570,5 @@ def test_closed_form_correlator_adapter(scales, pulse_phase):
     correlator = closed_form_correlator(scales, 1.0, pulse_phase)
     s1 = InterferometerSetting(ell=5.3e-3)
     s2 = InterferometerSetting(ell=-5.35e-3)
-    direct = correlate_closed_form(scales, 1.0, pulse_phase, s1.ell, s2.ell)
+    direct = correlate_closed_form(scales, 1.0, pulse_phase, s1, s2)
     assert correlator(s1, s2).e_value == direct.e_value

@@ -303,25 +303,20 @@ class TestScan:
         )
         assert code == 2 and "steps" in err
 
-    def test_closed_rejects_tilted_analyzers(self, tmp_path):
+    @pytest.mark.parametrize("method", ["closed", "quad"])
+    def test_accepts_tilted_analyzers(self, tmp_path, method):
+        """Both methods read the analyzer angles and agree on them."""
         path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
-        code, _, err = invoke(
-            "scan", path, "--axis", "ell1", "--start", "5340", "--stop",
-            "5360", "--steps", "3",
-        )
-        assert code == 2
-        assert "theta1_deg" in err and "quad" in err
-
-    def test_quad_accepts_tilted_analyzers(self, tmp_path):
-        path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
-        code, out, _ = invoke(
-            "scan", path, "--axis", "ell1", "--start", "5345", "--stop",
-            "5355", "--steps", "2", "--method", "quad",
-        )
+        argv = ("scan", path, "--axis", "ell1", "--start", "5345", "--stop", "5355",
+                "--steps", "2", "--method")
+        code, out, _ = invoke(*argv, method)
         assert code == 0
-        for row in parse_csv(out):
-            assert row["error"] == ""
+        _, other, _ = invoke(*argv, "quad" if method == "closed" else "closed")
+        for row, reference in zip(parse_csv(out), parse_csv(other), strict=True):
+            assert row["error"] == "" and row["theta1_deg"] == "30.0"
             assert abs(float(row["E"])) <= 1.0
+            for key in ("P_pp", "P_pm", "P_mp", "P_mm", "E", "V"):
+                assert float(row[key]) == pytest.approx(float(reference[key]), abs=1e-6)
 
 
 # --------------------------------------------------------------------- bell
@@ -360,7 +355,7 @@ class TestBell:
     @pytest.mark.parametrize("length", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["bell", "montecarlo"])
     def test_non_finite_settings_exit_2(self, tmp_path, command, length):
-        # refused as a usage error before the analyzer angles are checked
+        # refused as a usage error before the scenario is built
         path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
         code, out, err = invoke(command, path, "--settings", SETTINGS_UM[0], length,
                                 *SETTINGS_UM[2:])
@@ -389,12 +384,17 @@ class TestBell:
         code, _, err = invoke("bell", "--optimize", "--tau", "-1")
         assert code == 2 and "--tau" in err
 
-    def test_optimize_rejects_tilted_analyzers(self, tmp_path):
-        # the closed form behind --optimize models 45-degree analyzers only
+    def test_optimize_accepts_tilted_analyzers(self, tmp_path):
+        # theta1 = 30 degrees scales every fringe by sin 60 degrees, and
+        # cos 60 * cos 90 adds nothing, so S shrinks by sin 60 degrees
         path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
         code, out, err = invoke("bell", path, "--optimize")
-        assert code == 2 and out == ""
-        assert "theta1_deg" in err
+        assert code == 0 and "violated = false" in err
+        rows = parse_csv(out)
+        assert [row["theta1_deg"] for row in rows[:4]] == ["30.0"] * 4
+        _, reference, _ = invoke("bell", "--optimize")
+        s_45 = float(parse_csv(reference)[-1]["S"])
+        assert float(rows[-1]["S"]) == pytest.approx(math.sin(math.pi / 3.0) * s_45, rel=1e-6)
 
     @pytest.mark.parametrize("angle", ["225", "-135"])
     @pytest.mark.parametrize(
@@ -456,11 +456,11 @@ class TestMonteCarlo:
                     table.counts[i][j] / kept, abs=1e-12
                 )
 
-    def test_rejects_tilted_analyzers(self, tmp_path):
+    def test_accepts_tilted_analyzers(self, tmp_path):
         path = write_cfg(tmp_path, "[interferometer]\ntheta1_deg = 30\n")
-        code, out, err = invoke("montecarlo", path, "--events", "100")
-        assert code == 2 and out == ""
-        assert "theta1_deg" in err
+        code, out, _ = invoke("montecarlo", path, "--events", "100")
+        assert code == 0
+        assert [row["theta1_deg"] for row in parse_csv(out)[:4]] == ["30.0"] * 4
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_bad_seed_exits_2_before_output(self, seed):
@@ -634,8 +634,8 @@ class TestFeasibility:
         assert "exceeds 3e-07" in err.splitlines()[-1]
 
     def test_bad_sweep_exits_2(self):
-        code, _, err = invoke("feasibility", "--sweep", "field")
-        assert code == 2 and "sweep" in err
+        with pytest.raises(SystemExit):  # feasibility sweeps tau only, and has no --sweep
+            invoke("feasibility", "--sweep", "field")
         code, _, err = invoke("feasibility", "--start", "2", "--stop", "1")
         assert code == 2
 

@@ -225,7 +225,9 @@ def test_result_validation():
 
 def test_closed_form_center_value(scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
-    res = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
+    res = correlate_closed_form(
+        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
     assert res.quadrature_error_estimate == 0.0
     assert res.e_value == pytest.approx(E_CENTER_REF, rel=1e-10)
     prefactor, envelope, phase = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
@@ -244,7 +246,9 @@ def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
     )
     tau = 1.0
     ell1, ell2 = center_lengths(scales, tau)
-    res = correlate_closed_form(tiny, tau, phi_tau, ell1, ell2)
+    res = correlate_closed_form(
+        tiny, tau, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
     lam = scales.lambda_bar_rel
     v = scales.v_rel
     expected = math.cos(tau * v / lam - 0.5 * (tau * v / lam + 2.0 * phi_tau))
@@ -279,12 +283,14 @@ def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
     parts = closed_form_parts(scales, 1.0, phi_tau, ell1, ell2)
     assert len(parts) == 3
     assert fringe_phase(scales, 1.0, phi_tau, ell1, ell2) == parts[2]
-    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
+    closed = correlate_closed_form(
+        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
     assert closed.visibility == parts[0] * parts[1]
     correlator = bell.closed_form_correlator(scales, 1.0, phi_tau)
     seeded = bell.seed_settings(scales, 1.0, phi_tau)
     assert correlator(seeded.a, seeded.b).e_value == correlate_closed_form(
-        scales, 1.0, phi_tau, seeded.a.ell, seeded.b.ell
+        scales, 1.0, phi_tau, seeded.a, seeded.b
     ).e_value
     with pytest.raises(ValidationError, match="tau must be positive"):
         closed_form_parts(scales, 0.0, phi_tau, ell1, ell2)
@@ -300,7 +306,9 @@ def test_closed_form_probability_structure(d1, d2, tau):
     scales = scales_from_scenario(reference_scenario())
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
-    res = correlate_closed_form(scales, tau, 0.37, ell1, ell2)
+    res = correlate_closed_form(
+        scales, tau, 0.37, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
     assert sum(res.p.values()) == pytest.approx(1.0, abs=1e-12)
     for p in res.p.values():
         assert 0.0 <= p <= 1.0
@@ -348,15 +356,19 @@ def test_fringe_phase_tau_to_zero(scales):
 
 
 def test_quadrature_matches_closed_form_center(scenario, scales, phi_tau):
+    """Both routes read the analyzer angles, at 45 degrees and at 0.3 rad."""
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
-    quad = correlate_quadrature(
-        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
-    )
-    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
-    assert quad.quadrature_error_estimate < 1e-6
-    for key in SIGN_PAIRS:
-        assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-9)
+    for theta in (math.pi / 4.0, 0.3):
+        s1 = InterferometerSetting(ell=ell1, theta=theta)
+        s2 = InterferometerSetting(ell=ell2, theta=theta)
+        quad = correlate_quadrature(pair, s1, s2)
+        closed = correlate_closed_form(scales, 1.0, phi_tau, s1, s2)
+        assert quad.quadrature_error_estimate < 1e-6
+        for key in SIGN_PAIRS:
+            assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-9)
+        assert quad.e_value == pytest.approx(closed.e_value, abs=1e-6)
+        assert quad.visibility == pytest.approx(closed.visibility, abs=1e-6)
 
 
 def _uncut(monkeypatch):
@@ -451,10 +463,9 @@ def test_quadrature_matches_closed_form_offsets(
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
     pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
-    quad = correlate_quadrature(
-        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
-    )
-    closed = correlate_closed_form(scales, tau, phi_tau, ell1, ell2)
+    s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    quad = correlate_quadrature(pair, s1, s2)
+    closed = correlate_closed_form(scales, tau, phi_tau, s1, s2)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
 
@@ -473,17 +484,17 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(scenario, scales):
         theta1, theta2 = rng.uniform(0.0, 0.5 * math.pi, 2)
         pair = DtePair(distribution=scales, tau=tau, phi_tau=pulse_phase, species=species)
         prefactor, envelope, _ = closed_form_parts(scales, tau, pulse_phase, ell1, ell2)
-        closed = correlate_closed_form(scales, tau, pulse_phase, ell1, ell2)
-        quad = correlate_quadrature(
-            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
-        )
-        tilted = correlate_quadrature(
-            pair,
-            InterferometerSetting(ell=ell1, theta=theta1),
-            InterferometerSetting(ell=ell2, theta=theta2),
-        )
+        s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        tilt1 = InterferometerSetting(ell=ell1, theta=theta1)
+        tilt2 = InterferometerSetting(ell=ell2, theta=theta2)
+        closed = correlate_closed_form(scales, tau, pulse_phase, s1, s2)
+        quad = correlate_quadrature(pair, s1, s2)
+        tilted = correlate_quadrature(pair, tilt1, tilt2)
+        tilted_closed = correlate_closed_form(scales, tau, pulse_phase, tilt1, tilt2)
         assert closed.visibility == prefactor * envelope
         assert abs(quad.visibility - prefactor * envelope) <= 1e-6
+        assert abs(tilted.visibility - tilted_closed.visibility) <= 1e-6
+        assert abs(tilted.e_value - tilted_closed.e_value) <= 1e-6
         quarter = math.pi / 4.0
         for result, t1, t2 in ((closed, quarter, quarter), (quad, quarter, quarter),
                                (tilted, theta1, theta2)):
@@ -496,7 +507,7 @@ def test_quadrature_at_origin(scales, scenario, phi_tau):
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=0.0, species=scenario.species)
     zero = InterferometerSetting(ell=0.0)
     quad = correlate_quadrature(pair, zero, zero)
-    closed = correlate_closed_form(scales, 1.0, 0.0, 0.0, 0.0)
+    closed = correlate_closed_form(scales, 1.0, 0.0, zero, zero)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
         assert quad.p[key] == pytest.approx(0.25, abs=1e-6)
@@ -878,7 +889,9 @@ def test_feshbach_vs_gaussian_model(fesh, scenario, scales, phi_tau):
     quad = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    closed = correlate_closed_form(scales, 1.0, phi_tau, ell1, ell2)
+    closed = correlate_closed_form(
+        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    )
     gap = abs(quad.e_value - closed.e_value)
     # frozen empirical band: the Gaussian model overestimates the fringe
     # contrast here by about 0.065; fail loudly if the gap drifts

@@ -239,20 +239,22 @@ def test_run_propagates_correlator_errors():
 
 
 def test_estimate_all_plus_plus():
-    table = CountTable(((7, 0, 0, 0),) * 4, (0,) * 4, 7, "Switched", TEXTBOOK)
-    estimate = estimate_chsh(table)
-    assert estimate.e_values == (1.0, 1.0, 1.0, 1.0)
-    assert estimate.s_value == 2.0  # |1 - 1 + 1 + 1|
-    # E_hat = 1 is not exact: 2/(n + 1) from the z = 1 Wilson interval
-    assert estimate.e_stderr == (0.25,) * 4
-    assert estimate.stderr == 0.5
-    assert not estimate.violated
+    # one kept event per pair is estimated too, with stderr 2/(1 + 1) each
+    for n, e_stderr, stderr in ((7, 0.25, 0.5), (1, 1.0, 2.0)):
+        table = CountTable(((n, 0, 0, 0),) * 4, (0,) * 4, n, "Switched", TEXTBOOK)
+        estimate = estimate_chsh(table)
+        assert estimate.e_values == (1.0, 1.0, 1.0, 1.0)
+        assert estimate.s_value == 2.0  # |1 - 1 + 1 + 1|
+        # E_hat = 1 is not exact: 2/(n + 1) from the z = 1 Wilson interval
+        assert estimate.e_stderr == (e_stderr,) * 4
+        assert estimate.stderr == stderr
+        assert not estimate.violated
 
 
 def test_estimate_insufficient_data():
     table = CountTable(
-        counts=((1, 0, 0, 0), (3, 0, 0, 0), (3, 0, 0, 0), (3, 0, 0, 0)),
-        discarded=(2, 0, 0, 0),
+        counts=((0, 0, 0, 0), (3, 0, 0, 0), (3, 0, 0, 0), (3, 0, 0, 0)),
+        discarded=(3, 0, 0, 0),
         events_per_setting=3,
         mode="BeamSplitter",
         settings=TEXTBOOK,
