@@ -2,9 +2,9 @@
 Finite statistics: from joint probabilities to a measured S
 ===========================================================
 
-Draws individual detection events with a counter-based RNG, tallies the
-four coincidence counts per setting pair, and compares the estimated S
-and its standard error against the analytic value.  Also shows the 50%
+Draws the four coincidence counts of each setting pair as one
+multinomial sample from a counter-based RNG, and compares the estimated
+S and its standard error against the analytic value.  Also shows the 50%
 post-selection cost of swapping the fast switch for a beam splitter.
 """
 

@@ -72,7 +72,6 @@ from .montecarlo import (
     estimate_chsh,
     multi_dissociation_rate,
     pair_rng,
-    sample_event,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "phase_stability",
     "phi_tau",
     "reference_scenario",
-    "sample_event",
     "scales_from_scenario",
     "seed_settings",
     "visibility",

@@ -84,6 +84,7 @@ from .scenario import (  # the config names are re-exported for dtebell.cli call
     ConfigError,
     Scenario,
     ValidationError,
+    _MAX_EVENTS,
     _MAX_SEED,
     load_config,
     scales_from_scenario,
@@ -350,8 +351,8 @@ def cmd_bell(args, stdout, stderr) -> int:
 def cmd_montecarlo(args, stdout, stderr) -> int:
     document = load_config(args.config)
     if args.events is not None:
-        if args.events < 1:
-            raise ConfigError(f"--events must be >= 1, got {args.events}")
+        if not 1 <= args.events < _MAX_EVENTS:
+            raise ConfigError(f"--events must be from 1 to 2**63 - 1, got {args.events}")
         document = document.replace("run", "events", int(args.events))
     if args.seed is not None:
         if not 0 <= args.seed < _MAX_SEED:

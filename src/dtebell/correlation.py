@@ -219,14 +219,18 @@ def correlate_quadrature(
     also carries the bound of _quadrature._tail_cut: each line integral
     stops where its phase has no stationary point left, and that
     non-stationary-phase bound on the dropped part (at most an eighth of
-    the envelope tail) is charged here.  ``refine`` forces that many extra
-    node doublings beyond the adaptive schedule (testing hook for the
-    self-consistency property).  The returned pass differs from its
+    the envelope tail) is charged here.  ``refine``, a non-negative
+    integer, forces that many extra node doublings beyond the adaptive
+    schedule (testing hook for the self-consistency property); a negative
+    one would start below the schedule, where the estimate no longer
+    bounds the error, and is refused.  The returned pass differs from its
     half-level pass in every node count; where a node cap rules that out,
     QuadratureError is raised (_quadrature._converge).
     """
     import numpy as np
 
+    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 0:
+        raise ValidationError(f"refine must be a non-negative integer, got {refine!r}")
     compute, tail = _interference(pair, s1.ell, s2.ell)
     phase_ref = np.exp(-1j * pair.phi_tau)
 

@@ -1,12 +1,13 @@
 """Finite-statistics simulation of CHSH runs.
 
-Events are drawn per setting pair from the model probabilities with a
-counter-based RNG (numpy Philox) keyed as key = [seed, pair_index], so
-every setting pair owns an independent, reproducible stream and runs
-parallelize without coordination.  In Switched mode each event consumes
-one uniform (the port draw); in BeamSplitter mode two (discard first,
-then port), so sequential single-event sampling and the vectorized run
-consume the stream identically.
+Each setting pair's tally is drawn whole, as one multinomial draw over
+its outcome cells, from a counter-based RNG (numpy Philox) keyed as
+key = [seed, pair_index]: every setting pair owns an independent,
+reproducible stream and runs parallelize without coordination.  For
+independent events the tally is exactly Multinomial(n, P) in Switched
+mode, and Multinomial(n, (P/2, 1/2)) in BeamSplitter mode, whose fifth
+cell is the discarded events.  numpy draws it as a chain of binomials,
+so time and memory do not depend on the event count.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Callable, Tuple
 
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult
-from .scenario import _MAX_SEED, _MODES as MODES, ValidationError
+from .scenario import _MAX_EVENTS, _MAX_SEED, _MODES as MODES, ValidationError
 
 __all__ = [
-    "DISCARDED",
     "MODES",
     "OUTCOMES",
     "ChshEstimate",
@@ -31,17 +31,9 @@ __all__ = [
     "multi_dissociation_rate",
     "pair_rng",
     "run",
-    "sample_event",
 ]
 
 OUTCOMES: Tuple[Tuple[int, int], ...] = SIGN_PAIRS
-
-# sentinel returned by sample_event for post-selected-out events
-DISCARDED = "Discarded"
-
-# events drawn per chunk of a pair's stream: run() memory stays bounded
-# for any event count (2**18 BeamSplitter draws are 4 MB)
-EVENT_CHUNK = 2**18
 
 
 def _require_mode(mode: str) -> None:
@@ -67,9 +59,9 @@ class RunConfig:
 
         if not isinstance(self.events_per_setting, (int, np.integer)):
             raise ValidationError("events_per_setting must be an integer")
-        if self.events_per_setting < 1:
+        if not 1 <= self.events_per_setting < _MAX_EVENTS:
             raise ValidationError(
-                f"events_per_setting must be >= 1, got {self.events_per_setting}"
+                f"events_per_setting must be from 1 to 2**63 - 1, got {self.events_per_setting}"
             )
         if not isinstance(self.seed, (int, np.integer)):
             raise ValidationError("seed must be an integer")
@@ -163,29 +155,9 @@ def _probability_vector(p: CorrelationResult) -> np.ndarray:
 
     vec = np.array([p.p[pair] for pair in OUTCOMES], dtype=float)
     total = float(vec.sum())
-    if abs(total - 1.0) > 1e-9 or np.any(vec < -1e-12):
+    if not (abs(total - 1.0) <= 1e-9 and np.all(vec >= -1e-12)):  # NaN fails too
         raise ValidationError(f"probabilities not normalized (sum {total})")
     return vec
-
-
-def sample_event(p: CorrelationResult, mode: str, rng_state: np.random.Generator):
-    """One categorical draw over the four outcomes; BeamSplitter mode
-    first discards the event with probability 1/2 (independent of the
-    outcome), consuming its uniform either way."""
-    import numpy as np
-
-    _require_mode(mode)
-    vec = _probability_vector(p)
-    if mode == "BeamSplitter":
-        discard = rng_state.random() < 0.5
-        port_u = rng_state.random()
-        if discard:
-            return DISCARDED
-    else:
-        port_u = rng_state.random()
-    cum = np.cumsum(vec)
-    idx = int(np.searchsorted(cum, port_u, side="right"))
-    return OUTCOMES[min(idx, 3)]
 
 
 def run(
@@ -193,10 +165,11 @@ def run(
 ) -> CountTable:
     """Simulate all four setting pairs; deterministic given config.
 
-    Each pair's stream is drawn EVENT_CHUNK events at a time; the chunks
-    consume it exactly as one whole draw would, so the tallies do not
-    depend on the chunk size.  Correlator errors (validation, quadrature
-    failures) propagate.
+    Each pair makes one multinomial draw from its own stream.  The
+    round-off negatives _probability_vector admits are clipped to 0 and
+    the cells renormalized first, so the draw never refuses them; a cell
+    of probability 0 never tallies an event.  Correlator errors
+    (validation, quadrature failures) propagate.
     """
     import numpy as np
 
@@ -204,25 +177,17 @@ def run(
     discarded = []
     n = config.events_per_setting
     for index, (x, y, _sign) in enumerate(config.settings.pairs()):
-        cum = np.cumsum(_probability_vector(correlator(x, y)))
-        rng = pair_rng(config.seed, index)
-        # at_least[k]: kept events whose port index is k + 1 or more, the
-        # same tally as searchsorted(cum, port_u, side="right")
-        kept = 0
-        at_least = [0, 0, 0]
-        for start in range(0, n, EVENT_CHUNK):
-            size = min(EVENT_CHUNK, n - start)
-            if config.mode == "BeamSplitter":
-                u = rng.random((size, 2))
-                port_u = u[u[:, 0] >= 0.5, 1]
-            else:
-                port_u = rng.random(size)
-            kept += len(port_u)
-            for k in range(3):
-                at_least[k] += int(np.count_nonzero(port_u >= cum[k]))
-        edges = [kept, *at_least, 0]
-        counts.append(tuple(a - b for a, b in zip(edges, edges[1:])))
-        discarded.append(n - kept)
+        cells = np.clip(_probability_vector(correlator(x, y)), 0.0, None)
+        cells /= cells.sum()
+        if config.mode == "BeamSplitter":
+            cells = np.append(0.5 * cells, 0.5)  # the fifth cell is discarded
+        # a cell of probability 0 sits out the draw: numpy's chain of
+        # binomials hands its round-off remainder to the last cell
+        drawn = cells > 0.0
+        tally = np.zeros(len(cells), dtype=np.int64)
+        tally[drawn] = pair_rng(config.seed, index).multinomial(n, cells[drawn])
+        counts.append(tuple(tally[:4].tolist()))
+        discarded.append(int(tally[4:].sum()))  # Switched draws no fifth cell
     return CountTable(
         counts=tuple(counts),
         discarded=tuple(discarded),

@@ -57,6 +57,7 @@ SINC_WIDTH_FACTOR = 1.196
 
 _MODES = ("Switched", "BeamSplitter")  # interferometer switch modes
 _MAX_SEED = 2**64  # a seed keys a 64-bit Philox stream
+_MAX_EVENTS = 2**63  # a pair's tally is drawn as int64 counts
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -520,8 +521,8 @@ def load_config(path: Optional[str] = None) -> ConfigDocument:
             raise ConfigError(
                 f"invalid value for interferometer.{key}: {theta} (expected 0 to 90 degrees)"
             )
-    if document.events < 1:
-        raise ConfigError(f"run.events must be >= 1, got {document.events}")
+    if not 1 <= document.events < _MAX_EVENTS:
+        raise ConfigError(f"run.events must be from 1 to 2**63 - 1, got {document.events}")
     if not 0 <= document.seed < _MAX_SEED:
         raise ConfigError(f"run.seed must fit in 64 bits, got {document.seed}")
     return document

@@ -87,6 +87,8 @@ CASES = {
     "malformed_config": ("scales", "cfg/malformed.cfg"),
     "feasibility_negative_stability": ("feasibility", "--stability-rel", "-1"),
     "montecarlo_negative_seed": ("montecarlo", "--events", "100", "--seed", "-3"),
+    # a tally is an int64 count: 10**23 events per setting are refused
+    "montecarlo_huge_events": ("montecarlo", "--events", "100000000000000000000000"),
     # a phase range past every node cap ends at the ceiling, in the row
     "scan_ell1_quad_huge_phase": ("scan", "--axis", "ell1", "--start", "1e20", "--stop", "2e20",
                                   "--steps", "2", "--method", "quad"),

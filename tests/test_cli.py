@@ -516,9 +516,9 @@ class TestMonteCarlo:
         assert summary["events"] == "300" and summary["seed"] == "9"
 
     def test_fluctuation_past_tsirelson_exits_0(self):
-        """Five events at seed 15 give S_hat = 3.2 > 2*sqrt(2): a fluke of
+        """Five events at seed 49 give S_hat = 3.2 > 2*sqrt(2): a fluke of
         the sample, reported like any other run."""
-        code, out, err = invoke("montecarlo", "--events", "5", "--seed", "15")
+        code, out, err = invoke("montecarlo", "--events", "5", "--seed", "49")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 5 and not any(row["error"] for row in rows)
@@ -534,9 +534,9 @@ class TestMonteCarlo:
         assert "exceeds 2*sqrt(2)" in err
 
     def test_degenerate_pair_has_wilson_stderr(self):
-        """Both a' pairs of seed 15 tally E = 1 from 5 events; their
+        """Both a' pairs of seed 49 tally E = 1 from 5 events; their
         stderr is 2/(5 + 1), not the 0 of (1 - E^2)/n."""
-        code, out, _ = invoke("montecarlo", "--events", "5", "--seed", "15")
+        code, out, _ = invoke("montecarlo", "--events", "5", "--seed", "49")
         assert code == 0
         for line in out.splitlines()[3:5]:
             assert line.startswith("montecarlo_a_prime_b")
@@ -545,6 +545,24 @@ class TestMonteCarlo:
     def test_bad_events_exit_2(self):
         code, _, err = invoke("montecarlo", "--events", "0")
         assert code == 2 and "--events" in err
+
+    @pytest.mark.parametrize("events", [2**63, 10**23])
+    def test_events_past_int64_exit_2_before_output(self, events, tmp_path):
+        # a tally is an int64 count; the same bound holds for run.events
+        code, out, err = invoke("montecarlo", "--events", str(events))
+        assert (code, out) == (2, "")
+        assert err == f"error: --events must be from 1 to 2**63 - 1, got {events}\n"
+        path = write_cfg(tmp_path, f"[run]\nevents = {events}\n")
+        code, out, err = invoke("montecarlo", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: run.events must be from 1 to 2**63 - 1, got {events}\n"
+
+    def test_largest_event_count_exits_0(self):
+        code, out, _ = invoke("montecarlo", "--events", str(2**63 - 1), "--seed", "1")
+        assert code == 0
+        rows = parse_csv(out)
+        assert all(row["events"] == str(2**63 - 1) for row in rows)
+        assert not any(row["error"] for row in rows)
 
 
 # -------------------------------------------------------------- feasibility

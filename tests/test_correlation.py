@@ -555,6 +555,16 @@ def test_refinement_self_consistency(scenario, scales, phi_tau):
         assert abs(finer.p[key] - base.p[key]) <= base.quadrature_error_estimate
 
 
+@pytest.mark.parametrize("refine", [-1, 0.5, 1.0, True, "1", None])
+def test_refine_must_be_a_non_negative_integer(scenario, scales, phi_tau, refine):
+    ell1, ell2 = center_lengths(scales, 1.0)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    with pytest.raises(ValidationError, match="refine must be a non-negative integer"):
+        correlate_quadrature(
+            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2), refine=refine
+        )
+
+
 def test_quadrature_failure_carries_estimate(
     scenario, scales, phi_tau, monkeypatch
 ):

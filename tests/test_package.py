@@ -285,6 +285,10 @@ INPUT_RULES = {
         lambda node: isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 64",
         ("scenario.py", None),
     ),
+    "int64 event count": (
+        lambda node: isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 63",
+        ("scenario.py", None),
+    ),
     "switch modes": (
         lambda node: isinstance(node, ast.Tuple)
         and {"Switched", "BeamSplitter"} <= set(map(_text, node.elts)),
