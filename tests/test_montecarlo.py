@@ -139,6 +139,17 @@ def test_run_degenerate_distribution():
                 assert table.kept(i) + table.discarded[i] == 1000
 
 
+def test_sample_event_mode_validation():
+    """An unknown mode is refused by RunConfig and, should a config slip
+    past it, by the CountTable run() builds, before any tally escapes."""
+    with pytest.raises(ValidationError):
+        RunConfig(10, 0, "both", TEXTBOOK)
+    config = RunConfig(10, 0, "Switched", TEXTBOOK)
+    object.__setattr__(config, "mode", "both")
+    with pytest.raises(ValidationError):
+        run(spin_correlator, config)
+
+
 def test_run_rejects_unnormalized():
     bad = fixed_correlator([1.0, 0.0, 0.0, 0.0])(None, None)
     for p in ({pair: 0.3 for pair in OUTCOMES}, {pair: math.nan for pair in OUTCOMES}):
