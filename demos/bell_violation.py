@@ -12,6 +12,7 @@ dispersion has washed the violation out.
 import math
 
 from dtebell import (
+    DtePair,
     chsh_value,
     closed_form_correlator,
     load_config,
@@ -27,10 +28,12 @@ def analyze(document, label):
     scenario = document.to_scenario()
     scales = scales_from_scenario(scenario)
     tau = scenario.pulses.pulse_separation
-    pulse_phase = phi_tau(scenario)
+    pair = DtePair(
+        distribution=scales, tau=tau, phi_tau=phi_tau(scenario), species=scenario.species
+    )
 
-    correlator = closed_form_correlator(scales, tau, pulse_phase)
-    seeded = seed_settings(scales, tau, pulse_phase)
+    correlator = closed_form_correlator(pair)
+    seeded = seed_settings(pair)
     best = optimize_settings(correlator, seeded)
     outcome = chsh_value(correlator, best.settings)
 

@@ -11,6 +11,7 @@ post-selection cost of swapping the fast switch for a beam splitter.
 import math
 
 from dtebell import (
+    DtePair,
     RunConfig,
     closed_form_correlator,
     estimate_chsh,
@@ -24,11 +25,14 @@ from dtebell.montecarlo import run
 
 scenario = load_config(None).to_scenario()
 scales = scales_from_scenario(scenario)
-tau = scenario.pulses.pulse_separation
-correlator = closed_form_correlator(scales, tau, phi_tau(scenario))
-settings = optimize_settings(
-    correlator, seed_settings(scales, tau, phi_tau(scenario))
-).settings
+pair = DtePair(
+    distribution=scales,
+    tau=scenario.pulses.pulse_separation,
+    phi_tau=phi_tau(scenario),
+    species=scenario.species,
+)
+correlator = closed_form_correlator(pair)
+settings = optimize_settings(correlator, seed_settings(pair)).settings
 s_true = abs(sum(
     sign * correlator(x, y).e_value for x, y, sign in settings.pairs()
 ))

@@ -25,7 +25,14 @@ from dtebell import (
 scenario = load_config(None).to_scenario()
 scales = scales_from_scenario(scenario)
 tau = scenario.pulses.pulse_separation
-pulse_phase = phi_tau(scenario)
+# both routes read one DtePair, which checks that the two wave packets
+# are separated
+pair = DtePair(
+    distribution=scales,
+    tau=tau,
+    phi_tau=phi_tau(scenario),
+    species=scenario.species,
+)
 
 center1 = tau * scales.v_rel / 2        # early/late overlap point, arm 1
 center2 = -center1                      # and arm 2 (opposite momentum)
@@ -38,28 +45,21 @@ print()
 print("ell1 offset (periods)    E         bar")
 for d in np.linspace(-1.0, 1.0, 21):
     result = correlate_closed_form(
-        scales, tau, pulse_phase,
-        InterferometerSetting(ell=center1 + d * period), InterferometerSetting(ell=center2),
+        pair, InterferometerSetting(ell=center1 + d * period), InterferometerSetting(ell=center2)
     )
     e = result.e_value
     width = int(round(20 * (e + 1) / 2))
     print(f"  {d:+5.2f}               {e:+7.4f}   {'#' * width}")
 
 # same physics through the 4D oscillatory integral, no closed form
-# involved: it reads the same scales, but integrates the Gaussian pair
-# they describe instead of evaluating the closed-form expression
-pair = DtePair(
-    distribution=scales,
-    tau=tau,
-    phi_tau=pulse_phase,
-    species=scenario.species,
-)
+# involved: it reads the same pair, but integrates the Gaussian pair its
+# scales describe instead of evaluating the closed-form expression
 print()
 print("closed form vs direct quadrature at three offsets:")
 for d in (-0.5, 0.0, 0.5):
     ell1 = center1 + d * period
     s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=center2)
-    closed = correlate_closed_form(scales, tau, pulse_phase, s1, s2)
+    closed = correlate_closed_form(pair, s1, s2)
     quad = correlate_quadrature(pair, s1, s2)
     print(
         f"  offset {d:+4.1f}: E_closed = {closed.e_value:+.9f}  "

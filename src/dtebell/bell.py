@@ -3,9 +3,10 @@
 A correlator is a callable (InterferometerSetting, InterferometerSetting)
 -> CorrelationResult, so the same CHSH machinery runs on the Gaussian
 closed form or on full quadrature; a CHSH setting is one interferometer,
-its arm length ell and analyzer angle theta.  The closed-form helpers
-here, like the closed form itself, read the dispersion scales
-(TimescaleSummary) and the pulse phase, never a source distribution.
+its arm length ell and analyzer angle theta.  closed_form_correlator and
+seed_settings read a DtePair, as the closed form itself does, and refuse
+its squared-sinc source; the visibility and feasibility helpers read the
+dispersion scales (TimescaleSummary) and tau alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Callable
 
 from .correlation import (
     CorrelationResult,
+    DtePair,
     InterferometerSetting,
+    _gaussian_scales,
     correlate_closed_form,
     fringe_phase,
 )
@@ -217,11 +220,13 @@ def _wrap_near_zero(angle: float) -> float:
     return wrapped
 
 
-def closed_form_correlator(scales: TimescaleSummary, tau: float, phi_tau: float):
-    """Adapter: (setting, setting) -> correlate_closed_form at both lengths and angles."""
+def closed_form_correlator(pair: DtePair):
+    """Adapter: (setting, setting) -> correlate_closed_form of ``pair``;
+    a sinc^2 pair is refused here, not at the first call."""
+    _gaussian_scales(pair)
 
     def correlator(s1: InterferometerSetting, s2: InterferometerSetting) -> CorrelationResult:
-        return correlate_closed_form(scales, tau, phi_tau, s1, s2)
+        return correlate_closed_form(pair, s1, s2)
 
     return correlator
 
@@ -245,21 +250,22 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
     return points
 
 
-def seed_settings(scales: TimescaleSummary, tau: float, phi_tau: float) -> ChshSettings:
-    """Initial CHSH length settings from the fringe phase.
+def seed_settings(pair: DtePair) -> ChshSettings:
+    """Initial CHSH length settings from the fringe phase of a Gaussian pair.
 
     Target effective analyzer angles (0, pi/2) x (pi/4, 3pi/4) are
     converted to arm-length offsets of the reduced fringe wavelength
-    around the envelope center, which both read from ``scales``; a
+    around the envelope center, which both read from the pair's scales; a
     global phase gauge shared by both sides is scanned at 64 points
     (_GAUGE_SAMPLES) to trade fringe-phase placement against envelope
     suppression, which the plain textbook angles ignore.
     """
+    scales, tau = _gaussian_scales(pair), pair.tau
     lam = scales.lambda_bar_rel
     center1 = 0.5 * tau * scales.v_rel
     center2 = -0.5 * tau * scales.v_rel
-    phi_center = fringe_phase(scales, tau, phi_tau, center1, center2)
-    correlator = closed_form_correlator(scales, tau, phi_tau)
+    phi_center = fringe_phase(scales, tau, pair.phi_tau, center1, center2)
+    correlator = closed_form_correlator(pair)
 
     def build(chi: float) -> ChshSettings:
         def setting1(alpha: float) -> InterferometerSetting:

@@ -218,8 +218,8 @@ def cmd_scales(args, stdout, stderr) -> int:
 # --------------------------------------------------------------------- scan
 
 def _pair_for(scenario: Scenario) -> DtePair:
-    """The pair every correlating route reads; the closed form takes its
-    scales, tau and phi_tau, so both routes run its separation check."""
+    """The pair every correlating route reads as (pair, s1, s2), so the
+    closed form and the quadrature both run its separation check."""
     return DtePair(
         distribution=scales_from_scenario(scenario),
         tau=scenario.pulses.pulse_separation,
@@ -243,14 +243,12 @@ def _scan_point(document: ConfigDocument, base: Optional[DtePair],
     inter = document.values["interferometer"]
     row = _row(document, "scan", axis=axis, axis_value=value, ell1_um=inter["ell1_um"],
                ell2_um=inter["ell2_um"], method=method)
+    route = correlate_closed_form if method == "closed" else correlate_quadrature
     try:
         pair = base if base is not None else _pair_for(document.to_scenario())
         s1 = InterferometerSetting(inter["ell1_um"] / 1e6, math.radians(inter["theta1_deg"]))
         s2 = InterferometerSetting(inter["ell2_um"] / 1e6, math.radians(inter["theta2_deg"]))
-        if method == "closed":
-            result = correlate_closed_form(pair.distribution, pair.tau, pair.phi_tau, s1, s2)
-        else:
-            result = correlate_quadrature(pair, s1, s2)
+        result = route(pair, s1, s2)
     except (ValidationError, QuadratureError) as exc:
         row["error"] = str(exc).replace("\n", " ")
         return row
@@ -283,21 +281,22 @@ _PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
 def _chsh_settings(document: ConfigDocument, settings_um):
-    """Closed-form correlator, the CHSH settings to evaluate it at, and
-    the four lengths (um) the rows echo: the ``--settings`` lengths
-    exactly if given (the m <-> um round trip is lossy), else the seeded
-    and optimized ones.  Lengths are CHSH order a a' b b'; a and a' take
-    the analyzer angle theta1_deg, b and b' theta2_deg, and the optimizer
-    moves the lengths only.  The lengths are checked before the scenario
-    is built, so that they get their usage error."""
+    """Closed-form correlator of the scenario's pair, the CHSH settings
+    to evaluate it at, and the four lengths (um) the rows echo: the
+    ``--settings`` lengths exactly if given (the m <-> um round trip is
+    lossy), else the ones seeded from the same pair and optimized.
+    Lengths are CHSH order a a' b b'; a and a' take the analyzer angle
+    theta1_deg, b and b' theta2_deg, and the optimizer moves the lengths
+    only.  The lengths are checked before the scenario is built, so that
+    they get their usage error."""
     if settings_um is not None and not all(map(math.isfinite, settings_um)):
         raise ConfigError(f"--settings lengths must be finite, got {settings_um}")
     inter = document.values["interferometer"]
     theta1, theta2 = (math.radians(inter[key]) for key in ("theta1_deg", "theta2_deg"))
     pair = _pair_for(document.to_scenario())
-    correlator = closed_form_correlator(pair.distribution, pair.tau, pair.phi_tau)
+    correlator = closed_form_correlator(pair)
     if settings_um is None:
-        ells = [s.ell for s in seed_settings(pair.distribution, pair.tau, pair.phi_tau).as_tuple()]
+        ells = [s.ell for s in seed_settings(pair).as_tuple()]
     else:
         ells = [u / 1e6 for u in settings_um]
     chosen = ChshSettings(*map(InterferometerSetting, ells, (theta1, theta1, theta2, theta2)))

@@ -4,11 +4,11 @@ Each atom passes an unbalanced guided-path interferometer whose long arm
 is switched in for the early dissociation branch and out for the late
 one; the four coincidence probabilities P(s1, s2) then interfere the two
 dissociation times.  Two evaluation routes are provided: direct 2D
-quadrature of the momentum integral of a DtePair (the Gaussian pair or
-the squared-sinc source; the engine is _quadrature), and the Gaussian
-closed form.  Both read the Gaussian pair as one TimescaleSummary, as
-scales_from_scenario returns it.  Keeping the two routes genuinely
-independent is the point: each is the other's oracle.
+quadrature of the momentum integral (the Gaussian pair or the
+squared-sinc source; the engine is _quadrature), and the Gaussian closed
+form, which refuses the squared-sinc source.  Both take (pair, s1, s2)
+with one DtePair and so run its separation check.  Keeping the two
+routes genuinely independent is the point: each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class DtePair:
     single-atom packet width at interrogation time must stay well below
     the half separation v_rel*tau/2 (warning below a 10x margin, error
     below 2x), otherwise the two interferometers do not address distinct
-    particles.  Every correlating CLI command reads one.
+    particles.  Both correlation routes read one.
     """
 
     distribution: TimescaleSummary | FeshbachDistribution
@@ -290,18 +290,28 @@ def closed_form_parts(
     return prefactor, envelope, phase
 
 
+def _gaussian_scales(pair: DtePair) -> TimescaleSummary:
+    """The dispersion scales of a Gaussian pair; the closed form is the
+    Gaussian oracle of the quadrature, so a squared-sinc pair is refused."""
+    scales = pair.distribution
+    if not isinstance(scales, TimescaleSummary):
+        raise ValidationError(f"the closed form needs a Gaussian pair, got {type(scales).__name__}")
+    return scales
+
+
 def correlate_closed_form(
-    scales: TimescaleSummary, tau: float, phi_tau: float,
-    s1: InterferometerSetting, s2: InterferometerSetting,
+    pair: DtePair, s1: InterferometerSetting, s2: InterferometerSetting
 ) -> CorrelationResult:
     """Gaussian closed form of the coincidence probabilities.
 
     The interference term is prefactor * envelope * cos(phase), with the
-    parts of closed_form_parts at s1.ell and s2.ell; the angles s1.theta
-    and s2.theta enter as on the quadrature route, so the visibility is
-    |sin2t1 sin2t2| * prefactor * envelope.
+    parts of closed_form_parts of the pair at s1.ell and s2.ell; the
+    angles enter as on the quadrature route, so the visibility is
+    |sin2t1 sin2t2| * prefactor * envelope.  A sinc^2 pair is refused.
     """
-    prefactor, envelope, phase = closed_form_parts(scales, tau, phi_tau, s1.ell, s2.ell)
+    prefactor, envelope, phase = closed_form_parts(
+        _gaussian_scales(pair), pair.tau, pair.phi_tau, s1.ell, s2.ell
+    )
     return _result_from_interference(
         prefactor * envelope * math.cos(phase), prefactor * envelope,
         s1.theta, s2.theta, 0.0,

@@ -74,13 +74,14 @@ def shipped_visibility(shipped_scenario):
 def reference_pipeline(shipped_scenario):
     """Closed-form correlator and optimized settings for the shipped case."""
     scn = shipped_scenario
-    scales = scales_from_scenario(scn)
-    tau = scn.pulses.pulse_separation
-    pulse_phase = phi_tau(scn)
-    correlator = closed_form_correlator(scales, tau, pulse_phase)
-    settings = optimize_settings(
-        correlator, seed_settings(scales, tau, pulse_phase)
-    ).settings
+    pair = DtePair(
+        distribution=scales_from_scenario(scn),
+        tau=scn.pulses.pulse_separation,
+        phi_tau=phi_tau(scn),
+        species=scn.species,
+    )
+    correlator = closed_form_correlator(pair)
+    settings = optimize_settings(correlator, seed_settings(pair)).settings
     e_true = tuple(correlator(x, y).e_value for x, y, _ in settings.pairs())
     return correlator, settings, e_true
 
@@ -169,7 +170,7 @@ class TestOracleEquivalence:
                     ell2 = -tau * v / 2.0 + d2 * period
                     arm1 = InterferometerSetting(ell=ell1)
                     arm2 = InterferometerSetting(ell=ell2)
-                    closed = correlate_closed_form(scales, tau, pulse_phase, arm1, arm2)
+                    closed = correlate_closed_form(pair, arm1, arm2)
                     quad = correlate_quadrature(pair, arm1, arm2)
                     for s1 in (1, -1):
                         for s2 in (1, -1):

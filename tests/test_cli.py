@@ -422,12 +422,10 @@ class TestMonteCarlo:
     def test_counts_reproduce_library_run(self):
         """CLI counts equal a direct library run with the same settings."""
         from dtebell.bell import ChshSettings
-        from dtebell.cli import load_config
+        from dtebell.cli import _pair_for, load_config
         from dtebell.correlation import InterferometerSetting
         from dtebell.montecarlo import RunConfig, run
         from dtebell.bell import closed_form_correlator
-        from dtebell.dissociation import phi_tau
-        from dtebell.scenario import scales_from_scenario
 
         code, out, _ = invoke(
             "montecarlo", "--events", "400", "--seed", "11",
@@ -436,11 +434,7 @@ class TestMonteCarlo:
         assert code == 0
         rows = parse_csv(out)
 
-        scenario = load_config(None).to_scenario()
-        correlator = closed_form_correlator(
-            scales_from_scenario(scenario), scenario.pulses.pulse_separation,
-            phi_tau(scenario),
-        )
+        correlator = closed_form_correlator(_pair_for(load_config(None).to_scenario()))
         chosen = ChshSettings(
             *(InterferometerSetting(ell=float(u) * 1e-6) for u in SETTINGS_UM)
         )

@@ -5,6 +5,7 @@ Gaussian integrals for the closed form, uniform-Simpson brute force for
 the squared-sinc path) before being pinned here.
 """
 
+import inspect
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from dtebell.correlation import (
     DtePair,
     InterferometerSetting,
     QuadratureError,
+    _result_from_interference,
     closed_form_parts,
     correlate_closed_form,
     correlate_quadrature,
@@ -62,6 +64,12 @@ def fesh(scenario):
 @pytest.fixture(scope="module")
 def phi_tau(scenario):
     return phi_tau_of(scenario)
+
+
+@pytest.fixture(scope="module")
+def pair(scenario, scales, phi_tau):
+    """The Gaussian pair of the bundled scenario at tau = 1 s."""
+    return DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
 
 
 def center_lengths(scales, tau):
@@ -223,10 +231,10 @@ def test_result_validation():
 # closed form
 
 
-def test_closed_form_center_value(scales, phi_tau):
+def test_closed_form_center_value(pair, scales, phi_tau):
     ell1, ell2 = center_lengths(scales, 1.0)
     res = correlate_closed_form(
-        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     assert res.quadrature_error_estimate == 0.0
     assert res.e_value == pytest.approx(E_CENTER_REF, rel=1e-10)
@@ -237,7 +245,10 @@ def test_closed_form_center_value(scales, phi_tau):
 
 
 def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
-    # shrink both widths so T_cm, T_rel blow up: unit visibility, pure fringe
+    # shrink both widths so T_cm, T_rel blow up: unit visibility, pure
+    # fringe.  The packets then overlap completely, so no DtePair accepts
+    # these scales; the limit is taken on the formula layer, with the
+    # probabilities formed as correlate_closed_form forms them.
     tiny = derive_scales(
         scenario.species,
         sigma_p_cm=1e-6 * scales.sigma_p_cm,
@@ -246,8 +257,11 @@ def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
     )
     tau = 1.0
     ell1, ell2 = center_lengths(scales, tau)
-    res = correlate_closed_form(
-        tiny, tau, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    prefactor, envelope, phase = closed_form_parts(tiny, tau, phi_tau, ell1, ell2)
+    assert phase == fringe_phase(tiny, tau, phi_tau, ell1, ell2)
+    quarter = math.pi / 4.0
+    res = _result_from_interference(
+        prefactor * envelope * math.cos(phase), prefactor * envelope, quarter, quarter, 0.0
     )
     lam = scales.lambda_bar_rel
     v = scales.v_rel
@@ -255,6 +269,28 @@ def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
     assert res.e_value == pytest.approx(expected, abs=1e-9)
     for (s1, s2), p in res.p.items():
         assert p == pytest.approx(0.25 * (1.0 + s1 * s2 * expected), abs=1e-9)
+
+
+def test_both_routes_take_the_pair_and_two_settings():
+    # one signature for both routes: a batch over either reads (pair, s1, s2)
+    for route in (correlate_closed_form, correlate_quadrature):
+        assert list(inspect.signature(route).parameters)[:3] == ["pair", "s1", "s2"]
+
+
+def test_closed_form_refuses_a_sinc2_pair(fesh, scenario, phi_tau):
+    # the closed form is the Gaussian oracle of the quadrature, so every
+    # closed-form entry point refuses the squared-sinc source up front
+    import dtebell.bell as bell
+
+    sinc2 = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    setting = InterferometerSetting(ell=0.0)
+    for call in (
+        lambda: correlate_closed_form(sinc2, setting, setting),
+        lambda: bell.closed_form_correlator(sinc2),
+        lambda: bell.seed_settings(sinc2),
+    ):
+        with pytest.raises(ValidationError, match="Gaussian pair, got FeshbachDistribution"):
+            call()
 
 
 def test_closed_form_requires_outward(scales, scenario):
@@ -269,7 +305,7 @@ def test_closed_form_requires_outward(scales, scenario):
         )
 
 
-def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
+def test_closed_form_parts_reads_only_the_scales(pair, scales, phi_tau, monkeypatch):
     import dtebell.bell as bell
     import dtebell.dissociation as dis
     import dtebell.scenario as scn
@@ -284,13 +320,13 @@ def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
     assert len(parts) == 3
     assert fringe_phase(scales, 1.0, phi_tau, ell1, ell2) == parts[2]
     closed = correlate_closed_form(
-        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     assert closed.visibility == parts[0] * parts[1]
-    correlator = bell.closed_form_correlator(scales, 1.0, phi_tau)
-    seeded = bell.seed_settings(scales, 1.0, phi_tau)
+    correlator = bell.closed_form_correlator(pair)
+    seeded = bell.seed_settings(pair)
     assert correlator(seeded.a, seeded.b).e_value == correlate_closed_form(
-        scales, 1.0, phi_tau, seeded.a, seeded.b
+        pair, seeded.a, seeded.b
     ).e_value
     with pytest.raises(ValidationError, match="tau must be positive"):
         closed_form_parts(scales, 0.0, phi_tau, ell1, ell2)
@@ -303,11 +339,13 @@ def test_closed_form_parts_reads_only_the_scales(scales, phi_tau, monkeypatch):
 )
 @settings(max_examples=60, deadline=None)
 def test_closed_form_probability_structure(d1, d2, tau):
-    scales = scales_from_scenario(reference_scenario())
+    scenario = reference_scenario()
+    scales = scales_from_scenario(scenario)
+    pair = DtePair(distribution=scales, tau=tau, phi_tau=0.37, species=scenario.species)
     ell1 = 0.5 * tau * scales.v_rel + d1
     ell2 = -0.5 * tau * scales.v_rel + d2
     res = correlate_closed_form(
-        scales, tau, 0.37, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     assert sum(res.p.values()) == pytest.approx(1.0, abs=1e-12)
     for p in res.p.values():
@@ -355,15 +393,14 @@ def test_fringe_phase_tau_to_zero(scales):
 # quadrature vs closed form (the central two-route check)
 
 
-def test_quadrature_matches_closed_form_center(scenario, scales, phi_tau):
+def test_quadrature_matches_closed_form_center(pair, scales):
     """Both routes read the analyzer angles, at 45 degrees and at 0.3 rad."""
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     for theta in (math.pi / 4.0, 0.3):
         s1 = InterferometerSetting(ell=ell1, theta=theta)
         s2 = InterferometerSetting(ell=ell2, theta=theta)
         quad = correlate_quadrature(pair, s1, s2)
-        closed = correlate_closed_form(scales, 1.0, phi_tau, s1, s2)
+        closed = correlate_closed_form(pair, s1, s2)
         assert quad.quadrature_error_estimate < 1e-6
         for key in SIGN_PAIRS:
             assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-9)
@@ -465,7 +502,7 @@ def test_quadrature_matches_closed_form_offsets(
     pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
     s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     quad = correlate_quadrature(pair, s1, s2)
-    closed = correlate_closed_form(scales, tau, phi_tau, s1, s2)
+    closed = correlate_closed_form(pair, s1, s2)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
 
@@ -487,10 +524,10 @@ def test_visibility_is_the_fringe_amplitude_on_both_routes(scenario, scales):
         s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
         tilt1 = InterferometerSetting(ell=ell1, theta=theta1)
         tilt2 = InterferometerSetting(ell=ell2, theta=theta2)
-        closed = correlate_closed_form(scales, tau, pulse_phase, s1, s2)
+        closed = correlate_closed_form(pair, s1, s2)
         quad = correlate_quadrature(pair, s1, s2)
         tilted = correlate_quadrature(pair, tilt1, tilt2)
-        tilted_closed = correlate_closed_form(scales, tau, pulse_phase, tilt1, tilt2)
+        tilted_closed = correlate_closed_form(pair, tilt1, tilt2)
         assert closed.visibility == prefactor * envelope
         assert abs(quad.visibility - prefactor * envelope) <= 1e-6
         assert abs(tilted.visibility - tilted_closed.visibility) <= 1e-6
@@ -507,7 +544,7 @@ def test_quadrature_at_origin(scales, scenario, phi_tau):
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=0.0, species=scenario.species)
     zero = InterferometerSetting(ell=0.0)
     quad = correlate_quadrature(pair, zero, zero)
-    closed = correlate_closed_form(scales, 1.0, 0.0, zero, zero)
+    closed = correlate_closed_form(pair, zero, zero)
     for key in SIGN_PAIRS:
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
         assert quad.p[key] == pytest.approx(0.25, abs=1e-6)
@@ -891,16 +928,16 @@ def test_feshbach_vs_uniform_simpson(fesh, scenario):
     assert abs(fast) == pytest.approx(0.96976037, abs=1e-6)
 
 
-def test_feshbach_vs_gaussian_model(fesh, scenario, scales, phi_tau):
+def test_feshbach_vs_gaussian_model(fesh, scenario, scales, phi_tau, pair):
     """Quantify (not bound) the model gap: fitted-Gaussian closed form vs
     the actual squared-sinc quadrature at the fringe center."""
     ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    sinc2 = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     quad = correlate_quadrature(
-        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        sinc2, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     closed = correlate_closed_form(
-        scales, 1.0, phi_tau, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+        pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
     gap = abs(quad.e_value - closed.e_value)
     # frozen empirical band: the Gaussian model overestimates the fringe

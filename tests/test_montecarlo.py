@@ -15,7 +15,7 @@ from dtebell.bell import (
     optimize_settings,
     seed_settings,
 )
-from dtebell.correlation import CorrelationResult
+from dtebell.correlation import CorrelationResult, DtePair
 from dtebell.dissociation import phi_tau
 from dtebell.montecarlo import (
     MODES,
@@ -53,11 +53,12 @@ GOLDEN_BS_DISCARDED = (257, 242, 261, 241)
 @pytest.fixture(scope="module")
 def reference_setup():
     scenario = reference_scenario()
-    scales = scales_from_scenario(scenario)
-    phase = phi_tau(scenario)
-    tau = scenario.pulses.pulse_separation
-    correlator = closed_form_correlator(scales, tau, phase)
-    optimized = optimize_settings(correlator, seed_settings(scales, tau, phase))
+    pair = DtePair(
+        distribution=scales_from_scenario(scenario), tau=scenario.pulses.pulse_separation,
+        phi_tau=phi_tau(scenario), species=scenario.species,
+    )
+    correlator = closed_form_correlator(pair)
+    optimized = optimize_settings(correlator, seed_settings(pair))
     e_true = [correlator(x, y).e_value for x, y, _ in optimized.settings.pairs()]
     return correlator, optimized.settings, e_true
 

@@ -342,6 +342,29 @@ def test_cli_warning_is_one_line_without_path(tmp_path):
     assert ".py" not in errs[0] and "DtePair(" not in errs[0] and os.sep not in errs[0]
 
 
+def _readme_quick_start():
+    """The python block of the README's "Quick start (library)" section."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("## Quick start (library)", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_readme_quick_start(), "README.md", "exec"), {})
+    assert float(capsys.readouterr().out.splitlines()[-1]) > 2.0
+
+
+def test_readme_library_path_refuses_unseparated_packets():
+    # the quick start on a scenario whose packets overlap (margin 1.17)
+    # stops where `dtebell bell --optimize` does
+    code = _readme_quick_start()
+    assert code.count("load_config(None)") == 1
+    config = os.path.join(ROOT, "tests", "golden", "cfg", "unseparated.cfg")
+    code = code.replace("load_config(None)", f"load_config({config!r})")
+    with pytest.raises(dtebell.ValidationError, match="not separated"):
+        exec(compile(code, "README.md", "exec"), {})
+
+
 def test_public_names_import():
     for name in dtebell.__all__:
         assert hasattr(dtebell, name), name
