@@ -3,7 +3,11 @@ loop, the Gaussian window and sinc^2 line integrals, and the interference
 integral of a DtePair.  dissociation normalizes with its zero-phase pair
 integral; correlation turns its passes into an error estimate.  numpy is
 imported inside the functions that build arrays; the Gauss-Legendre rules
-are read from the bundled table data/gauss_legendre.npy.
+are read from the bundled table data/gauss_legendre.npy.  A window
+integral's grid depends only on (mean, sigma, b, nodes), which a scan
+holds fixed for all its rows, so _window_grid keeps it in a small
+bounded cache; it is built by the same float operations as before it
+was cached, so the cache moves no output bit.
 """
 
 from __future__ import annotations
@@ -129,36 +133,69 @@ def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
 
 def _node_count(need, level: float, cap: int):
     """(nodes, capped): the power of two >= min(need, cap) * level, at most
-    ``cap`` (itself a power of two); vectorised over ``need``.
+    ``cap`` (itself a power of two).
 
     capped means nodes == cap: doubling the level adds no nodes.  Since
     the need is clipped before scaling, a pass at half a starting level
     >= 1 is never capped, and nodes(2 level) = min(2 nodes(level), cap).
+    A Python scalar ``need`` runs the rule in math and gets (int, bool);
+    an array runs the same expressions in numpy, element by element.
+    """
+    scalar = isinstance(need, (int, float))
+    if scalar:
+        frexp, ldexp, minimum = math.frexp, math.ldexp, min
+    else:
+        import numpy as np
+
+        frexp, ldexp, minimum = np.frexp, np.ldexp, np.minimum
+    mantissa, exponent = frexp(minimum(need, cap) * level)
+    nodes = minimum(ldexp(1.0, exponent - (mantissa == 0.5)), cap)
+    nodes = int(nodes) if scalar else nodes.astype(int)
+    return nodes, nodes == cap
+
+
+@functools.lru_cache(maxsize=32)
+def _window_grid(mean, sigma, b, n: int):
+    """(x, dens, bxx, weights) of the n-node rule on mean +- WINDOW_SIGMAS
+    sigma: the nodes x, the density N(x; mean, sigma), b x^2 and the
+    scaled Gauss-Legendre weights, cached and read-only.
+
+    Within a scan the pair and tau fix (mean, sigma, b), and n takes a
+    handful of values.  32 entries of 4 arrays of at most MAX_NODES
+    float64s hold at most 32 * 4 * 4096 * 8 bytes = 4 MiB.
     """
     import numpy as np
 
-    mantissa, exponent = np.frexp(np.minimum(need, cap) * level)
-    nodes = np.minimum(np.ldexp(1.0, exponent - (mantissa == 0.5)), cap).astype(int)
-    return nodes, nodes == cap
+    gl_x, gl_w = _gauss_legendre(n)
+    half = WINDOW_SIGMAS * sigma
+    x = mean + half * gl_x
+    dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    grid = (x, dens, b * x * x, gl_w * half)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 def _window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weight=None):
     """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
     over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
     per radian of phase range plus ``extra_span`` (what ``weight`` adds),
-    at least ``floor``; _node_count sizes it at ``level``, clipped to ``cap``."""
+    at least ``floor``; _node_count sizes it at ``level``, clipped to ``cap``.
+
+    A call computes only the a x phase, ``weight`` and the sum; the rest
+    is the cached _window_grid, whose float expressions and their order
+    are those of an uncached build, so the result keeps its bits.
+    """
     import numpy as np
 
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
     n, capped = _node_count(max(math.ceil(min(cap, 8.0 * span)), floor), level, cap)
-    gl_x, gl_w = _gauss_legendre(int(n))
-    x = mean + half * gl_x
-    dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-    integrand = dens * np.exp(1j * (a * x - b * x * x))
+    x, dens, bxx, weights = _window_grid(mean, sigma, b, n)
+    integrand = dens * np.exp(1j * (a * x - bxx))
     if weight is not None:
         integrand = integrand * weight(x)
-    return complex(np.dot(gl_w * half, integrand)), bool(capped)
+    return complex(np.dot(weights, integrand)), capped
 
 
 def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):

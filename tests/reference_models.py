@@ -1,13 +1,17 @@
-"""Test-only reference model: a spin-1/2 singlet-style correlator.
+"""Test-only reference models.
 
-Its CHSH value at the textbook angles is exactly 2*sqrt(2), which makes
-it the oracle for the CHSH and Monte Carlo machinery.  A spin setting is
-an InterferometerSetting whose ``ell`` is read as the analyzer angle in
-radians; ``theta`` is ignored.
+A spin-1/2 singlet-style correlator: its CHSH value at the textbook
+angles is exactly 2*sqrt(2), which makes it the oracle for the CHSH and
+Monte Carlo machinery.  A spin setting is an InterferometerSetting whose
+``ell`` is read as the analyzer angle in radians; ``theta`` is ignored.
+
+An uncached Gaussian window integral: the oracle the cached
+_quadrature._window_integral must match bit for bit.
 """
 
 import math
 
+from dtebell._quadrature import WINDOW_SIGMAS, _gauss_legendre, _quadratic_span
 from dtebell.bell import ChshSettings
 from dtebell.correlation import CorrelationResult, InterferometerSetting
 
@@ -29,3 +33,24 @@ def angle_settings(a: float, a_prime: float, b: float, b_prime: float) -> ChshSe
 
 
 TEXTBOOK = angle_settings(0.0, 0.5 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
+
+
+def uncached_window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weight=None):
+    """_quadrature._window_integral as it was before its grid was cached:
+    every array is rebuilt per call, and the node count runs numpy's
+    frexp/ldexp on a scalar."""
+    import numpy as np
+
+    half = WINDOW_SIGMAS * sigma
+    span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
+    need = max(math.ceil(min(cap, 8.0 * span)), floor)
+    mantissa, exponent = np.frexp(np.minimum(need, cap) * level)
+    n = np.minimum(np.ldexp(1.0, exponent - (mantissa == 0.5)), cap).astype(int)
+    capped = n == cap
+    gl_x, gl_w = _gauss_legendre(int(n))
+    x = mean + half * gl_x
+    dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    integrand = dens * np.exp(1j * (a * x - b * x * x))
+    if weight is not None:
+        integrand = integrand * weight(x)
+    return complex(np.dot(gl_w * half, integrand)), bool(capped)

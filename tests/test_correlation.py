@@ -6,12 +6,14 @@ the squared-sinc path) before being pinned here.
 """
 
 import inspect
+import io
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from dtebell.correlation import (
     SIGN_PAIRS,
@@ -25,7 +27,17 @@ from dtebell.correlation import (
     correlate_quadrature,
     fringe_phase,
 )
-from dtebell._quadrature import PANEL_NODE_CAP, _gauss_legendre, _internal_units, _tail_cut
+from dtebell._quadrature import (
+    MAX_NODES,
+    MIN_NODES,
+    PANEL_NODE_CAP,
+    _gauss_legendre,
+    _internal_units,
+    _tail_cut,
+    _window_grid,
+    _window_integral,
+)
+from dtebell.cli import main as cli_main
 from dtebell.dissociation import distribution_from_scenario
 from dtebell.dissociation import phi_tau as phi_tau_of
 from dtebell.scenario import (
@@ -37,6 +49,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
+from reference_models import uncached_window_integral
 
 # frozen reference-scenario oracles
 E_CENTER_REF = 0.70237388788893       # closed form at the fringe center, tau = 1 s
@@ -826,6 +839,71 @@ def test_gauss_legendre_table_is_scipys_rules_bit_for_bit():
 def test_gauss_legendre_refuses_sizes_the_table_lacks(n):
     with pytest.raises(ValueError, match=f"no {n}-node"):
         _gauss_legendre(n)
+
+
+def _window_weight(x):
+    """A smooth complex weight, standing in for the sinc^2 route's G(c^2/4)."""
+    return np.cos(0.7 * x) + 0.5j * np.sin(1.3 * x)
+
+
+# (mean, sigma, b): what fixes a window grid besides its node count
+_WINDOW_KEYS = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 2.0), st.floats(0.0, 60.0))
+# (key index, a, level, floor, cap, extra_span)
+_WINDOW_CALLS = st.tuples(
+    st.integers(0, 2),
+    st.floats(-300.0, 300.0),
+    st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 8.0]),
+    st.sampled_from([8, 16, MIN_NODES, 64]),
+    st.sampled_from([MIN_NODES, 256, MAX_NODES]),
+    st.sampled_from([0.0, 2.0]),
+)
+
+
+@seed(20261020)
+@given(
+    st.lists(_WINDOW_KEYS, min_size=3, max_size=3),
+    st.lists(_WINDOW_CALLS, min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+# keys equal as floats but not in bits share one cache entry
+@example(
+    [(0.0, 1.0, 0.0), (-0.0, 1.0, -0.0), (0.5, 0.3, 1.0)],
+    [(0, 0.0, 1.0, MIN_NODES, MAX_NODES, 0.0), (1, -0.0, 1.0, MIN_NODES, MAX_NODES, 0.0)],
+    random.Random(0),
+)
+@settings(max_examples=80, deadline=None)
+def test_cached_window_matches_uncached_bit_for_bit(keys, calls, rng):
+    """Each call runs twice in a shuffled order, each time weighted or
+    not, so fresh grids (misses) and reused ones (hits) both meet the
+    oracle."""
+    _window_grid.cache_clear()
+    order = list(range(len(calls))) * 2
+    rng.shuffle(order)
+    for i in order:
+        key, a, level, floor, cap, extra_span = calls[i]
+        mean, sigma, b = keys[key]
+        args = (mean, sigma, a, b, level, floor, cap, extra_span)
+        weight = _window_weight if rng.random() < 0.5 else None
+        value, capped = _window_integral(*args, weight)
+        expected, expected_capped = uncached_window_integral(*args, weight)
+        assert value == expected
+        assert capped is expected_capped
+    info = _window_grid.cache_info()
+    assert info.hits >= len(calls) and info.misses >= 1
+
+
+def test_window_grid_cache_stays_bounded_and_read_only():
+    _window_grid.cache_clear()
+    argv = ["scan", "--axis", "ell1", "--start", "5330", "--stop", "5370",
+            "--steps", "4000", "--method", "quad"]
+    assert cli_main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    info = _window_grid.cache_info()
+    assert info.currsize <= info.maxsize
+    # the scan builds fewer grids than the cache holds, so none is rebuilt
+    assert info.misses <= info.maxsize and info.hits > 0
+    for array in _window_grid(0.0, 1.0, 0.5, MIN_NODES):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def _assert_estimate_describes(res, reference, passes, tail):

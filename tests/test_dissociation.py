@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtebell import _quadrature as quad
@@ -315,6 +315,29 @@ class TestNodeCount:
         assert not quad._node_count(need, 0.5, cap)[1]
         vector, _ = quad._node_count(np.array([need, 12]), level, cap)
         assert vector[0] == nodes
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 100_000),
+                st.integers(0, 16).map(lambda k: 2**k),  # mantissa 0.5 at these levels
+                st.floats(1.0, 100_000.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 8.0]), st.floats(0.1, 8.0)),
+        st.sampled_from([16, quad.MAX_NODES, quad.PANEL_NODE_CAP]),
+    )
+    # need * level = 2^k has mantissa 0.5, at the rate correction's quarter level too
+    @example([2**k for k in range(14)], 0.125, quad.PANEL_NODE_CAP)
+    @example([2**k for k in range(14)], 0.25, quad.MAX_NODES)
+    def test_scalar_path_matches_array_path(self, needs, level, cap):
+        vector, capped = quad._node_count(np.array(needs), level, cap)
+        for need, array_nodes, array_capped in zip(needs, vector, capped):
+            nodes, hit = quad._node_count(need, level, cap)
+            assert type(nodes) is int and type(hit) is bool
+            assert nodes == array_nodes and hit == array_capped
 
 
 def fit_sinc_width_factor(dist, n_samples=201):

@@ -210,7 +210,7 @@ QUADRATURE_CONSTANTS = {
 }
 QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
-    "_node_count", "_window_integral", "_line_values", "_cm_window", "_tail_cut",
+    "_node_count", "_window_grid", "_window_integral", "_line_values", "_cm_window", "_tail_cut",
     "_pair_integral", "_internal_units", "_gaussian_interference", "_feshbach_interference",
     "_interference",
 }
