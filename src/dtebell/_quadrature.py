@@ -3,11 +3,10 @@ loop, the Gaussian window and sinc^2 line integrals, and the interference
 integral of a DtePair.  dissociation normalizes with its zero-phase pair
 integral; correlation turns its passes into an error estimate.  numpy is
 imported inside the functions that build arrays; the Gauss-Legendre rules
-are read from the bundled table data/gauss_legendre.npy.  A window
-integral's grid depends only on (mean, sigma, b, nodes), which a scan
-holds fixed for all its rows, so _window_grid keeps it in a small
-bounded cache; it is built by the same float operations as before it
-was cached, so the cache moves no output bit.
+are read from the bundled table data/gauss_legendre.npy, once.  Every
+rule's size comes from _node_count.  A window integral's grid depends
+only on (mean, sigma, b, nodes), which a scan holds fixed for all its
+rows, so _window_grid keeps it in a small bounded cache.
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ def _legendre_table():
     return table
 
 
-@functools.cache
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only.
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only views of
+    the cached _legendre_table.
 
     The rules are scipy.special.roots_legendre's, bit for bit, stored as
     a table (tests/gauss_legendre_table.py rebuilds it), so no output
@@ -131,26 +130,18 @@ def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
     return max(values) - min(values)
 
 
-def _node_count(need, level: float, cap: int):
+def _node_count(need, level: float, cap: int) -> tuple[int, bool]:
     """(nodes, capped): the power of two >= min(need, cap) * level, at most
     ``cap`` (itself a power of two).
 
     capped means nodes == cap: doubling the level adds no nodes.  Since
     the need is clipped before scaling, a pass at half a starting level
     >= 1 is never capped, and nodes(2 level) = min(2 nodes(level), cap).
-    A Python scalar ``need`` runs the rule in math and gets (int, bool);
-    an array runs the same expressions in numpy, element by element.
+    This is the one node-count rule: every window and every sinc^2 panel
+    calls it with a Python scalar need.
     """
-    scalar = isinstance(need, (int, float))
-    if scalar:
-        frexp, ldexp, minimum = math.frexp, math.ldexp, min
-    else:
-        import numpy as np
-
-        frexp, ldexp, minimum = np.frexp, np.ldexp, np.minimum
-    mantissa, exponent = frexp(minimum(need, cap) * level)
-    nodes = minimum(ldexp(1.0, exponent - (mantissa == 0.5)), cap)
-    nodes = int(nodes) if scalar else nodes.astype(int)
+    mantissa, exponent = math.frexp(min(need, cap) * level)
+    nodes = min(int(math.ldexp(1.0, exponent - (mantissa == 0.5))), cap)
     return nodes, nodes == cap
 
 
@@ -176,21 +167,20 @@ def _window_grid(mean, sigma, b, n: int):
     return grid
 
 
-def _window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weight=None):
+def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None):
     """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
     over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
     per radian of phase range plus ``extra_span`` (what ``weight`` adds),
-    at least ``floor``; _node_count sizes it at ``level``, clipped to ``cap``.
-
-    A call computes only the a x phase, ``weight`` and the sum; the rest
-    is the cached _window_grid, whose float expressions and their order
-    are those of an uncached build, so the result keeps its bits.
+    at least MIN_NODES; _node_count sizes it at ``level``, clipped to
+    MAX_NODES.  A call computes only the a x phase, ``weight`` and the
+    sum over the cached _window_grid.
     """
     import numpy as np
 
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
-    n, capped = _node_count(max(math.ceil(min(cap, 8.0 * span)), floor), level, cap)
+    need = max(math.ceil(min(MAX_NODES, 8.0 * span)), MIN_NODES)
+    n, capped = _node_count(need, level, MAX_NODES)
     x, dens, bxx, weights = _window_grid(mean, sigma, b, n)
     integrand = dens * np.exp(1j * (a * x - bxx))
     if weight is not None:
@@ -233,8 +223,9 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
         vertex = a_lin / (2.0 * b_quad)
         inside = (lo_e < vertex) & (vertex < hi_e)
         top = np.where(inside, np.maximum(top, phase(vertex)), top)
-    span = (top - bot).max(axis=0)
-    buckets, capped = _node_count(np.ceil(0.7 * span) + 12, level, PANEL_NODE_CAP)
+    needs = np.ceil(0.7 * (top - bot).max(axis=0)) + 12
+    counts = [_node_count(need, level, PANEL_NODE_CAP) for need in needs.tolist()]
+    buckets = np.array([nodes for nodes, _ in counts], dtype=int)
 
     half_width = 0.5 * (hi_e - lo_e)
     mid = 0.5 * (lo_e + hi_e)
@@ -251,7 +242,7 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
             kern = dist._scaled_kernel(u[rows, None, None], r)
             osc = 2.0 * np.exp(1j * phase(r))
             result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
-    return result, bool(capped.any())
+    return result, any(capped for _, capped in counts)
 
 
 def _cm_window(dist):
@@ -360,8 +351,7 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
         return cheb.chebval(xc, coef_re) + 1j * cheb.chebval(xc, coef_im)
 
     value, hit = _window_integral(
-        0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, MIN_NODES, MAX_NODES,
-        dist.kappa * u_hi, g_interp,
+        0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, dist.kappa * u_hi, g_interp
     )
     return value, capped or hit
 
@@ -391,9 +381,7 @@ def _gaussian_interference(scales, p_ref, m_int, sl_int, dl_int, level=1.0):
     """
 
     def factor(mean_p, sigma_p, a, b):
-        return _window_integral(
-            mean_p / p_ref, sigma_p / p_ref, a, b, level, MIN_NODES, MAX_NODES
-        )
+        return _window_integral(mean_p / p_ref, sigma_p / p_ref, a, b, level)
 
     i_cm, cm_capped = factor(0.0, scales.sigma_p_cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
     i_rel, rel_capped = factor(scales.p0_rel, scales.sigma_p_rel, dl_int, 1.0 / m_int)

@@ -269,7 +269,8 @@ def cmd_scan(args, stdout, stderr) -> int:
     if args.axis in ("ell1", "ell2"):
         base = _pair_for(document.to_scenario())
     grid = _linspace(args.start, args.stop, args.steps)
-    rows = [_scan_point(document, base, args.axis, value, args.method) for value in grid]
+    # each row is written as it is computed, so memory does not grow with --steps
+    rows = (_scan_point(document, base, args.axis, value, args.method) for value in grid)
     _write_csv(stdout, RESULT_COLUMNS, rows)
     return 0
 

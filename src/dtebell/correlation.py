@@ -130,6 +130,17 @@ class DtePair:
         return half_separation / math.sqrt(width_sq)
 
 
+def _check_probabilities(p: Mapping) -> None:
+    """Refuse a probability table unless its cells sum to 1 and each lies
+    in [0, 1], both to within 1e-9 of round-off; a NaN cell fails."""
+    total = sum(p.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"probabilities sum to {total}, not 1")
+    for key, value in p.items():
+        if not (-1e-9 <= value <= 1.0 + 1e-9):
+            raise ValidationError(f"P{key} = {value} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class CorrelationResult:
     """Four coincidence probabilities plus their correlation value.
@@ -145,12 +156,7 @@ class CorrelationResult:
     visibility: float
 
     def __post_init__(self) -> None:
-        total = sum(self.p.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
-        for key, value in self.p.items():
-            if not (-1e-9 <= value <= 1.0 + 1e-9):
-                raise ValidationError(f"P{key} = {value} outside [0, 1]")
+        _check_probabilities(self.p)
         if not (0.0 <= self.visibility <= 1.0):
             raise ValidationError(f"visibility {self.visibility} outside [0, 1]")
 

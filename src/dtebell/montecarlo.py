@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
-from .correlation import SIGN_PAIRS, CorrelationResult
+from .correlation import SIGN_PAIRS, CorrelationResult, _check_probabilities
 from .scenario import _MAX_EVENTS, _MAX_SEED, _MODES as MODES, ValidationError
 
 __all__ = [
@@ -150,26 +150,18 @@ def pair_rng(seed: int, pair_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _probability_vector(p: CorrelationResult) -> np.ndarray:
-    import numpy as np
-
-    vec = np.array([p.p[pair] for pair in OUTCOMES], dtype=float)
-    total = float(vec.sum())
-    if not (abs(total - 1.0) <= 1e-9 and np.all(vec >= -1e-12)):  # NaN fails too
-        raise ValidationError(f"probabilities not normalized (sum {total})")
-    return vec
-
-
 def run(
     correlator: Callable[[object, object], CorrelationResult], config: RunConfig
 ) -> CountTable:
     """Simulate all four setting pairs; deterministic given config.
 
-    Each pair makes one multinomial draw from its own stream.  The
-    round-off negatives _probability_vector admits are clipped to 0 and
-    the cells renormalized first, so the draw never refuses them; a cell
-    of probability 0 never tallies an event.  Correlator errors
-    (validation, quadrature failures) propagate.
+    Each pair makes one multinomial draw from its own stream.  Its
+    probability table passes CorrelationResult's own check first (a
+    table altered after construction is refused); the round-off
+    negatives that check admits are clipped to 0 and the cells
+    renormalized, so the draw never refuses them, and a cell of
+    probability 0 never tallies an event.  Correlator errors (validation,
+    quadrature failures) propagate.
     """
     import numpy as np
 
@@ -177,7 +169,9 @@ def run(
     discarded = []
     n = config.events_per_setting
     for index, (x, y, _sign) in enumerate(config.settings.pairs()):
-        cells = np.clip(_probability_vector(correlator(x, y)), 0.0, None)
+        p = correlator(x, y).p
+        _check_probabilities(p)
+        cells = np.clip(np.array([p[outcome] for outcome in OUTCOMES], dtype=float), 0.0, None)
         cells /= cells.sum()
         if config.mode == "BeamSplitter":
             cells = np.append(0.5 * cells, 0.5)  # the fifth cell is discarded

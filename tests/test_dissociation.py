@@ -298,14 +298,27 @@ class TestConverge:
         assert 0.0 <= quad._rate_corrected(error, previous) <= error
 
 
+def _mantissa_half_examples(test):
+    """need * level = 2^k has mantissa 0.5, at the rate correction's quarter
+    level too: every power-of-two need up to 2^13 whose scaled need is at
+    least one node, at levels 0.125 and 0.25."""
+    for k in range(2, 14):
+        test = example(2**k, 0.25, quad.MAX_NODES)(test)
+        if k >= 3:
+            test = example(2**k, 0.125, quad.PANEL_NODE_CAP)(test)
+    return test
+
+
 class TestNodeCount:
     @given(
-        st.integers(2, 100_000),
+        st.one_of(st.integers(2, 100_000), st.floats(2.0, 100_000.0)),
         st.floats(0.5, 8.0),
         st.sampled_from([16, quad.MAX_NODES, quad.PANEL_NODE_CAP]),
     )
+    @_mantissa_half_examples
     def test_one_power_of_two_rule(self, need, level, cap):
         nodes, capped = quad._node_count(need, level, cap)
+        assert type(nodes) is int and type(capped) is bool
         scaled = min(need, cap) * level
         assert nodes & (nodes - 1) == 0 and 0 < nodes <= cap
         # the smallest power of two covering the scaled need, or the cap
@@ -313,31 +326,6 @@ class TestNodeCount:
         assert capped == (nodes == cap)
         assert quad._node_count(need, 2.0 * level, cap)[0] == min(2 * nodes, cap)
         assert not quad._node_count(need, 0.5, cap)[1]
-        vector, _ = quad._node_count(np.array([need, 12]), level, cap)
-        assert vector[0] == nodes
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.integers(1, 100_000),
-                st.integers(0, 16).map(lambda k: 2**k),  # mantissa 0.5 at these levels
-                st.floats(1.0, 100_000.0),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 8.0]), st.floats(0.1, 8.0)),
-        st.sampled_from([16, quad.MAX_NODES, quad.PANEL_NODE_CAP]),
-    )
-    # need * level = 2^k has mantissa 0.5, at the rate correction's quarter level too
-    @example([2**k for k in range(14)], 0.125, quad.PANEL_NODE_CAP)
-    @example([2**k for k in range(14)], 0.25, quad.MAX_NODES)
-    def test_scalar_path_matches_array_path(self, needs, level, cap):
-        vector, capped = quad._node_count(np.array(needs), level, cap)
-        for need, array_nodes, array_capped in zip(needs, vector, capped):
-            nodes, hit = quad._node_count(need, level, cap)
-            assert type(nodes) is int and type(hit) is bool
-            assert nodes == array_nodes and hit == array_capped
 
 
 def fit_sinc_width_factor(dist, n_samples=201):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dtebell.bell import (
     TSIRELSON_BOUND,
@@ -202,30 +202,41 @@ def test_run_cells_follow_binomial(mode):
 
 
 SMALL = st.sampled_from([0.0, 1e-300, 1e-16, 1e-12, 1e-9, 1e-3])
+# round-off negatives, down to the -1e-9 that CorrelationResult admits
+NEGATIVE = st.sampled_from([-1e-12, -1e-10, -5e-10, -1e-9])
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     dominant=st.integers(0, 3),
-    small=st.tuples(SMALL, SMALL, SMALL),
-    negative=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    minor=st.tuples(*[st.one_of(SMALL, NEGATIVE)] * 3),
     slack=st.sampled_from([0.0, -0.99e-9, 0.99e-9]),
     n=st.one_of(st.integers(1, 50), st.integers(1, 2**63 - 1)),
     seed=st.integers(0, 2**64 - 1),
     mode=st.sampled_from(MODES),
 )
-def test_run_probability_edge_cases(dominant, small, negative, slack, n, seed, mode):
-    """P near 0, near 1, with the -1e-12 round-off negatives and the 1e-9
-    sum slack that _probability_vector admits: the draw always succeeds,
-    and a cell of probability <= 0 tallies nothing."""
-    minor = [-1e-12 if neg else eps for eps, neg in zip(small, negative)]
-    probabilities = minor[:dominant] + [1.0 - sum(minor) + slack] + minor[dominant:]
+def test_run_probability_edge_cases(dominant, minor, slack, n, seed, mode):
+    """P near 0, near 1, with the round-off negatives and the 1e-9 sum
+    slack that CorrelationResult admits: the draw always succeeds, and a
+    cell of probability <= 0 tallies nothing."""
+    probabilities = [*minor[:dominant], 1.0 - sum(minor) + slack, *minor[dominant:]]
+    assume(probabilities[dominant] <= 1.0 + 1e-9)  # negatives push the dominant cell up
     table = run(fixed_correlator(probabilities), RunConfig(n, seed, mode, TEXTBOOK))
     for i in range(4):
         assert table.kept(i) + table.discarded[i] == n
         for cell, p in enumerate(probabilities):
             if p <= 0.0:
                 assert table.counts[i][cell] == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_tallies_every_table_correlation_result_accepts(mode):
+    """P = -5e-10 passes CorrelationResult's check, so run draws it as a
+    cell of probability 0 instead of refusing the table."""
+    table = run(fixed_correlator([0.5, -5e-10, 5e-10, 0.5]), RunConfig(1000, 5, mode, TEXTBOOK))
+    for i in range(4):
+        assert table.counts[i][1] == 0
+        assert table.kept(i) + table.discarded[i] == 1000
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -5,8 +5,10 @@ import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -297,6 +299,24 @@ INPUT_RULES = {
     "switch mode check": (
         _raises_validation_error("mode must be one of"), ("montecarlo.py", "_require_mode"),
     ),
+    "node count": (
+        lambda node: "frexp" in (getattr(node, "attr", None), getattr(node, "id", None)),
+        ("_quadrature.py", "_node_count"),
+    ),
+    "probability sum slack": (
+        lambda node: isinstance(node, ast.Compare)
+        and re.fullmatch(r"abs\(.+ - 1\.0\)", ast.unparse(node.left)) is not None,
+        ("correlation.py", "_check_probabilities"),
+    ),
+    "probability cell slack": (
+        # a round-off floor: a comparison with a tiny negative literal
+        lambda node: isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.UnaryOp) and isinstance(side.op, ast.USub)
+            and isinstance(side.operand, ast.Constant) and side.operand.value < 1e-6
+            for side in (node.left, *node.comparators)
+        ),
+        ("correlation.py", "_check_probabilities"),
+    ),
 }
 
 
@@ -305,6 +325,25 @@ def test_each_input_rule_is_written_once(rule):
     # the CLI's --tau usage error names its flag and is a ConfigError, so it is not counted
     match, home = INPUT_RULES[rule]
     assert _sites(match) == [home]
+
+
+def test_probability_table_check_is_shared():
+    # CorrelationResult and montecarlo.run refuse the same tables
+    calls = _sites(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_check_probabilities")
+    assert calls == [("correlation.py", "__post_init__"), ("montecarlo.py", "run")]
+
+
+def test_each_quadrature_rule_has_one_body():
+    import dtebell._quadrature as quad
+
+    # one node-count body: no type dispatch, no numpy twin
+    assert {"isinstance", "numpy", "np"}.isdisjoint(quad._node_count.__code__.co_names)
+    # a window reads its node bounds from MIN_NODES and MAX_NODES
+    assert {"floor", "cap"}.isdisjoint(inspect.signature(quad._window_integral).parameters)
+    # one cache over the Gauss-Legendre table, one over the window grids
+    cached = {name for name, value in vars(quad).items() if hasattr(value, "cache_info")}
+    assert cached == {"_legendre_table", "_window_grid"}
 
 
 def test_quadrature_module_imports():
