@@ -19,12 +19,11 @@ from .scenario import CONSTANTS, TimescaleSummary, _require_positive
 
 # c^2/4 rows per block of the sinc^2 line tensor (see _line_values)
 U_ROWS_PER_BLOCK = 2
-# c.m. window half-width in sigmas; node bounds of a window integral and
-# of one sinc^2 panel
+# c.m. window half-width in sigmas; a window integral's node floor
 WINDOW_SIGMAS = 8.5
 MIN_NODES = 32
-MAX_NODES = 4096
-PANEL_NODE_CAP = 8192
+# every rule's node cap: the largest rule in data/gauss_legendre.npy
+NODE_CAP = 8192
 # a doubling loop stops at MAX_LEVEL times its starting level
 MAX_LEVEL = 8.0
 
@@ -40,7 +39,7 @@ class QuadratureError(RuntimeError):
 @functools.cache
 def _legendre_table():
     """data/gauss_legendre.npy, read once: row 0 nodes, row 1 weights, the
-    n-node rule (n = 1, 2, 4, ..., PANEL_NODE_CAP) in columns n-1 ... 2n-2."""
+    n-node rule (n = 1, 2, 4, ..., NODE_CAP) in columns n-1 ... 2n-2."""
     import numpy as np
 
     with resources.files("dtebell").joinpath("data/gauss_legendre.npy").open("rb") as handle:
@@ -55,8 +54,8 @@ def _gauss_legendre(n: int):
 
     The rules are scipy.special.roots_legendre's, bit for bit, stored as
     a table (tests/gauss_legendre_table.py rebuilds it), so no output
-    depends on the installed scipy.  Only powers of two up to
-    PANEL_NODE_CAP are stored, which is all _node_count asks for.
+    depends on the installed scipy.  Only powers of two up to NODE_CAP
+    are stored, which is all _node_count asks for.
     """
     table = _legendre_table()
     if not (0 < n and n & (n - 1) == 0 and 2 * n - 1 <= table.shape[1]):
@@ -130,19 +129,23 @@ def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
     return max(values) - min(values)
 
 
-def _node_count(need, level: float, cap: int) -> tuple[int, bool]:
-    """(nodes, capped): the power of two >= min(need, cap) * level, at most
-    ``cap`` (itself a power of two).
+def _node_count(need, level: float) -> tuple[int, bool]:
+    """(nodes, capped): the power of two >= min(need, NODE_CAP) * level,
+    at least 1 and at most NODE_CAP (itself a power of two).
 
-    capped means nodes == cap: doubling the level adds no nodes.  Since
-    the need is clipped before scaling, a pass at half a starting level
-    >= 1 is never capped, and nodes(2 level) = min(2 nodes(level), cap).
-    This is the one node-count rule: every window and every sinc^2 panel
-    calls it with a Python scalar need.
+    capped means nodes == NODE_CAP: doubling the level adds no nodes; a
+    scaled need that overflows (or is nan) is capped.  Since the need is
+    clipped before scaling, a pass at half a starting level >= 1 is never
+    capped, and where the scaled need is at least 1, nodes(2 level) =
+    min(2 nodes(level), NODE_CAP).  This is the one node-count rule:
+    every window and every sinc^2 panel calls it with a Python scalar need.
     """
-    mantissa, exponent = math.frexp(min(need, cap) * level)
-    nodes = min(int(math.ldexp(1.0, exponent - (mantissa == 0.5))), cap)
-    return nodes, nodes == cap
+    scaled = min(need, NODE_CAP) * level
+    if not scaled < NODE_CAP:
+        return NODE_CAP, True
+    mantissa, exponent = math.frexp(scaled)
+    nodes = max(int(math.ldexp(1.0, exponent - (mantissa == 0.5))), 1)
+    return nodes, nodes == NODE_CAP
 
 
 @functools.lru_cache(maxsize=32)
@@ -152,8 +155,8 @@ def _window_grid(mean, sigma, b, n: int):
     scaled Gauss-Legendre weights, cached and read-only.
 
     Within a scan the pair and tau fix (mean, sigma, b), and n takes a
-    handful of values.  32 entries of 4 arrays of at most MAX_NODES
-    float64s hold at most 32 * 4 * 4096 * 8 bytes = 4 MiB.
+    handful of values.  32 entries of 4 arrays of at most NODE_CAP
+    float64s hold at most 32 * 4 * 8192 * 8 bytes = 8 MiB.
     """
     import numpy as np
 
@@ -172,15 +175,15 @@ def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None):
     over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
     per radian of phase range plus ``extra_span`` (what ``weight`` adds),
     at least MIN_NODES; _node_count sizes it at ``level``, clipped to
-    MAX_NODES.  A call computes only the a x phase, ``weight`` and the
+    NODE_CAP.  A call computes only the a x phase, ``weight`` and the
     sum over the cached _window_grid.
     """
     import numpy as np
 
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
-    need = max(math.ceil(min(MAX_NODES, 8.0 * span)), MIN_NODES)
-    n, capped = _node_count(need, level, MAX_NODES)
+    need = max(math.ceil(min(NODE_CAP, 8.0 * span)), MIN_NODES)
+    n, capped = _node_count(need, level)
     x, dens, bxx, weights = _window_grid(mean, sigma, b, n)
     integrand = dens * np.exp(1j * (a * x - bxx))
     if weight is not None:
@@ -195,7 +198,7 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     the mirror particle-label branch onto the detector frame.  Panels follow
     the sinc zeros; node counts (_node_count) follow each panel's worst
     phase excursion over all rows, and capped means some panel is at
-    PANEL_NODE_CAP.  The (u, panel, node) tensor is summed U_ROWS_PER_BLOCK
+    NODE_CAP.  The (u, panel, node) tensor is summed U_ROWS_PER_BLOCK
     rows at a time.  Rows sum independently, so the bits do not change,
     except in a one-row block: a lone trailing row joins the block before it.
 
@@ -224,7 +227,7 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
         inside = (lo_e < vertex) & (vertex < hi_e)
         top = np.where(inside, np.maximum(top, phase(vertex)), top)
     needs = np.ceil(0.7 * (top - bot).max(axis=0)) + 12
-    counts = [_node_count(need, level, PANEL_NODE_CAP) for need in needs.tolist()]
+    counts = [_node_count(need, level) for need in needs.tolist()]
     buckets = np.array([nodes for nodes, _ in counts], dtype=int)
 
     half_width = 0.5 * (hi_e - lo_e)
@@ -376,7 +379,7 @@ def _gaussian_interference(scales, p_ref, m_int, sl_int, dl_int, level=1.0):
     (c.m. mean 0, relative mean p0_rel), internal units (momenta in p_ref).
 
     ``level`` scales every node count; returns (value, capped) where
-    capped means some factor's node count sits at MAX_NODES, so raising
+    capped means some factor's node count sits at NODE_CAP, so raising
     the level further adds no nodes there.
     """
 

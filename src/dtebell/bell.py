@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .correlation import (
     CorrelationResult,
@@ -231,23 +231,21 @@ def closed_form_correlator(pair: DtePair):
     return correlator
 
 
-def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
-    """``num`` evenly spaced floats, bit for bit as numpy 2's linspace.
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> Iterator[float]:
+    """Yield ``num`` evenly spaced floats, bit for bit as numpy 2's linspace.
 
     Point i is start + i * step, or start + i / div * delta when step
     underflows to zero; with ``endpoint`` the last point is ``stop``.
-    Needs num >= 2 (num >= 1 without ``endpoint``).
+    Needs num >= 2 (num >= 1 without ``endpoint``).  The points are
+    yielded one at a time, so a scan's memory does not grow with ``num``.
     """
     div = num - 1 if endpoint else num
     delta = stop - start
     step = delta / div
-    if step == 0:
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
+    for i in range(div):
+        yield i / div * delta + start if step == 0 else i * step + start
     if endpoint:
-        points[-1] = stop
-    return points
+        yield stop
 
 
 def seed_settings(pair: DtePair) -> ChshSettings:

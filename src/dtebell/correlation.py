@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._quadrature import QuadratureError, _converge, _interference
+from ._quadrature import MIN_NODES, NODE_CAP, QuadratureError, _converge, _interference
 from .dissociation import FeshbachDistribution, gaussian_approximation
 from .scenario import (
     CONSTANTS,
@@ -229,14 +229,23 @@ def correlate_quadrature(
     integer, forces that many extra node doublings beyond the adaptive
     schedule (testing hook for the self-consistency property); a negative
     one would start below the schedule, where the estimate no longer
-    bounds the error, and is refused.  The returned pass differs from its
-    half-level pass in every node count; where a node cap rules that out,
-    QuadratureError is raised (_quadrature._converge).
+    bounds the error, and is refused, as is one so large that the
+    half-level pass puts even a MIN_NODES window at NODE_CAP.  The
+    returned pass differs from its half-level pass in every node count;
+    where a node cap rules that out, QuadratureError is raised
+    (_quadrature._converge).
     """
     import numpy as np
 
-    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 0:
-        raise ValidationError(f"refine must be a non-negative integer, got {refine!r}")
+    # from half-level 2**(refine - 1) = NODE_CAP / MIN_NODES on, every window is capped
+    limit = (NODE_CAP // MIN_NODES).bit_length()
+    if (
+        isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
+        or not 0 <= refine < limit
+    ):
+        raise ValidationError(
+            f"refine must be a non-negative integer below {limit}, got {refine!r}"
+        )
     compute, tail = _interference(pair, s1.ell, s2.ell)
     phase_ref = np.exp(-1j * pair.phi_tau)
 

@@ -472,7 +472,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_linspace_matches_numpy_bit_for_bit(start, stop, num, endpoint):
     with np.errstate(all="ignore"):
         expected = np.linspace(start, stop, num, endpoint=endpoint)
-    points = _linspace(start, stop, num, endpoint)
+    points = list(_linspace(start, stop, num, endpoint))
     assert all(type(x) is float for x in points)
     assert [x.hex() for x in points] == [float(x).hex() for x in expected]
 

@@ -304,8 +304,10 @@ class TestScan:
         assert code == 2 and "steps" in err
 
     def test_memory_does_not_grow_with_steps(self):
-        """Each row is written as it is computed: the traced peak of a
-        10,000-row scan stays far below the ~6 MB its table of rows takes."""
+        """Each grid point and row is made as it is written: the traced
+        peak of a 10,000-row scan stays far below the ~6 MB its table of
+        rows takes, and a 40,000-row scan's peak is no more than 0.1 MB
+        above it (a list of the grid's floats would add ~0.9 MB)."""
         import tracemalloc
 
         class Sink:
@@ -319,15 +321,18 @@ class TestScan:
 
         argv = ["scan", "--axis", "ell1", "--start", "5330", "--stop", "5370", "--steps"]
         assert main([*argv, "2"], Sink(), io.StringIO()) == 0  # lazy imports done
-        out = Sink()
-        tracemalloc.start()
-        try:
-            code = main([*argv, "10000"], out, io.StringIO())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and out.lines == 10_001
-        assert peak < 2 * 2**20
+        peaks = {}
+        for steps in (10_000, 40_000):
+            out = Sink()
+            tracemalloc.start()
+            try:
+                code = main([*argv, str(steps)], out, io.StringIO())
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and out.lines == steps + 1
+        assert peaks[10_000] < 2 * 2**20
+        assert abs(peaks[40_000] - peaks[10_000]) < 0.1e6
 
     @pytest.mark.parametrize("method", ["closed", "quad"])
     def test_accepts_tilted_analyzers(self, tmp_path, method):

@@ -13,9 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import Phase, example, given, reject, seed, settings, strategies as st
 
 from dtebell.correlation import (
+    P_TARGET,
     SIGN_PAIRS,
     CorrelationResult,
     DtePair,
@@ -28,10 +29,10 @@ from dtebell.correlation import (
     fringe_phase,
 )
 from dtebell._quadrature import (
-    MAX_NODES,
     MIN_NODES,
-    PANEL_NODE_CAP,
+    NODE_CAP,
     _gauss_legendre,
+    _legendre_table,
     _internal_units,
     _tail_cut,
     _window_grid,
@@ -46,6 +47,7 @@ from dtebell.scenario import (
     TrapGuide,
     ValidationError,
     derive_scales,
+    load_config,
     reference_scenario,
     scales_from_scenario,
 )
@@ -615,6 +617,22 @@ def test_refine_must_be_a_non_negative_integer(scenario, scales, phi_tau, refine
         )
 
 
+@pytest.mark.parametrize("refine", [9, 1024])
+def test_refine_past_the_node_cap_is_refused(scenario, scales, phi_tau, refine, monkeypatch):
+    # from refine = 9 the half-level pass puts a MIN_NODES window at
+    # NODE_CAP, so the call could only raise: it is refused before any pass
+    import dtebell.correlation as corr
+
+    assert (NODE_CAP // MIN_NODES).bit_length() == 9
+    ell1, ell2 = center_lengths(scales, 1.0)
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    monkeypatch.setattr(corr, "_interference", None)  # calling it would raise TypeError
+    with pytest.raises(ValidationError, match="refine must be a non-negative integer below 9"):
+        correlate_quadrature(
+            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2), refine=refine
+        )
+
+
 def test_quadrature_failure_carries_estimate(
     scenario, scales, phi_tau, monkeypatch
 ):
@@ -623,7 +641,7 @@ def test_quadrature_failure_carries_estimate(
     import dtebell._quadrature as quad
 
     monkeypatch.setattr(quad, "MIN_NODES", 8)
-    monkeypatch.setattr(quad, "MAX_NODES", 16)
+    monkeypatch.setattr(quad, "NODE_CAP", 16)
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     with pytest.raises(QuadratureError) as excinfo:
@@ -804,6 +822,107 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
     assert peak < 150 * 2**20
 
 
+def _sinc2_pair(**overrides):
+    """(pair, scales): the sinc^2 pair of the bundled config with lab-unit
+    overrides of omega_trap_hz, duration_ms and separation_s (tau), and
+    the Gaussian scales of its scenario."""
+    document = load_config()
+    for key, value in overrides.items():
+        section = "scenario" if key == "omega_trap_hz" else "pulses"
+        document = document.replace(section, key, value)
+    scenario = document.to_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a margin below 10x only warns
+        pair = DtePair(
+            distribution=distribution_from_scenario(scenario),
+            tau=scenario.pulses.pulse_separation,
+            phi_tau=phi_tau_of(scenario),
+            species=scenario.species,
+        )
+    return pair, scales_from_scenario(scenario)
+
+
+# (overrides, ell1, ell2 in m): sinc^2 settings off the envelope centre
+# whose c.m. window needs 2136 and 2178 nodes at level 1: a 4096-node
+# rule, below NODE_CAP, so the pass is not capped
+OFF_CENTRE_SINC2 = [
+    ({"omega_trap_hz": 1.35032, "duration_ms": 87.1375}, 6120.772e-6, -5349.364e-6),
+    ({"omega_trap_hz": 1.65835, "duration_ms": 111.325, "separation_s": 1.10641},
+     5540.537e-6, -5918.607e-6),
+]
+
+
+@pytest.mark.parametrize("overrides, ell1, ell2", OFF_CENTRE_SINC2)
+def test_sinc2_off_centre_converges_below_the_cap(overrides, ell1, ell2, monkeypatch):
+    """The level-1 pass is uncapped, so it is rate-corrected and accepted;
+    a level-2 reference pass under a 4x cap, its rules past the table
+    from scipy, agrees with it within the estimate."""
+    import dtebell._quadrature as quad
+
+    pair, _ = _sinc2_pair(**overrides)
+    s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _record_passes(mp, "_pair_integral")
+        res = correlate_quadrature(pair, s1, s2)
+    assert max(passes) == 1.0
+    assert res.quadrature_error_estimate <= P_TARGET
+
+    table_rule = quad._gauss_legendre
+
+    def rule(n):
+        if n <= NODE_CAP:
+            return table_rule(n)
+        from scipy.special import roots_legendre
+
+        return roots_legendre(n)
+
+    monkeypatch.setattr(quad, "_gauss_legendre", rule)
+    monkeypatch.setattr(quad, "NODE_CAP", 4 * NODE_CAP)
+    reference = correlate_quadrature(pair, s1, s2, refine=1)
+    for key in SIGN_PAIRS:
+        assert abs(res.p[key] - reference.p[key]) <= res.quadrature_error_estimate
+
+
+def _envelope_widths(scales, tau):
+    """(w_rel, w_cm): the e-fold widths in ell1 - ell2 and ell1 + ell2 of
+    the interference envelope, w^2 = 2 v_rel lambda_bar (t^2 + tau^2)/t
+    with t = t_rel and t_cm (correlation.closed_form_parts)."""
+    two_v_lam = 2.0 * scales.v_rel * scales.lambda_bar_rel
+    return tuple(
+        math.sqrt(two_v_lam * (t * t + tau * tau) / t) for t in (scales.t_rel, scales.t_cm)
+    )
+
+
+# no shrinking: a failing example takes about a second, and shrinking one
+# ran for five minutes
+@settings(
+    max_examples=12, derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate)
+)
+@given(
+    st.floats(0.2, 2.0),
+    st.floats(30.0, 120.0),
+    st.floats(0.4, 1.6),
+    st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=4, max_size=4),
+)
+def test_sinc2_converges_across_the_validity_domain(trap_hz, duration_ms, tau, offsets):
+    """Sinc^2 calls within 1.5 envelope widths of the centre, in scenarios
+    drawn over the validity domain, reach P_TARGET without a cap."""
+    try:
+        pair, scales = _sinc2_pair(
+            omega_trap_hz=trap_hz, duration_ms=duration_ms, separation_s=tau
+        )
+    except ValidationError:
+        reject()  # outside the validity domain
+    w_rel, w_cm = _envelope_widths(scales, tau)
+    for rel, cm in offsets:
+        dl = tau * scales.v_rel + rel * w_rel
+        sl = cm * w_cm
+        s1 = InterferometerSetting(ell=0.5 * (sl + dl))
+        s2 = InterferometerSetting(ell=0.5 * (sl - dl))
+        res = correlate_quadrature(pair, s1, s2)
+        assert res.quadrature_error_estimate <= P_TARGET
+
+
 def test_quadrature_asks_for_power_of_two_rules(fesh, scenario, scales, phi_tau, monkeypatch):
     import dtebell._quadrature as quad
 
@@ -830,7 +949,9 @@ def test_gauss_legendre_table_is_scipys_rules_bit_for_bit():
     from gauss_legendre_table import build_table, rule_sizes
 
     table = build_table()
-    assert rule_sizes()[-1] == PANEL_NODE_CAP
+    # the builder, the bundled table and the engine share one cap
+    assert rule_sizes()[-1] == NODE_CAP
+    assert _legendre_table().shape == table.shape == (2, 2 * NODE_CAP - 1)
     for n in rule_sizes():
         nodes, weights = _gauss_legendre(n)
         assert nodes.tobytes() == table[0, n - 1 : 2 * n - 1].tobytes()
@@ -838,7 +959,7 @@ def test_gauss_legendre_table_is_scipys_rules_bit_for_bit():
         assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
-@pytest.mark.parametrize("n", [3, 2 * PANEL_NODE_CAP])
+@pytest.mark.parametrize("n", [3, 2 * NODE_CAP])
 def test_gauss_legendre_refuses_sizes_the_table_lacks(n):
     with pytest.raises(ValueError, match=f"no {n}-node"):
         _gauss_legendre(n)
@@ -886,7 +1007,7 @@ def test_cached_window_matches_uncached_bit_for_bit(keys, calls, rng):
         weight = _window_weight if rng.random() < 0.5 else None
         value, capped = _window_integral(mean, sigma, a, b, level, extra_span, weight)
         expected, expected_capped = uncached_window_integral(
-            mean, sigma, a, b, level, MIN_NODES, MAX_NODES, extra_span, weight
+            mean, sigma, a, b, level, MIN_NODES, NODE_CAP, extra_span, weight
         )
         assert value == expected
         assert capped is expected_capped

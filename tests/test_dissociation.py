@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,32 +301,41 @@ class TestConverge:
 
 def _mantissa_half_examples(test):
     """need * level = 2^k has mantissa 0.5, at the rate correction's quarter
-    level too: every power-of-two need up to 2^13 whose scaled need is at
-    least one node, at levels 0.125 and 0.25."""
+    level too: every power-of-two need up to 2^13, at levels 0.125 and
+    0.25.  A need of 4 at level 0.125 is half a node, which takes one."""
     for k in range(2, 14):
-        test = example(2**k, 0.25, quad.MAX_NODES)(test)
-        if k >= 3:
-            test = example(2**k, 0.125, quad.PANEL_NODE_CAP)(test)
+        test = example(2**k, 0.25, quad.NODE_CAP)(test)
+        test = example(2**k, 0.125, quad.NODE_CAP)(test)
     return test
 
 
 class TestNodeCount:
     @given(
-        st.one_of(st.integers(2, 100_000), st.floats(2.0, 100_000.0)),
-        st.floats(0.5, 8.0),
-        st.sampled_from([16, quad.MAX_NODES, quad.PANEL_NODE_CAP]),
+        st.one_of(st.integers(1, 100_000), st.floats(1.0, 100_000.0)),
+        # ordinary levels, scaled needs below one node, and products that overflow
+        st.one_of(st.floats(0.5, 8.0), st.floats(2.0**-20, 0.5), st.floats(2.0**1000, 2.0**1023)),
+        st.sampled_from([16, 1024, quad.NODE_CAP]),
     )
     @_mantissa_half_examples
+    @example(32, 2.0**1020, quad.NODE_CAP)  # 2^1025 overflows to inf
     def test_one_power_of_two_rule(self, need, level, cap):
-        nodes, capped = quad._node_count(need, level, cap)
+        with mock.patch.object(quad, "NODE_CAP", cap):
+            nodes, capped = quad._node_count(need, level)
+            doubled = quad._node_count(need, 2.0 * level)[0]
+            half_start_capped = quad._node_count(need, 0.5)[1]
         assert type(nodes) is int and type(capped) is bool
         scaled = min(need, cap) * level
-        assert nodes & (nodes - 1) == 0 and 0 < nodes <= cap
-        # the smallest power of two covering the scaled need, or the cap
-        assert nodes // 2 < scaled and (nodes >= scaled or capped)
+        assert nodes & (nodes - 1) == 0 and 1 <= nodes <= cap
         assert capped == (nodes == cap)
-        assert quad._node_count(need, 2.0 * level, cap)[0] == min(2 * nodes, cap)
-        assert not quad._node_count(need, 0.5, cap)[1]
+        if scaled <= 1.0:
+            assert nodes == 1
+            assert doubled == (1 if 2.0 * scaled <= 1.0 else 2)
+        else:
+            # the smallest power of two covering the scaled need, or the cap
+            assert nodes // 2 < scaled and (nodes >= scaled or capped)
+            assert doubled == min(2 * nodes, cap)
+        assert capped or math.isfinite(scaled)
+        assert not half_start_capped
 
 
 def fit_sinc_width_factor(dist, n_samples=201):

@@ -208,7 +208,7 @@ def test_package_modules_import_no_numpy_or_scipy_at_top_level():
 
 
 QUADRATURE_CONSTANTS = {
-    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "MAX_NODES", "PANEL_NODE_CAP", "MAX_LEVEL",
+    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "NODE_CAP", "MAX_LEVEL",
 }
 QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
@@ -339,7 +339,9 @@ def test_each_quadrature_rule_has_one_body():
 
     # one node-count body: no type dispatch, no numpy twin
     assert {"isinstance", "numpy", "np"}.isdisjoint(quad._node_count.__code__.co_names)
-    # a window reads its node bounds from MIN_NODES and MAX_NODES
+    # one cap for every rule, read at call time: no cap parameter anywhere
+    assert "cap" not in inspect.signature(quad._node_count).parameters
+    # a window reads its node bounds from MIN_NODES and NODE_CAP
     assert {"floor", "cap"}.isdisjoint(inspect.signature(quad._window_integral).parameters)
     # one cache over the Gauss-Legendre table, one over the window grids
     cached = {name for name, value in vars(quad).items() if hasattr(value, "cache_info")}
@@ -357,7 +359,7 @@ def test_quadrature_module_imports():
                     lazy.append(f"{name}:{node.lineno}")
                 imported.setdefault(name, {})[node.module] = {a.name for a in node.names}
     assert imported["correlation.py"]["_quadrature"] == {
-        "QuadratureError", "_converge", "_interference",
+        "MIN_NODES", "NODE_CAP", "QuadratureError", "_converge", "_interference",
     }
     assert imported["dissociation.py"]["_quadrature"] == {"_converge", "_pair_integral"}
     assert set(imported["_quadrature.py"]) == {"scenario"}
