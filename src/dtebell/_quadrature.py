@@ -1,12 +1,14 @@
 """The quadrature engine: node, level and window policy, the doubling
 loop, the Gaussian window and sinc^2 line integrals, and the interference
-integral of a DtePair.  dissociation normalizes with its zero-phase pair
-integral; correlation turns its passes into an error estimate.  numpy is
-imported inside the functions that build arrays; the Gauss-Legendre rules
-are read from the bundled table data/gauss_legendre.npy, once.  Every
-rule's size comes from _node_count.  A window integral's grid depends
-only on (mean, sigma, b, nodes), which a scan holds fixed for all its
-rows, so _window_grid keeps it in a small bounded cache.
+integral of a DtePair.  dissociation normalizes with _raw_mass, the
+zero-phase pair integral, whose lines stop at _tail_cut's radius and add
+the kernel's smooth mean past it; correlation turns its passes into an
+error estimate.  numpy is imported inside the functions that build
+arrays; the Gauss-Legendre rules are read from the bundled table
+data/gauss_legendre.npy, once.  Every rule's size comes from
+_node_count.  A window integral's grid depends only on (mean, sigma, b,
+nodes), which a scan holds fixed for all its rows, so _window_grid keeps
+it in a small bounded cache.
 """
 
 from __future__ import annotations
@@ -202,15 +204,21 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     rows at a time.  Rows sum independently, so the bits do not change,
     except in a one-row block: a lone trailing row joins the block before it.
 
-    With ``r_cut`` (from _tail_cut) the integral stops at r = r_cut:
+    With ``r_cut`` (from _tail_cut) the full kernel stops at r = r_cut:
     panel edges are clipped there and panels wholly above it are not
-    evaluated.  Without it the line runs to the truncation edge r_hi.
+    evaluated.  Without it the line runs to the truncation edge r_hi(u).
+    At zero phase (a = b = 0) a cut line adds the smooth mean of the
+    kernel from r_cut to r_hi(u) (_mean_tail); only the oscillating
+    remainder, which _tail_cut bounds, is left out.
     """
     import numpy as np
 
     u = np.atleast_1d(np.asarray(u, dtype=float))
     edges = dist.rel_panel_edges(u)
+    result = np.zeros(len(u), dtype=complex)
     if r_cut is not None:
+        if a_lin == 0.0 and b_quad == 0.0:
+            result += _mean_tail(dist, u, r_cut, edges[:, -1], level)
         # edges ascend along each row, so the kept panels are a prefix
         kept = int((edges[:, :-1] < r_cut).any(axis=0).sum())
         edges = np.minimum(edges[:, : kept + 1], r_cut)
@@ -232,7 +240,6 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
 
     half_width = 0.5 * (hi_e - lo_e)
     mid = 0.5 * (lo_e + hi_e)
-    result = np.zeros(len(u), dtype=complex)
     starts = list(range(0, len(u), U_ROWS_PER_BLOCK))
     if len(starts) > 1 and len(u) - starts[-1] == 1:
         starts.pop()
@@ -246,6 +253,30 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
             osc = 2.0 * np.exp(1j * phase(r))
             result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
     return result, any(capped for _, capped in counts)
+
+
+def _mean_tail(dist, u, r_lo, r_hi, level):
+    """Per u, 2 * integral from r_lo to r_hi(u) of h = 1/(2 x^2 (x/kappa + b)^2),
+    the mean of the scaled kernel sinc^2 x/(x/kappa + b)^2 = h (1 - cos 2x).
+
+    h is smooth and decreasing for x > 0, so its panels ignore the sinc
+    zeros: geometric, at most a factor 2 wide, each with a rule of need
+    16 sized by _node_count at ``level``.  Its poles, x = 0 and x/kappa =
+    -b, lie off the panels (x > 0 past a cut), so the rules converge
+    geometrically; the doubling loop checks them with the rest of the pass.
+    """
+    import numpy as np
+
+    ratio = np.maximum(r_hi, r_lo) / r_lo
+    n_panels = max(math.ceil(math.log2(float(ratio.max()))), 1)
+    edges = r_lo * ratio[:, None] ** (np.arange(n_panels + 1) / n_panels)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    n, _ = _node_count(16, level)
+    gl_x, gl_w = _gauss_legendre(n)
+    r = (0.5 * (edges[:, 1:] + edges[:, :-1]))[:, :, None] + half[:, :, None] * gl_x
+    s = u[:, None, None] + r * r - 1.0  # x/kappa
+    h = 1.0 / (2.0 * (dist.kappa * s) ** 2 * (s + dist.b) ** 2)
+    return 2.0 * ((h * gl_w).sum(axis=2) * half).sum(axis=1)
 
 
 def _cm_window(dist):
@@ -278,18 +309,29 @@ def _tail_cut(dist, a: float, b: float, level=1.0):
     interference value; the c.m. weights sum to the Gaussian's window
     mass, one to rounding.
 
+    At zero phase, the normalization's raw integral, the weight-1 term
+    does not oscillate: _line_values integrates its smooth mean past R,
+    so R and the bound come from the two +-2x terms (slopes +-4 kappa)
+    alone, scaled at N = 1: the normalization is that integral, so
+    reading it here would recurse.
+
     R is the smallest admissible radius whose bound is at most an eighth
     of tail_bound(), so every pass, at any level, stays within that
     eighth: it is the returned ``bound`` whenever the phase admits a cut,
     even where this level's bound at r_hi misses it and R is None.  With
-    no admissible radius (for example at zero phase) nothing is cut and
-    the result is (None, 0.0).
+    no admissible radius (for example a stationary point past r_hi)
+    nothing is cut and the result is (None, 0.0).
     """
     kappa, b_env = dist.kappa, dist.b
     _, rows = _cm_window(dist)
     r_lo = 1.0  # x > 0 above it
-    slopes = (-2.0 * b, -2.0 * b + 4.0 * kappa, -2.0 * b - 4.0 * kappa)
-    for slope in slopes:
+    terms = [(0.5, -2.0 * b + 4.0 * kappa), (0.5, -2.0 * b - 4.0 * kappa)]
+    if a == 0.0 and b == 0.0:
+        norm = 1.0
+    else:
+        terms.insert(0, (1.0, -2.0 * b))
+        norm = dist.normalization
+    for _, slope in terms:
         if slope == 0.0:
             if a == 0.0:
                 return None, 0.0
@@ -302,13 +344,13 @@ def _tail_cut(dist, a: float, b: float, level=1.0):
 
     lebesgue = 2.0 / math.pi * math.log(math.ceil(rows * level) + 1.0) + 1.0
     # 4: the label fold times the 2 of integration by parts
-    scale = 4.0 * dist.normalization * kappa * b_env**2 / math.pi * lebesgue
+    scale = 4.0 * norm * kappa * b_env**2 / math.pi * lebesgue
 
     def bound(r):
         x = kappa * (r * r - 1.0)
         h = 1.0 / (2.0 * x * x * (x / kappa + b_env) ** 2)
         weighted = 0.0  # a plain loop: sum() rounds differently from Python 3.12 on
-        for w, s in zip((1.0, 0.5, 0.5), slopes):
+        for w, s in terms:
             weighted += w / abs(a + s * r)
         return scale * h * weighted
 
@@ -357,6 +399,23 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
         0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, dist.kappa * u_hi, g_interp
     )
     return value, capped or hit
+
+
+def _raw_mass(dist, target: float):
+    """(raw, estimate): the source's integral at N = 1, the zero-phase pair
+    integral with the kappa b^2/pi prefactor, refined by _converge until
+    its pass difference plus the charge of the zero-phase tail cut
+    (_tail_cut) is at most ``target``.  The estimate carries that charge;
+    the truncation beyond r_hi (tail_bound) is the caller's.
+    """
+    pref = dist.kappa * dist.b**2 / math.pi
+    _, cut = _tail_cut(dist, 0.0, 0.0)
+
+    def compute(level):
+        value, capped = _pair_integral(dist, 0.0, 0.0, 0.0, 0.0, level)
+        return pref * value.real, capped
+
+    return _converge(compute, lambda error: error + cut, target)
 
 
 def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: float):

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._quadrature import _converge, _pair_integral
+from ._quadrature import _raw_mass
 from .scenario import (
     CONSTANTS,
     Scenario,
@@ -171,16 +171,14 @@ class FeshbachDistribution:
     def _raw_integral(self):
         """Full 2D integral at N = 1 plus its error estimate.
 
-        The zero-phase case of the interference integral: the same line
-        values and c.m. quadrature, refined by the same doubling loop.
+        The zero-phase case of the interference integral (_quadrature._raw_mass):
+        the same line values and c.m. quadrature, refined by the same
+        doubling loop.  Each line stops at the zero-phase tail cut and
+        adds the kernel's smooth mean past it; the estimate charges the
+        bound on the oscillating remainder left out, and the truncated
+        tail beyond r_hi.
         """
-        pref = self.kappa * self.b**2 / math.pi
-
-        def compute(level):
-            value, capped = _pair_integral(self, 0.0, 0.0, 0.0, 0.0, level)
-            return pref * value.real, capped
-
-        raw, err = _converge(compute, lambda error: error, NORM_TARGET)
+        raw, err = _raw_mass(self, NORM_TARGET)
         return raw, err + self.tail_bound() * raw
 
     # -- public evaluation --------------------------------------------------

@@ -159,12 +159,17 @@ def render(name: str) -> str:
                 code = exc.code
     finally:
         os.chdir(cwd)
+    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return render_case(argv, code, out.getvalue(), err.getvalue(), warned)
+
+
+def render_case(argv, code, stdout: str, stderr: str, warned: str) -> str:
+    """The golden text of one CLI case from its argv, exit code and output."""
     return (
         f"$ dtebell {' '.join(argv)}\nexit {code}\n"
-        + _section("stdout", out.getvalue())
-        + _section("stderr", err.getvalue())
-        + _section("warnings", "".join(
-            f"{w.category.__name__}: {w.message}\n" for w in caught))
+        + _section("stdout", stdout)
+        + _section("stderr", stderr)
+        + _section("warnings", warned)
     )
 
 

