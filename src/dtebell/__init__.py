@@ -71,7 +71,6 @@ from .montecarlo import (
     RunConfig,
     estimate_chsh,
     multi_dissociation_rate,
-    pair_rng,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "load_config",
     "multi_dissociation_rate",
     "optimize_settings",
-    "pair_rng",
     "periods_above_threshold",
     "phase_stability",
     "phi_tau",

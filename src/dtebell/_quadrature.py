@@ -26,7 +26,7 @@ WINDOW_SIGMAS = 8.5
 MIN_NODES = 32
 # every rule's node cap: the largest rule in data/gauss_legendre.npy
 NODE_CAP = 8192
-# a doubling loop stops at MAX_LEVEL times its starting level
+# a doubling loop starts at level 1 and stops at MAX_LEVEL
 MAX_LEVEL = 8.0
 
 
@@ -65,23 +65,23 @@ def _gauss_legendre(n: int):
     return table[0, n - 1 : 2 * n - 1], table[1, n - 1 : 2 * n - 1]
 
 
-def _converge(compute, estimate_for, target: float, level: float = 1.0, rate: bool = False):
-    """Double the level until estimate_for(error) <= target.
+def _converge(compute, estimate_for, target: float, rate: bool = False):
+    """Double the level from 1 until estimate_for(error) <= target.
 
     ``compute(level)`` returns (value, capped): capped means some node
     count is at its cap (_node_count), where doubling adds no nodes.
     ``error`` is the difference between the pass at ``level`` and the
     half-level pass.  With ``rate`` that difference is rate-corrected
     (_rate_corrected) when it misses the target on an uncapped pass; at
-    the starting level this costs one quarter-level pass, after that the
-    previous doubling supplies the rate.  Returns (value, estimate).  A
-    capped half-level pass raises QuadratureError (estimate inf), as do
-    a capped pass that misses the target and a pass past MAX_LEVEL times
-    the starting level, so every accepted pass differs from its
-    half-level pass in every node count.
+    level 1 this costs one quarter-level pass, after that the previous
+    doubling supplies the rate.  Returns (value, estimate).  A capped
+    half-level pass raises QuadratureError (estimate inf), as do a
+    capped pass that misses the target and a pass at MAX_LEVEL that
+    misses it, so every accepted pass differs from its half-level pass
+    in every node count.
     """
-    ceiling = MAX_LEVEL * level
-    coarse, capped = compute(0.5 * level)
+    level = 1.0
+    coarse, capped = compute(0.5)
     if capped:
         raise QuadratureError("half-level pass at the node-count cap", estimate=math.inf)
     fine, capped = compute(level)
@@ -91,12 +91,12 @@ def _converge(compute, estimate_for, target: float, level: float = 1.0, rate: bo
         estimate = estimate_for(error)
         if rate and estimate > target and not capped:
             if previous is None:
-                coarser, _ = compute(0.25 * level)
+                coarser, _ = compute(0.25)
                 previous = abs(coarse - coarser)
             estimate = estimate_for(_rate_corrected(error, previous))
         if estimate <= target:
             return fine, estimate
-        if capped or level >= ceiling:
+        if capped or level >= MAX_LEVEL:
             raise QuadratureError(
                 f"quadrature error estimate {estimate:.3e} exceeds {target:.0e} "
                 "at the node-count ceiling",
@@ -403,7 +403,7 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
 
 def _raw_mass(dist, target: float):
     """(raw, estimate): the source's integral at N = 1, the zero-phase pair
-    integral with the kappa b^2/pi prefactor, refined by _converge until
+    integral with the kappa b^2/pi prefactor, doubled by _converge until
     its pass difference plus the charge of the zero-phase tail cut
     (_tail_cut) is at most ``target``.  The estimate carries that charge;
     the truncation beyond r_hi (tail_bound) is the caller's.

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._quadrature import MIN_NODES, NODE_CAP, QuadratureError, _converge, _interference
+from ._quadrature import QuadratureError, _converge, _interference
 from .dissociation import FeshbachDistribution, gaussian_approximation
 from .scenario import (
     CONSTANTS,
@@ -207,7 +207,7 @@ def _result_from_interference(
 
 
 def correlate_quadrature(
-    pair: DtePair, s1: InterferometerSetting, s2: InterferometerSetting, refine: int = 0
+    pair: DtePair, s1: InterferometerSetting, s2: InterferometerSetting
 ) -> CorrelationResult:
     """Coincidence probabilities by direct momentum quadrature.
 
@@ -225,36 +225,21 @@ def correlate_quadrature(
     also carries the bound of _quadrature._tail_cut: each line integral
     stops where its phase has no stationary point left, and that
     non-stationary-phase bound on the dropped part (at most an eighth of
-    the envelope tail) is charged here.  ``refine``, a non-negative
-    integer, forces that many extra node doublings beyond the adaptive
-    schedule (testing hook for the self-consistency property); a negative
-    one would start below the schedule, where the estimate no longer
-    bounds the error, and is refused, as is one so large that the
-    half-level pass puts even a MIN_NODES window at NODE_CAP.  The
-    returned pass differs from its half-level pass in every node count;
-    where a node cap rules that out, QuadratureError is raised
+    the envelope tail) is charged here.  The levels double from 1 to at
+    most _quadrature.MAX_LEVEL; the returned pass differs from its
+    half-level pass in every node count, and where a node cap or that
+    ceiling rules this out, QuadratureError is raised
     (_quadrature._converge).
     """
-    import numpy as np
-
-    # from half-level 2**(refine - 1) = NODE_CAP / MIN_NODES on, every window is capped
-    limit = (NODE_CAP // MIN_NODES).bit_length()
-    if (
-        isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
-        or not 0 <= refine < limit
-    ):
-        raise ValidationError(
-            f"refine must be a non-negative integer below {limit}, got {refine!r}"
-        )
     compute, tail = _interference(pair, s1.ell, s2.ell)
-    phase_ref = np.exp(-1j * pair.phi_tau)
+    phase_ref = complex(math.cos(pair.phi_tau), -math.sin(pair.phi_tau))
 
     # the 1e-12 floor covers double-precision summation noise
     def estimate_for(error):
         return 0.25 * error + 0.25 * tail + 1e-12
 
-    fine, estimate = _converge(compute, estimate_for, P_TARGET, float(2**refine), rate=True)
-    e_interference = float(np.real(phase_ref * fine))
+    fine, estimate = _converge(compute, estimate_for, P_TARGET, rate=True)
+    e_interference = float((phase_ref * fine).real)
     return _result_from_interference(e_interference, abs(fine), s1.theta, s2.theta, estimate)
 
 

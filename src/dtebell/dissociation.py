@@ -172,7 +172,7 @@ class FeshbachDistribution:
         """Full 2D integral at N = 1 plus its error estimate.
 
         The zero-phase case of the interference integral (_quadrature._raw_mass):
-        the same line values and c.m. quadrature, refined by the same
+        the same line values and c.m. quadrature, run through the same
         doubling loop.  Each line stops at the zero-phase tail cut and
         adds the kernel's smooth mean past it; the estimate charges the
         bound on the oscillating remainder left out, and the truncated

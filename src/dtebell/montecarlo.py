@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult, _check_probabilities
-from .scenario import _MAX_EVENTS, _MAX_SEED, _MODES as MODES, ValidationError
+from .scenario import _MAX_EVENTS, _MAX_SEED, _MODES as MODES, ValidationError, _require_integer
 
 __all__ = [
     "MODES",
@@ -29,7 +29,6 @@ __all__ = [
     "RunConfig",
     "estimate_chsh",
     "multi_dissociation_rate",
-    "pair_rng",
     "run",
 ]
 
@@ -55,16 +54,12 @@ class RunConfig:
     settings: ChshSettings
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        if not isinstance(self.events_per_setting, (int, np.integer)):
-            raise ValidationError("events_per_setting must be an integer")
+        _require_integer("events_per_setting", self.events_per_setting)
         if not 1 <= self.events_per_setting < _MAX_EVENTS:
             raise ValidationError(
                 f"events_per_setting must be from 1 to 2**63 - 1, got {self.events_per_setting}"
             )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError("seed must be an integer")
+        _require_integer("seed", self.seed)
         if not 0 <= self.seed < _MAX_SEED:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
         _require_mode(self.mode)
@@ -142,14 +137,6 @@ class ChshEstimate:
         return min(1.0, self.s_value / TSIRELSON_BOUND)
 
 
-def pair_rng(seed: int, pair_index: int) -> np.random.Generator:
-    """The documented per-pair stream: Philox keyed by (seed, pair_index)."""
-    import numpy as np
-
-    key = np.array([seed, pair_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def run(
     correlator: Callable[[object, object], CorrelationResult], config: RunConfig
 ) -> CountTable:
@@ -179,7 +166,8 @@ def run(
         # binomials hands its round-off remainder to the last cell
         drawn = cells > 0.0
         tally = np.zeros(len(cells), dtype=np.int64)
-        tally[drawn] = pair_rng(config.seed, index).multinomial(n, cells[drawn])
+        stream = np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
+        tally[drawn] = np.random.Generator(stream).multinomial(n, cells[drawn])
         counts.append(tuple(tally[:4].tolist()))
         discarded.append(int(tally[4:].sum()))  # Switched draws no fifth cell
     return CountTable(
@@ -233,13 +221,28 @@ def multi_dissociation_rate(p_single: float, n_molecules: int) -> float:
 
     Binomial tail P(k >= 2) for n_molecules trials at p_single each:
     the fraction of shots the post-selection on single-pair events
-    throws away.
+    throws away.  Below n p = 1, where 1 - q^n - n p q^(n-1) cancels,
+    the terms from k = 2 are summed by their ratio (below 2/3); above,
+    that closed form keeps its digits since the tail is at least 1/4.
+    Powers of q = 1 - p go through log1p.
     """
-    import numpy as np
-
     if not 0.0 <= p_single <= 1.0:
         raise ValidationError(f"p_single must be in [0, 1], got {p_single}")
-    if not isinstance(n_molecules, (int, np.integer)) or n_molecules < 1:
+    n = _require_integer("n_molecules", n_molecules)
+    if n < 1:
         raise ValidationError("n_molecules must be a positive integer")
-    q = 1.0 - p_single
-    return 1.0 - q**n_molecules - n_molecules * p_single * q ** (n_molecules - 1)
+    if n == 1:
+        return 0.0
+    if p_single == 1.0:
+        return 1.0
+    log_q = math.log1p(-p_single)
+    if n * p_single >= 1.0:
+        return 1.0 - math.exp(n * log_q) - n * p_single * math.exp((n - 1) * log_q)
+    ratio = p_single / (1.0 - p_single)
+    term = n * (n - 1) / 2 * p_single * p_single * math.exp((n - 2) * log_q)
+    total, k = 0.0, 2
+    while term > 1e-17 * total:  # the rest is below 2 * term
+        total += term
+        term *= (n - k) / (k + 1) * ratio
+        k += 1
+    return total

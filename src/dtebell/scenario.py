@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -64,6 +65,14 @@ def _require_positive(name: str, value: float) -> None:
     """The one positive-and-finite check; NaN fails it too."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_integer(name: str, value) -> int:
+    """The one integer check: ints, bools and numpy integer scalars pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer") from None
 
 
 def _theta_in_range(theta: float) -> bool:  # an analyzer angle, rad

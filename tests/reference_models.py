@@ -7,13 +7,16 @@ Monte Carlo machinery.  A spin setting is an InterferometerSetting whose
 
 An uncached Gaussian window integral: the oracle the cached
 _quadrature._window_integral must match bit for bit.
+
+One quadrature pass at a chosen level, as probabilities: a finer
+reference for what correlate_quadrature returns.
 """
 
 import math
 
-from dtebell._quadrature import WINDOW_SIGMAS, _gauss_legendre, _quadratic_span
+from dtebell._quadrature import WINDOW_SIGMAS, _gauss_legendre, _interference, _quadratic_span
 from dtebell.bell import ChshSettings
-from dtebell.correlation import CorrelationResult, InterferometerSetting
+from dtebell.correlation import CorrelationResult, InterferometerSetting, _result_from_interference
 
 
 def spin_correlation(x: InterferometerSetting, y: InterferometerSetting) -> CorrelationResult:
@@ -54,3 +57,16 @@ def uncached_window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.
     if weight is not None:
         integrand = integrand * weight(x)
     return complex(np.dot(gl_w * half, integrand)), bool(capped)
+
+
+def quadrature_pass(pair, s1: InterferometerSetting, s2: InterferometerSetting, level: float):
+    """(result, capped): the engine's pass at ``level`` of the pair's
+    interference integral at s1, s2, turned into probabilities as
+    correlate_quadrature turns its returned pass; the estimate is 0."""
+    compute, _ = _interference(pair, s1.ell, s2.ell)
+    value, capped = compute(level)
+    phase_ref = complex(math.cos(pair.phi_tau), -math.sin(pair.phi_tau))
+    result = _result_from_interference(
+        float((phase_ref * value).real), abs(value), s1.theta, s2.theta, 0.0
+    )
+    return result, capped

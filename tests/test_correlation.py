@@ -51,7 +51,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
-from reference_models import uncached_window_integral
+from reference_models import quadrature_pass, uncached_window_integral
 
 # frozen reference-scenario oracles
 E_CENTER_REF = 0.70237388788893       # closed form at the fringe center, tau = 1 s
@@ -289,7 +289,7 @@ def test_closed_form_no_dispersion_limit(scenario, scales, phi_tau):
 def test_both_routes_take_the_pair_and_two_settings():
     # one signature for both routes: a batch over either reads (pair, s1, s2)
     for route in (correlate_closed_form, correlate_quadrature):
-        assert list(inspect.signature(route).parameters)[:3] == ["pair", "s1", "s2"]
+        assert list(inspect.signature(route).parameters) == ["pair", "s1", "s2"]
 
 
 def test_closed_form_refuses_a_sinc2_pair(fesh, scenario, phi_tau):
@@ -602,35 +602,10 @@ def test_refinement_self_consistency(scenario, scales, phi_tau):
     pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     s1, s2 = InterferometerSetting(ell=ell1 + 8e-7), InterferometerSetting(ell=ell2)
     base = correlate_quadrature(pair, s1, s2)
-    finer = correlate_quadrature(pair, s1, s2, refine=1)
+    finer, capped = quadrature_pass(pair, s1, s2, 2.0)
+    assert not capped
     for key in SIGN_PAIRS:
         assert abs(finer.p[key] - base.p[key]) <= base.quadrature_error_estimate
-
-
-@pytest.mark.parametrize("refine", [-1, 0.5, 1.0, True, "1", None])
-def test_refine_must_be_a_non_negative_integer(scenario, scales, phi_tau, refine):
-    ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
-    with pytest.raises(ValidationError, match="refine must be a non-negative integer"):
-        correlate_quadrature(
-            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2), refine=refine
-        )
-
-
-@pytest.mark.parametrize("refine", [9, 1024])
-def test_refine_past_the_node_cap_is_refused(scenario, scales, phi_tau, refine, monkeypatch):
-    # from refine = 9 the half-level pass puts a MIN_NODES window at
-    # NODE_CAP, so the call could only raise: it is refused before any pass
-    import dtebell.correlation as corr
-
-    assert (NODE_CAP // MIN_NODES).bit_length() == 9
-    ell1, ell2 = center_lengths(scales, 1.0)
-    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
-    monkeypatch.setattr(corr, "_interference", None)  # calling it would raise TypeError
-    with pytest.raises(ValidationError, match="refine must be a non-negative integer below 9"):
-        correlate_quadrature(
-            pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2), refine=refine
-        )
 
 
 def test_quadrature_failure_carries_estimate(
@@ -793,32 +768,29 @@ def _sinc2_settings(scales, eighths):
 
 @pytest.fixture(scope="module")
 def sinc2_level2(fesh, scenario, scales, phi_tau):
-    """Sinc^2 calls forced to level 2 (refine=1) at the fringe centre and
-    3/8 fringe off it: {eighths: (result, {level: pass}, traced peak)}."""
+    """Sinc^2 passes at level 2 at the fringe centre and 3/8 fringe off
+    it: {eighths: (result, capped, traced peak)}."""
     import tracemalloc
 
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     fesh.normalization  # cached before the trace
     calls = {}
     for eighths in (0, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            passes = _record_passes(mp, "_pair_integral")
-            tracemalloc.start()
-            try:
-                res = correlate_quadrature(pair, *_sinc2_settings(scales, eighths), refine=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        calls[eighths] = (res, passes, peak)
+        tracemalloc.start()
+        try:
+            res, capped = quadrature_pass(pair, *_sinc2_settings(scales, eighths), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        calls[eighths] = (res, capped, peak)
     return calls
 
 
 def test_feshbach_off_centre_peak_memory(sinc2_level2):
-    """A level-2 sinc^2 call 3/8 of a fringe off centre: its (u, panel,
+    """A level-2 sinc^2 pass 3/8 of a fringe off centre: its (u, panel,
     node) tensor must stay blocked."""
-    res, passes, peak = sinc2_level2[3]
-    assert max(passes) == 2.0
-    assert res.quadrature_error_estimate < 1e-6
+    _, capped, peak = sinc2_level2[3]
+    assert not capped
     assert peak < 150 * 2**20
 
 
@@ -879,7 +851,8 @@ def test_sinc2_off_centre_converges_below_the_cap(overrides, ell1, ell2, monkeyp
 
     monkeypatch.setattr(quad, "_gauss_legendre", rule)
     monkeypatch.setattr(quad, "NODE_CAP", 4 * NODE_CAP)
-    reference = correlate_quadrature(pair, s1, s2, refine=1)
+    reference, capped = quadrature_pass(pair, s1, s2, 2.0)
+    assert not capped
     for key in SIGN_PAIRS:
         assert abs(res.p[key] - reference.p[key]) <= res.quadrature_error_estimate
 
@@ -1081,7 +1054,7 @@ def test_gaussian_estimate_describes_returned_pass(
     s1 = InterferometerSetting(ell=0.5 * tau * scales.v_rel + d1)
     s2 = InterferometerSetting(ell=-0.5 * tau * scales.v_rel + d2)
     pair = DtePair(distribution=scales, tau=tau, phi_tau=phi_tau, species=scenario.species)
-    reference = correlate_quadrature(pair, s1, s2, refine=2)
+    reference, _ = quadrature_pass(pair, s1, s2, 4.0)
     passes = _record_passes(monkeypatch, "_gaussian_interference")
     res = correlate_quadrature(pair, s1, s2)
     tail = 2.0 * math.erfc(8.5 / math.sqrt(2.0))

@@ -135,7 +135,7 @@ def test_numpy_free_cases_are_byte_identical_on_other_interpreters():
     cases = json.dumps({name: list(argv) for name, argv in regen.CASES.items()})
     children = {
         minor: subprocess.Popen(
-            [exe, "-I", "-c", CROSS_CHILD, src], cwd=GOLDEN, stdin=subprocess.PIPE,
+            [exe, "-I", "-B", "-c", CROSS_CHILD, src], cwd=GOLDEN, stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8",
         )
         for minor, exe in pythons.items()

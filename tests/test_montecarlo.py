@@ -93,6 +93,23 @@ def test_run_config_validation():
     RunConfig(2**63 - 1, 0, "Switched", TEXTBOOK)
 
 
+INTEGER_SITES = {
+    "events_per_setting": lambda n: RunConfig(n, 1, "Switched", TEXTBOOK),
+    "seed": lambda n: RunConfig(10, n, "Switched", TEXTBOOK),
+    "n_molecules": lambda n: multi_dissociation_rate(0.5, n),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_inputs_accept_ints_and_numpy_integers(site):
+    # one rule at every integer input: ints, bools and numpy integer scalars
+    for value in (3, True, np.int64(3), np.uint8(3)):
+        INTEGER_SITES[site](value)
+    for value in (3.0, np.float64(3.0), np.bool_(True), "3", None):
+        with pytest.raises(ValidationError, match=f"{site} must be an integer"):
+            INTEGER_SITES[site](value)
+
+
 def test_count_table_invariants():
     good = CountTable(
         counts=((5, 0, 0, 0),) * 4,
@@ -454,3 +471,34 @@ def test_multi_dissociation_rate():
         multi_dissociation_rate(1.5, 2)
     with pytest.raises(ValidationError):
         multi_dissociation_rate(0.5, 0)
+
+
+def test_multi_dissociation_rate_matches_mpmath():
+    """Relative error <= 1e-12 against 50-digit arithmetic, over p log-uniform
+    in [1e-15, 1] and n log-uniform up to 1e6, plus the small-p cases where
+    1 - q^n - n p q^(n-1) cancels to a negative number."""
+    import random
+
+    import mpmath
+
+    def exact(p, n):
+        with mpmath.workdps(50):
+            p = mpmath.mpf(p)
+            q = 1 - p
+            return float(1 - q**n - n * p * q ** (n - 1))
+
+    rng = random.Random(20081)
+    cases = [(1e-12, 100), (1e-9, 100), (1e-3, 2), (1e-8, 10**6), (0.1, 1), (1.0, 1),
+             (1e-6, 10**6), (0.5, 2), (1.0, 2), (1e-15, 2), (1.0 - 2.0**-53, 10**6)]
+    cases += [
+        (10.0 ** rng.uniform(-15.0, 0.0), int(10.0 ** rng.uniform(0.0, 6.0)))
+        for _ in range(2000)
+    ]
+    for p, n in cases:
+        value = multi_dissociation_rate(p, n)
+        assert 0.0 <= value <= 1.0, (p, n)
+        if n == 1:
+            assert value == 0.0, (p, n)
+        else:
+            reference = exact(p, n)
+            assert abs(value - reference) <= 1e-12 * reference, (p, n)

@@ -296,6 +296,10 @@ INPUT_RULES = {
         and {"Switched", "BeamSplitter"} <= set(map(_text, node.elts)),
         ("scenario.py", None),
     ),
+    "integer input": (
+        lambda node: ast.unparse(node) in ("operator.index", "np.integer", "numpy.integer"),
+        ("scenario.py", "_require_integer"),
+    ),
     "switch mode check": (
         _raises_validation_error("mode must be one of"), ("montecarlo.py", "_require_mode"),
     ),
@@ -359,7 +363,7 @@ def test_quadrature_module_imports():
                     lazy.append(f"{name}:{node.lineno}")
                 imported.setdefault(name, {})[node.module] = {a.name for a in node.names}
     assert imported["correlation.py"]["_quadrature"] == {
-        "MIN_NODES", "NODE_CAP", "QuadratureError", "_converge", "_interference",
+        "QuadratureError", "_converge", "_interference",
     }
     assert imported["dissociation.py"]["_quadrature"] == {"_raw_mass"}
     assert set(imported["_quadrature.py"]) == {"scenario"}
