@@ -21,9 +21,13 @@ from .scenario import CONSTANTS, TimescaleSummary, _require_positive
 
 # c^2/4 rows per block of the sinc^2 line tensor (see _line_values)
 U_ROWS_PER_BLOCK = 2
-# c.m. window half-width in sigmas; a window integral's node floor
+# c.m. window half-width in sigmas; a window integral's node floor, and
+# its nodes per radian of phase range: Gauss-Legendre resolves about 0.5
+# (Hale & Trefethen 2008, SIAM J. Numer. Anal. 46, 930), so both passes of
+# the doubling loop are converged and their difference is rounding
 WINDOW_SIGMAS = 8.5
 MIN_NODES = 32
+WINDOW_NODES_PER_RADIAN = 4.0
 # every rule's node cap: the largest rule in data/gauss_legendre.npy
 NODE_CAP = 8192
 # a doubling loop starts at level 1 and stops at MAX_LEVEL
@@ -152,13 +156,13 @@ def _node_count(need, level: float) -> tuple[int, bool]:
 
 @functools.lru_cache(maxsize=32)
 def _window_grid(mean, sigma, b, n: int):
-    """(x, dens, bxx, weights) of the n-node rule on mean +- WINDOW_SIGMAS
-    sigma: the nodes x, the density N(x; mean, sigma), b x^2 and the
-    scaled Gauss-Legendre weights, cached and read-only.
+    """(x, weights) of the n-node rule on mean +- WINDOW_SIGMAS sigma: the
+    nodes x and the complex weights w N(x; mean, sigma) e^{-i b x^2}, with
+    w the scaled Gauss-Legendre weights, cached and read-only.
 
     Within a scan the pair and tau fix (mean, sigma, b), and n takes a
-    handful of values.  32 entries of 4 arrays of at most NODE_CAP
-    float64s hold at most 32 * 4 * 8192 * 8 bytes = 8 MiB.
+    handful of values.  32 entries of at most NODE_CAP nodes, 8 bytes of
+    x and 16 of weight each, hold at most 32 * 8192 * 24 bytes = 6 MiB.
     """
     import numpy as np
 
@@ -166,28 +170,29 @@ def _window_grid(mean, sigma, b, n: int):
     half = WINDOW_SIGMAS * sigma
     x = mean + half * gl_x
     dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-    grid = (x, dens, b * x * x, gl_w * half)
-    for array in grid:
+    weights = gl_w * half * dens * np.exp(-1j * (b * x * x))
+    for array in (x, weights):
         array.flags.writeable = False
-    return grid
+    return x, weights
 
 
 def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None):
     """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
-    over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs 8 nodes
-    per radian of phase range plus ``extra_span`` (what ``weight`` adds),
-    at least MIN_NODES; _node_count sizes it at ``level``, clipped to
-    NODE_CAP.  A call computes only the a x phase, ``weight`` and the
-    sum over the cached _window_grid.
+    over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs
+    WINDOW_NODES_PER_RADIAN nodes per radian of phase range plus
+    ``extra_span`` (what ``weight`` adds), at least MIN_NODES; _node_count
+    sizes it at ``level``, clipped to NODE_CAP.  A call computes only
+    e^{i a x}, ``weight`` and one dot product with the cached
+    _window_grid's complex weights.
     """
     import numpy as np
 
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
-    need = max(math.ceil(min(NODE_CAP, 8.0 * span)), MIN_NODES)
+    need = max(math.ceil(min(NODE_CAP, WINDOW_NODES_PER_RADIAN * span)), MIN_NODES)
     n, capped = _node_count(need, level)
-    x, dens, bxx, weights = _window_grid(mean, sigma, b, n)
-    integrand = dens * np.exp(1j * (a * x - bxx))
+    x, weights = _window_grid(mean, sigma, b, n)
+    integrand = np.exp(x * (1j * a))
     if weight is not None:
         integrand = integrand * weight(x)
     return complex(np.dot(weights, integrand)), capped

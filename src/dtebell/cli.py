@@ -30,6 +30,11 @@ stderr as one `warning: <message>` line each, once per message per
 command, when they are raised.  Identical (config, flags, seed) produce
 byte-identical output; --seed overrides the config seed.
 
+main defaults OPENBLAS_NUM_THREADS to 1 when it runs before numpy is
+imported: the only BLAS calls are window dot products of at most NODE_CAP
+nodes and small Chebyshev fits, too small to share between threads, and
+starting OpenBLAS's pool costs CPU in every command that loads numpy.
+
 V is the fringe amplitude of E at the row's settings on every route:
 the correlator's own visibility on scan rows, and on the bell summary
 row its value at the first pair (a, b).  Monte Carlo summaries carry the
@@ -43,6 +48,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -568,6 +574,9 @@ def _route_model_warnings(stderr) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None, stdout=None, stderr=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy first loads; a value already set wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()

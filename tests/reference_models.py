@@ -14,7 +14,13 @@ reference for what correlate_quadrature returns.
 
 import math
 
-from dtebell._quadrature import WINDOW_SIGMAS, _gauss_legendre, _interference, _quadratic_span
+from dtebell._quadrature import (
+    WINDOW_NODES_PER_RADIAN,
+    WINDOW_SIGMAS,
+    _gauss_legendre,
+    _interference,
+    _quadratic_span,
+)
 from dtebell.bell import ChshSettings
 from dtebell.correlation import CorrelationResult, InterferometerSetting, _result_from_interference
 
@@ -39,24 +45,25 @@ TEXTBOOK = angle_settings(0.0, 0.5 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
 
 
 def uncached_window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.0, weight=None):
-    """_quadrature._window_integral as it was before its grid was cached:
-    every array is rebuilt per call, and the node count runs numpy's
+    """_quadrature._window_integral without its grid cache: the nodes and
+    complex weights are rebuilt per call, and the node count runs numpy's
     frexp/ldexp on a scalar."""
     import numpy as np
 
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
-    need = max(math.ceil(min(cap, 8.0 * span)), floor)
+    need = max(math.ceil(min(cap, WINDOW_NODES_PER_RADIAN * span)), floor)
     mantissa, exponent = np.frexp(np.minimum(need, cap) * level)
     n = np.minimum(np.ldexp(1.0, exponent - (mantissa == 0.5)), cap).astype(int)
     capped = n == cap
     gl_x, gl_w = _gauss_legendre(int(n))
     x = mean + half * gl_x
     dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-    integrand = dens * np.exp(1j * (a * x - b * x * x))
+    weights = gl_w * half * dens * np.exp(-1j * (b * x * x))
+    integrand = np.exp(x * (1j * a))
     if weight is not None:
         integrand = integrand * weight(x)
-    return complex(np.dot(gl_w * half, integrand)), bool(capped)
+    return complex(np.dot(weights, integrand)), bool(capped)
 
 
 def quadrature_pass(pair, s1: InterferometerSetting, s2: InterferometerSetting, level: float):

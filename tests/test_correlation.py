@@ -522,6 +522,25 @@ def test_quadrature_matches_closed_form_offsets(
         assert quad.p[key] == pytest.approx(closed.p[key], abs=1e-6)
 
 
+def test_gaussian_route_within_its_estimate_of_the_closed_form(pair, scales):
+    """400 seeded settings within 4 mm of each arm's centre, each analyzer
+    at any angle in [0, pi/2]: every P of the Gaussian quadrature lies
+    within its own error estimate of the closed form."""
+    rng = random.Random(7)
+    centres = center_lengths(scales, 1.0)
+    for _ in range(400):
+        s1, s2 = (
+            InterferometerSetting(
+                ell=centre + rng.uniform(-4e-3, 4e-3), theta=rng.uniform(0.0, 0.5 * math.pi)
+            )
+            for centre in centres
+        )
+        quad = correlate_quadrature(pair, s1, s2)
+        closed = correlate_closed_form(pair, s1, s2)
+        for key in SIGN_PAIRS:
+            assert abs(quad.p[key] - closed.p[key]) <= quad.quadrature_error_estimate
+
+
 def test_visibility_is_the_fringe_amplitude_on_both_routes(scenario, scales):
     """Both routes report the same |I| at any setting pair, and it bounds
     the fringe: |E - cos2t1 cos2t2| <= visibility, also off 45 degrees."""
@@ -731,15 +750,15 @@ def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
     """Bit-exact pin of the bundled source's sinc^2 numbers: the CLI
     prints them to six digits only, so no corpus case sees a last-ulp
     change in the c.m. window or the pair integral."""
-    assert fesh.normalization == 0.99950397210094
-    assert fesh.norm_error_estimate == 1.2526915201450375e-07
+    assert fesh.normalization == 0.9995039721009398
+    assert fesh.norm_error_estimate == 1.252691522364382e-07
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     res = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    assert res.visibility == 0.6505032718719985
-    assert res.e_value == 0.6373915503881284
+    assert res.visibility == 0.6505032718719679
+    assert res.e_value == 0.6373915503880982
 
 
 def _record_passes(monkeypatch, name):
@@ -791,7 +810,7 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
     node) tensor must stay blocked."""
     _, capped, peak = sinc2_level2[3]
     assert not capped
-    assert peak < 150 * 2**20
+    assert peak < 16 * 2**20
 
 
 def _sinc2_pair(**overrides):

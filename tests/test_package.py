@@ -182,6 +182,41 @@ def test_array_routes_load_numpy(argv):
     assert (rc, loaded) == (0, True)
 
 
+def _blas_after_montecarlo(preset):
+    """In a fresh interpreter with OPENBLAS_NUM_THREADS unset (None) or set
+    to ``preset``, run `montecarlo --events 5 --seed 3` through cli.main;
+    return [exit code, numpy loaded, thread count or None, the variable]."""
+    code = (
+        "import io, json, os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        + (f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n" if preset else "")
+        + "from dtebell.cli import main\n"
+        "rc = main(['montecarlo', '--events', '5', '--seed', '3'], "
+        "stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([rc, 'numpy' in sys.modules, threads, "
+        "os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_runs_numpy_on_one_blas_thread():
+    # with OpenBLAS's default pool the process shows one thread per core
+    rc, loaded, threads, value = _blas_after_montecarlo(None)
+    assert (rc, loaded, value) == (0, True, "1")
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    rc, loaded, _, value = _blas_after_montecarlo("2")
+    assert (rc, loaded, value) == (0, True, "2")
+
+
 def _imports_outside_functions(node):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -208,7 +243,8 @@ def test_package_modules_import_no_numpy_or_scipy_at_top_level():
 
 
 QUADRATURE_CONSTANTS = {
-    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "NODE_CAP", "MAX_LEVEL",
+    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "WINDOW_NODES_PER_RADIAN", "NODE_CAP",
+    "MAX_LEVEL",
 }
 QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
@@ -269,6 +305,20 @@ def _sites(match):
     return [(name, function) for name, tree in _package_trees() for function in walk(tree, None)]
 
 
+def _writes_environment(node):
+    """A store into or delete from os.environ, a call of one of its
+    mutating methods, or os.putenv / os.unsetenv."""
+    if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        target = node.value if isinstance(node, ast.Subscript) else node
+        return ast.unparse(target) == "os.environ"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return ast.unparse(node.func) in ("os.putenv", "os.unsetenv") or (
+            ast.unparse(node.func.value) == "os.environ"
+            and node.func.attr in ("setdefault", "update", "pop", "popitem", "clear")
+        )
+    return False
+
+
 # each input rule and the one place that states it
 INPUT_RULES = {
     "positive and finite": (
@@ -307,6 +357,8 @@ INPUT_RULES = {
         lambda node: "frexp" in (getattr(node, "attr", None), getattr(node, "id", None)),
         ("_quadrature.py", "_node_count"),
     ),
+    # the one environment default: one BLAS thread, set before numpy loads
+    "environment write": (_writes_environment, ("cli.py", "main")),
     "probability sum slack": (
         lambda node: isinstance(node, ast.Compare)
         and re.fullmatch(r"abs\(.+ - 1\.0\)", ast.unparse(node.left)) is not None,
