@@ -7,9 +7,10 @@ analysis, and Monte Carlo event generation, with a CLI front end.
 
 Importing it loads no numpy, and nothing in it imports scipy.  numpy is
 imported inside the functions that build arrays (quadrature, source
-model, Monte Carlo), so the closed-form routes run on the standard
-library alone.  The quadrature's Gauss-Legendre rules are a bundled
-table, data/gauss_legendre.npy.
+model), so the closed-form routes and Monte Carlo, whose sampler is an
+in-package port of numpy's, run on the standard library alone.  The
+quadrature's Gauss-Legendre rules are a bundled table,
+data/gauss_legendre.npy.
 """
 
 from .scenario import (

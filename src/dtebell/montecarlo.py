@@ -1,13 +1,16 @@
 """Finite-statistics simulation of CHSH runs.
 
 Each setting pair's tally is drawn whole, as one multinomial draw over
-its outcome cells, from a counter-based RNG (numpy Philox) keyed as
+its outcome cells, from a counter-based RNG (Philox4x64-10) keyed as
 key = [seed, pair_index]: every setting pair owns an independent,
 reproducible stream and runs parallelize without coordination.  For
 independent events the tally is exactly Multinomial(n, P) in Switched
 mode, and Multinomial(n, (P/2, 1/2)) in BeamSplitter mode, whose fifth
-cell is the discarded events.  numpy draws it as a chain of binomials,
-so time and memory do not depend on the event count.
+cell is the discarded events.  The draw is a chain of binomials, so time
+and memory do not depend on the event count.  It is an in-package port
+of numpy 2.4's ``Generator(Philox(key=...)).multinomial`` and gives its
+tallies bit for bit on the standard library alone, so the tallies no
+longer move with a numpy release.
 """
 
 from __future__ import annotations
@@ -137,6 +140,211 @@ class ChshEstimate:
         return min(1.0, self.s_value / TSIRELSON_BOUND)
 
 
+# Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as
+# 1, 2, 3"): the round multipliers and the Weyl key increments
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_WORD = (1 << 64) - 1
+_INT64_MIN = -(1 << 63)
+
+
+def _philox_words(key0: int, key1: int):
+    """The 64-bit words of numpy's ``Philox(key=[key0, key1])`` stream:
+    the 256-bit counter starts at 0 and is incremented before each block,
+    and each block serves its four words in order.  The counter's low
+    word never carries: 2**64 blocks are out of reach."""
+    counter = 0
+    while True:
+        counter += 1
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        k0, k1 = key0, key1
+        for _ in range(_PHILOX_ROUNDS):
+            wide0 = _PHILOX_M0 * c0  # 128-bit products: hi word >> 64, lo word & _WORD
+            wide1 = _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (
+                (wide1 >> 64) ^ c1 ^ k0, wide1 & _WORD, (wide0 >> 64) ^ c3 ^ k1, wide0 & _WORD,
+            )
+            k0 = (k0 + _PHILOX_W0) & _WORD
+            k1 = (k1 + _PHILOX_W1) & _WORD
+        yield from (c0, c1, c2, c3)
+
+
+def _philox_uniforms(key0: int, key1: int):
+    """numpy's ``next_double`` on that stream: (word >> 11) * 2**-53."""
+    return ((word >> 11) * 2.0**-53 for word in _philox_words(key0, key1))
+
+
+# C's semantics where the binomial draws reach the edges of double and
+# int64: exp overflows to inf, sqrt and log of a negative give NaN, log(0)
+# gives -inf, (int64_t) of NaN gives x86's integer indefinite, and int64
+# arithmetic wraps.
+def _c_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _c_sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def _c_log(x: float) -> float:
+    if x > 0.0:
+        return math.log(x)
+    return -math.inf if x == 0.0 else math.nan
+
+
+def _c_int64(x: float) -> int:
+    return int(x) if -9.223372036854775808e18 <= x < 9.223372036854775808e18 else _INT64_MIN
+
+
+def _wrap_int64(k: int) -> int:
+    return (k - _INT64_MIN) % (1 << 64) + _INT64_MIN
+
+
+def _binomial_inversion(uniform, n: int, p: float) -> int:
+    """numpy's ``random_binomial_inversion``, for n p <= 30: walk the CDF
+    from 0, restarting on a fresh uniform past a 10-sigma bound.  A p below
+    0 (the complement of a round-off p above 1) makes q**n >= 1, so it
+    draws 0 after one uniform."""
+    q = 1.0 - p
+    qn = _c_exp(n * math.log1p(-p))
+    mean = n * p
+    bound = mean + 10.0 * _c_sqrt(mean * q + 1)
+    bound = _c_int64(n if n < bound else bound)
+    x = 0
+    px = qn
+    u = next(uniform)
+    while u > px:
+        x += 1
+        if x > bound:
+            x = 0
+            px = qn
+            u = next(uniform)
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _stirling_tail(x: float) -> float:
+    x2 = x * x
+    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
+
+
+def _binomial_btpe(uniform, n: int, p: float) -> int:
+    """numpy's ``random_binomial_btpe``, for n p > 30 with p <= 1/2: the
+    triangle, parallelogram and exponential-tail acceptance-rejection
+    of Kachitvichyanukul & Schmeiser (1988, CACM 31, 216), step for step
+    and in numpy's operation order and types.  numpy's callers never pass
+    p > 1/2, so its final flip y -> n - y is left out."""
+    q = 1.0 - p
+    fm = n * p + p
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(n * p * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl = xm - p1
+    xr = xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * p)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    nrq = n * p * q
+    while True:
+        u = next(uniform) * p4
+        v = next(uniform)
+        if u <= p1:  # triangle: accept at once
+            y = math.floor(xm - p1 * v + u)
+            break
+        if u <= p2:  # parallelogram
+            x = xl + (u - p1) / c
+            v = v * c + 1.0 - abs(m - x + 0.5) / p1
+            if v > 1.0:
+                continue
+            y = math.floor(x)
+        elif u <= p3:  # left exponential tail; numpy rejects v == 0
+            if v == 0.0:
+                continue
+            y = math.floor(xl + math.log(v) / laml)
+            if y < 0:
+                continue
+            v = v * (u - p2) * laml
+        else:  # right exponential tail
+            if v == 0.0:
+                continue
+            y = math.floor(xr - math.log(v) / lamr)
+            if y > n:
+                continue
+            v = v * (u - p3) * lamr
+        k = abs(y - m)
+        if not (k > 20 and k < nrq / 2.0 - 1):  # explicit f(y)/f(m)
+            s = p / q
+            a = s * _wrap_int64(n + 1)
+            f = 1.0
+            if m < y:
+                for i in range(m + 1, y + 1):
+                    f *= a / i - s
+            elif m > y:
+                for i in range(y + 1, m + 1):
+                    f /= a / i - s
+            if v > f:
+                continue
+            break
+        # squeeze, then the Stirling bound on log f(y)/f(m)
+        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+        t = _wrap_int64(-k * k) / (2 * nrq)
+        log_v = _c_log(v)
+        if log_v < t - rho:
+            break
+        if log_v > t + rho:
+            continue
+        x1 = y + 1.0
+        f1 = m + 1.0
+        z = float(n) + 1 - m
+        w = float(n) - y + 1
+        if log_v > (xm * math.log(f1 / x1) + (n - m + 0.5) * math.log(z / w)
+                    + (y - m) * math.log(w * p / (x1 * q))
+                    + _stirling_tail(f1) + _stirling_tail(z)
+                    + _stirling_tail(x1) + _stirling_tail(w)):
+            continue
+        break
+    return y
+
+
+def _binomial(uniform, n: int, p: float) -> int:
+    """numpy's ``random_binomial``: inversion when the smaller of p and
+    1 - p times n is at most 30, BTPE above."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p <= 0.5:
+        return (_binomial_inversion if p * n <= 30.0 else _binomial_btpe)(uniform, n, p)
+    q = 1.0 - p
+    return n - (_binomial_inversion if q * n <= 30.0 else _binomial_btpe)(uniform, n, q)
+
+
+def _multinomial(uniform, n: int, cells) -> list:
+    """numpy's ``random_multinomial``: cell j draws Binomial(what is left,
+    p_j / the probability left), and the last cell takes the rest."""
+    tally = [0] * len(cells)
+    remaining = 1.0
+    left = n
+    for j, p in enumerate(cells[:-1]):
+        tally[j] = _binomial(uniform, left, p / remaining)
+        left -= tally[j]
+        if left <= 0:
+            break
+        remaining -= p
+    if left > 0:
+        tally[-1] = left
+    return tally
+
+
 def run(
     correlator: Callable[[object, object], CorrelationResult], config: RunConfig
 ) -> CountTable:
@@ -150,26 +358,28 @@ def run(
     probability 0 never tallies an event.  Correlator errors (validation,
     quadrature failures) propagate.
     """
-    import numpy as np
-
     counts = []
     discarded = []
-    n = config.events_per_setting
+    # a numpy integer scalar would wrap in the draw's arithmetic (uint8 n + 1)
+    n, seed = int(config.events_per_setting), int(config.seed)
     for index, (x, y, _sign) in enumerate(config.settings.pairs()):
         p = correlator(x, y).p
         _check_probabilities(p)
-        cells = np.clip(np.array([p[outcome] for outcome in OUTCOMES], dtype=float), 0.0, None)
-        cells /= cells.sum()
+        cells = [max(float(p[outcome]), 0.0) for outcome in OUTCOMES]
+        total = 0.0
+        for cell in cells:  # numpy's order: sum() rounds differently from Python 3.12 on
+            total += cell
+        cells = [cell / total for cell in cells]
         if config.mode == "BeamSplitter":
-            cells = np.append(0.5 * cells, 0.5)  # the fifth cell is discarded
-        # a cell of probability 0 sits out the draw: numpy's chain of
-        # binomials hands its round-off remainder to the last cell
-        drawn = cells > 0.0
-        tally = np.zeros(len(cells), dtype=np.int64)
-        stream = np.random.Philox(key=np.array([config.seed, index], dtype=np.uint64))
-        tally[drawn] = np.random.Generator(stream).multinomial(n, cells[drawn])
-        counts.append(tuple(tally[:4].tolist()))
-        discarded.append(int(tally[4:].sum()))  # Switched draws no fifth cell
+            cells = [0.5 * cell for cell in cells] + [0.5]  # the fifth cell is discarded
+        # a cell of probability 0 sits out the draw: the chain of binomials
+        # hands its round-off remainder to the last cell
+        drawn = iter(_multinomial(
+            _philox_uniforms(seed, index), n, [cell for cell in cells if cell > 0.0]
+        ))
+        tally = [next(drawn) if cell > 0.0 else 0 for cell in cells]
+        counts.append(tuple(tally[:4]))
+        discarded.append(sum(tally[4:]))  # Switched draws no fifth cell
     return CountTable(
         counts=tuple(counts),
         discarded=tuple(discarded),

@@ -1,6 +1,7 @@
 """Finite-statistics run simulation and CHSH estimation."""
 
 import math
+import random
 import time
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,9 @@ from dtebell.bell import (
 from dtebell.correlation import CorrelationResult, DtePair
 from dtebell.dissociation import phi_tau
 from dtebell.montecarlo import (
+    _multinomial,
+    _philox_uniforms,
+    _philox_words,
     MODES,
     OUTCOMES,
     ChshEstimate,
@@ -33,8 +37,9 @@ from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_
 
 # Golden tallies pin the RNG contract: Philox keyed by (seed, pair), one
 # multinomial draw per pair, the BeamSplitter discard as its fifth cell.
-# numpy may change its binomial sampler between releases (NEP 19); the
-# corpus records the numpy version in tests/golden/versions.txt.
+# The sampler is an in-package port of numpy 2.4's, so a numpy release
+# cannot move them; should numpy change its binomial sampler (NEP 19 lets a
+# feature release do so), the numpy oracle tests below flag it.
 GOLDEN_SWITCHED = (
     (208, 30, 38, 224),
     (29, 232, 195, 44),
@@ -218,6 +223,32 @@ def test_run_cells_follow_binomial(mode):
             assert abs(cell.var(ddof=1) / variance - 1.0) < 4.0 * math.sqrt(2.0 / (seeds - 1))
 
 
+def numpy_multinomial(seed, index, n, cells):
+    stream = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    return np.random.Generator(stream).multinomial(n, cells).tolist()
+
+
+def numpy_tallies(correlator, config):
+    """(counts, discarded) as run drew them with numpy itself: the cells
+    clipped at 0 and renormalized, the BeamSplitter fifth cell, and a cell
+    of probability 0 left out of the draw."""
+    counts, discarded = [], []
+    for index, (x, y, _sign) in enumerate(config.settings.pairs()):
+        p = correlator(x, y).p
+        cells = np.clip(np.array([p[outcome] for outcome in OUTCOMES], dtype=float), 0.0, None)
+        cells /= cells.sum()
+        if config.mode == "BeamSplitter":
+            cells = np.append(0.5 * cells, 0.5)
+        drawn = cells > 0.0
+        tally = np.zeros(len(cells), dtype=np.int64)
+        tally[drawn] = numpy_multinomial(
+            config.seed, index, config.events_per_setting, cells[drawn]
+        )
+        counts.append(tuple(tally[:4].tolist()))
+        discarded.append(int(tally[4:].sum()))
+    return tuple(counts), tuple(discarded)
+
+
 SMALL = st.sampled_from([0.0, 1e-300, 1e-16, 1e-12, 1e-9, 1e-3])
 # round-off negatives, down to the -1e-9 that CorrelationResult admits
 NEGATIVE = st.sampled_from([-1e-12, -1e-10, -5e-10, -1e-9])
@@ -234,11 +265,14 @@ NEGATIVE = st.sampled_from([-1e-12, -1e-10, -5e-10, -1e-9])
 )
 def test_run_probability_edge_cases(dominant, minor, slack, n, seed, mode):
     """P near 0, near 1, with the round-off negatives and the 1e-9 sum
-    slack that CorrelationResult admits: the draw always succeeds, and a
-    cell of probability <= 0 tallies nothing."""
+    slack that CorrelationResult admits: the draw always succeeds, a cell
+    of probability <= 0 tallies nothing, and the tallies are numpy's."""
     probabilities = [*minor[:dominant], 1.0 - sum(minor) + slack, *minor[dominant:]]
     assume(probabilities[dominant] <= 1.0 + 1e-9)  # negatives push the dominant cell up
-    table = run(fixed_correlator(probabilities), RunConfig(n, seed, mode, TEXTBOOK))
+    config = RunConfig(n, seed, mode, TEXTBOOK)
+    correlator = fixed_correlator(probabilities)
+    table = run(correlator, config)
+    assert (table.counts, table.discarded) == numpy_tallies(correlator, config)
     for i in range(4):
         assert table.kept(i) + table.discarded[i] == n
         for cell, p in enumerate(probabilities):
@@ -261,7 +295,7 @@ def test_run_memory_and_time_bounded(mode):
     """Tallies are drawn, not events: 10**15 events per setting take
     neither memory nor time that grows with the event count."""
     config = RunConfig(10**15, 3, mode, TEXTBOOK)
-    run(spin_correlator, config)  # numpy loaded and warm
+    run(spin_correlator, config)  # warm: first-call costs stay out of the timing
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -273,6 +307,108 @@ def test_run_memory_and_time_bounded(mode):
     assert table.kept(0) + table.discarded[0] == 10**15
     assert peak < 2**20
     assert elapsed < 0.25
+
+
+# ------------------------------------------------------------ numpy oracle
+# The sampler ports numpy 2.4's Generator(Philox(key=[seed, pair])).multinomial:
+# these tests hold it to numpy bit for bit, and fail should numpy change it.
+
+
+def test_philox_words_match_numpy():
+    # 41 words span eleven 4-word blocks
+    for key in ((0, 0), (7, 3), (4242, 2), (2**64 - 1, 2**64 - 1)):
+        words = _philox_words(*key)
+        expected = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(41)
+        assert [next(words) for _ in range(41)] == expected.tolist()
+
+
+def _normalized(cells):
+    total = 0.0
+    for cell in cells:
+        total += cell
+    return [cell / total for cell in cells]
+
+
+def _any_case(rng):
+    """4 or 5 cells, some 0 and some tiny, n log-uniform from 1 to 2**63 - 1."""
+    cells = [rng.choice((0.0, rng.random(), 10.0 ** rng.uniform(-20.0, 0.0)))
+             for _ in range(rng.choice((4, 5)))]
+    if not any(cells):
+        cells[rng.randrange(len(cells))] = 1.0
+    return min(int(2.0 ** rng.uniform(0.0, 63.0)), 2**63 - 1), _normalized(cells)
+
+
+def _btpe_case(rng, n):
+    """BTPE at n with the first cell's n p in [30, 2e4]: its squeeze and
+    Stirling tests in double (n > 2**53 rounds), or the explicit ratio
+    f(y)/f(m) over s (n + 1) (wrapped to int64 at n = 2**63 - 1)."""
+    p = 10.0 ** rng.uniform(math.log10(30.5), 4.3) / n
+    rest = _normalized([rng.random() for _ in range(rng.choice((3, 4)))])
+    return n, _normalized([p] + [(1.0 - p) * cell for cell in rest])
+
+
+def _tiny_p_case(rng):
+    """Inversion at p near 1e-18 and n up to 2**63 - 1, p n <= 30: q**n as
+    exp(n log1p(-p))."""
+    n = rng.randint(2**40, 2**63 - 1)
+    p = 10.0 ** rng.uniform(-19.0, -17.5)
+    while p * n > 30.0:
+        p /= 2.0
+    return n, [p] + _normalized([rng.random() for _ in range(rng.choice((3, 4)))])
+
+
+def _conditional_p_above_one_case(rng):
+    """Cells whose chain divides a cell by a smaller round-off remainder,
+    p_j / (1 - p_0 - ... - p_{j-1}) > 1: the draw takes what is left."""
+    while True:
+        head = _normalized([rng.random() for _ in range(rng.choice((2, 3, 4)))])
+        cells = _normalized(head + [10.0 ** rng.uniform(-19.0, -15.0)])
+        remaining, above_one = 1.0, False
+        for cell in cells[:-1]:
+            above_one = above_one or cell / remaining > 1.0
+            remaining -= cell
+        if above_one:
+            return rng.choice((rng.randint(1, 10**6), rng.randint(1, 2**63 - 1))), cells
+
+
+ORACLE_REGIMES = (
+    _any_case,
+    lambda rng: _btpe_case(rng, rng.randint(2**53 + 1, 2**63 - 1)),
+    lambda rng: _btpe_case(rng, 2**63 - 1),
+    _tiny_p_case,
+    _conditional_p_above_one_case,
+)
+
+
+def test_multinomial_matches_numpy():
+    rng = random.Random(39)
+    mismatches = []
+    for case in range(21_000):
+        n, cells = ORACLE_REGIMES[case % len(ORACLE_REGIMES)](rng)
+        seed, index = rng.getrandbits(64), rng.randrange(4)
+        tally = _multinomial(_philox_uniforms(seed, index), n, cells)
+        if tally != numpy_multinomial(seed, index, n, cells):
+            mismatches.append((case, n, cells, seed, index))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("seed", [30956, 118129, 84360])
+def test_multinomial_matches_numpy_past_the_tails(seed):
+    # BTPE at n p = 30.5: these streams (found by search) draw from an
+    # exponential tail past 0 (the first two) or past n (the last), which
+    # is rejected; the random cases above reach neither
+    cells = [0.5, 0.25, 0.125, 0.125]
+    assert _multinomial(_philox_uniforms(seed, 0), 61, cells) == numpy_multinomial(
+        seed, 0, 61, cells
+    )
+
+
+def test_run_draws_on_python_ints():
+    # numpy integers in the config reach the draw as ints: no uint8 n + 1 wraps
+    for mode in MODES:
+        expected = run(spin_correlator, RunConfig(255, 2**64 - 1, mode, TEXTBOOK))
+        assert run(spin_correlator, RunConfig(np.uint8(255), np.uint64(2**64 - 1), mode,
+                                              TEXTBOOK)) == expected
 
 
 # --------------------------------------------------------------------- run

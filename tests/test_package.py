@@ -141,6 +141,10 @@ CLOSED_COMMANDS = (
     ("scan", "--axis", "ell2", "--start", "-5370", "--stop", "-5330", "--steps", "5"),
     ("scan", "--axis", "tau", "--start", "0.999", "--stop", "1.001", "--steps", "3"),
     ("scan", "--axis", "field", "--start", "543199.9", "--stop", "543200.1", "--steps", "3"),
+    # the Monte Carlo sampler is an in-package port of numpy's
+    ("montecarlo", "--events", "5"),
+    ("montecarlo", os.path.join(ROOT, "tests", "golden", "cfg", "beamsplitter.cfg"),
+     "--events", "5"),
 )
 
 
@@ -171,28 +175,27 @@ def test_closed_routes_load_no_numpy():
     assert [step[0] for step in steps if step[2]] == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360", "--steps", "3",
-     "--method", "quad"),
-    ("montecarlo", "--events", "5"),
-], ids=["scan_quad", "montecarlo"])
+QUAD_SCAN = ("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360", "--steps", "3",
+             "--method", "quad")
+
+
+@pytest.mark.parametrize("argv", [QUAD_SCAN], ids=["scan_quad"])
 def test_array_routes_load_numpy(argv):
     # the probe itself sees numpy once a route builds arrays
     *_, (_, rc, loaded) = _numpy_loaded_after(argv)
     assert (rc, loaded) == (0, True)
 
 
-def _blas_after_montecarlo(preset):
+def _blas_after_quad_scan(preset):
     """In a fresh interpreter with OPENBLAS_NUM_THREADS unset (None) or set
-    to ``preset``, run `montecarlo --events 5 --seed 3` through cli.main;
-    return [exit code, numpy loaded, thread count or None, the variable]."""
+    to ``preset``, run QUAD_SCAN through cli.main; return [exit code, numpy
+    loaded, thread count or None, the variable]."""
     code = (
         "import io, json, os, sys\n"
         "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
         + (f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n" if preset else "")
         + "from dtebell.cli import main\n"
-        "rc = main(['montecarlo', '--events', '5', '--seed', '3'], "
-        "stdout=io.StringIO(), stderr=io.StringIO())\n"
+        f"rc = main({list(QUAD_SCAN)!r}, stdout=io.StringIO(), stderr=io.StringIO())\n"
         "tasks = '/proc/self/task'\n"
         "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
         "print(json.dumps([rc, 'numpy' in sys.modules, threads, "
@@ -205,7 +208,7 @@ def _blas_after_montecarlo(preset):
 
 def test_cli_runs_numpy_on_one_blas_thread():
     # with OpenBLAS's default pool the process shows one thread per core
-    rc, loaded, threads, value = _blas_after_montecarlo(None)
+    rc, loaded, threads, value = _blas_after_quad_scan(None)
     assert (rc, loaded, value) == (0, True, "1")
     if threads is None:
         pytest.skip("no /proc/self/task to count threads")
@@ -213,7 +216,7 @@ def test_cli_runs_numpy_on_one_blas_thread():
 
 
 def test_cli_keeps_a_preset_blas_thread_count():
-    rc, loaded, _, value = _blas_after_montecarlo("2")
+    rc, loaded, _, value = _blas_after_quad_scan("2")
     assert (rc, loaded, value) == (0, True, "2")
 
 
