@@ -24,9 +24,11 @@ U_ROWS_PER_BLOCK = 2
 # c.m. window half-width in sigmas; a window integral's node floor, and
 # its nodes per radian of phase range: Gauss-Legendre resolves about 0.5
 # (Hale & Trefethen 2008, SIAM J. Numer. Anal. 46, 930), so both passes of
-# the doubling loop are converged and their difference is rounding
+# the doubling loop are converged and their difference is rounding.  The
+# floor holds a window with little phase, a bare +-8.5 sigma Gaussian: the
+# floor's half, 32 nodes, misses 3e-11 of its mass (16 nodes: 1.5e-3)
 WINDOW_SIGMAS = 8.5
-MIN_NODES = 32
+MIN_NODES = 64
 WINDOW_NODES_PER_RADIAN = 4.0
 # every rule's node cap: the largest rule in data/gauss_legendre.npy
 NODE_CAP = 8192
@@ -69,35 +71,27 @@ def _gauss_legendre(n: int):
     return table[0, n - 1 : 2 * n - 1], table[1, n - 1 : 2 * n - 1]
 
 
-def _converge(compute, estimate_for, target: float, rate: bool = False):
+def _converge(compute, estimate_for, target: float):
     """Double the level from 1 until estimate_for(error) <= target.
 
     ``compute(level)`` returns (value, capped): capped means some node
     count is at its cap (_node_count), where doubling adds no nodes.
     ``error`` is the difference between the pass at ``level`` and the
-    half-level pass.  With ``rate`` that difference is rate-corrected
-    (_rate_corrected) when it misses the target on an uncapped pass; at
-    level 1 this costs one quarter-level pass, after that the previous
-    doubling supplies the rate.  Returns (value, estimate).  A capped
-    half-level pass raises QuadratureError (estimate inf), as do a
-    capped pass that misses the target and a pass at MAX_LEVEL that
-    misses it, so every accepted pass differs from its half-level pass
-    in every node count.
+    half-level pass.  Every rule is sized so that its level-0.5 pass has
+    converged too (MIN_NODES, _cm_window), so the difference is measured
+    between two converged passes, not extrapolated from a coarse one.
+    Returns (value, estimate).  A capped half-level pass raises
+    QuadratureError (estimate inf), as do a capped pass that misses the
+    target and a pass at MAX_LEVEL that misses it, so every accepted pass
+    differs from its half-level pass in every node count.
     """
     level = 1.0
     coarse, capped = compute(0.5)
     if capped:
         raise QuadratureError("half-level pass at the node-count cap", estimate=math.inf)
     fine, capped = compute(level)
-    previous = None  # |coarse - the pass below it|, once known
     while True:
-        error = abs(fine - coarse)
-        estimate = estimate_for(error)
-        if rate and estimate > target and not capped:
-            if previous is None:
-                coarser, _ = compute(0.25)
-                previous = abs(coarse - coarser)
-            estimate = estimate_for(_rate_corrected(error, previous))
+        estimate = estimate_for(abs(fine - coarse))
         if estimate <= target:
             return fine, estimate
         if capped or level >= MAX_LEVEL:
@@ -107,22 +101,8 @@ def _converge(compute, estimate_for, target: float, rate: bool = False):
                 estimate=estimate,
             )
         level *= 2.0
-        coarse, previous = fine, error
+        coarse = fine
         fine, capped = compute(level)
-
-
-def _rate_corrected(error: float, previous: float) -> float:
-    """Error of the finer of two passes whose difference is ``error``.
-
-    ``previous`` is the difference one doubling earlier.  If each later
-    difference shrinks by at least rho = error/previous, their sum, the
-    error left in the finer pass, is error * rho/(1 - rho).  Passes that
-    contract by less than half (or not at all) keep the plain
-    difference, so the correction never raises an estimate.
-    """
-    if error < 0.5 * previous:
-        return error * error / (previous - error)
-    return error
 
 
 def _quadratic_span(a: float, b: float, lo: float, hi: float) -> float:
@@ -287,12 +267,20 @@ def _mean_tail(dist, u, r_lo, r_hi, level):
 def _cm_window(dist):
     """(u_hi, rows): the c.m. window c = p_cm/p0 in [-WINDOW_SIGMAS sigma,
     WINDOW_SIGMAS sigma] spans u = c^2/4 in [0, u_hi]; rows is the number
-    of Chebyshev rows in u per unit level."""
+    of Chebyshev rows in u per unit level.
+
+    G oscillates in u with period 2 pi / kappa.  Chebyshev interpolation
+    needs about pi rows per cycle plus a constant (Trefethen 2013,
+    Approximation Theory and Approximation Practice, ch. 8).  The
+    level-0.5 pass must converge too, so it gets 7 rows per cycle plus 7:
+    interference values within 1.5 envelope widths of the bundled centre
+    need 8, 20, 43 and 68 rows for 1e-7 in P at kappa u_hi = 1.7, 11.2, 33
+    and 58.7, where that pass holds 9, 20, 44 and 73.
+    """
     half = WINDOW_SIGMAS * (dist.sigma_p_cm / dist.p0)
     u_hi = half * half / 4.0
-    # G oscillates in u with period 2 pi / kappa
     cycles = u_hi * dist.kappa / (2.0 * math.pi)
-    return u_hi, math.ceil(7.0 * cycles) + 10
+    return u_hi, math.ceil(14.0 * cycles) + 14
 
 
 def _tail_cut(dist, a: float, b: float, level=1.0):

@@ -223,11 +223,12 @@ def cmd_scales(args, stdout, stderr) -> int:
 
 # --------------------------------------------------------------------- scan
 
-def _pair_for(scenario: Scenario) -> DtePair:
-    """The pair every correlating route reads as (pair, s1, s2), so the
-    closed form and the quadrature both run its separation check."""
+def _pair_for(scenario: Scenario, distribution) -> DtePair:
+    """The pair of ``scenario`` with the momentum ``distribution`` that a
+    route reads as (pair, s1, s2), so the closed form and the quadrature
+    both run its separation check."""
     return DtePair(
-        distribution=scales_from_scenario(scenario),
+        distribution=distribution,
         tau=scenario.pulses.pulse_separation,
         phi_tau=phi_tau(scenario),
         species=scenario.species,
@@ -251,7 +252,10 @@ def _scan_point(document: ConfigDocument, base: Optional[DtePair],
                ell2_um=inter["ell2_um"], method=method)
     route = correlate_closed_form if method == "closed" else correlate_quadrature
     try:
-        pair = base if base is not None else _pair_for(document.to_scenario())
+        pair = base
+        if pair is None:
+            scenario = document.to_scenario()
+            pair = _pair_for(scenario, scales_from_scenario(scenario))
         s1 = InterferometerSetting(inter["ell1_um"] / 1e6, math.radians(inter["theta1_deg"]))
         s2 = InterferometerSetting(inter["ell2_um"] / 1e6, math.radians(inter["theta2_deg"]))
         result = route(pair, s1, s2)
@@ -273,7 +277,8 @@ def cmd_scan(args, stdout, stderr) -> int:
         raise ConfigError("scan range is degenerate (start == stop)")
     base = None
     if args.axis in ("ell1", "ell2"):
-        base = _pair_for(document.to_scenario())
+        scenario = document.to_scenario()
+        base = _pair_for(scenario, scales_from_scenario(scenario))
     grid = _linspace(args.start, args.stop, args.steps)
     # each row is written as it is computed, so memory does not grow with --steps
     rows = (_scan_point(document, base, args.axis, value, args.method) for value in grid)
@@ -300,7 +305,8 @@ def _chsh_settings(document: ConfigDocument, settings_um):
         raise ConfigError(f"--settings lengths must be finite, got {settings_um}")
     inter = document.values["interferometer"]
     theta1, theta2 = (math.radians(inter[key]) for key in ("theta1_deg", "theta2_deg"))
-    pair = _pair_for(document.to_scenario())
+    scenario = document.to_scenario()
+    pair = _pair_for(scenario, scales_from_scenario(scenario))
     correlator = closed_form_correlator(pair)
     if settings_um is None:
         ells = [s.ell for s in seed_settings(pair).as_tuple()]
@@ -465,12 +471,7 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     )
 
     if args.source_model_check:
-        pair = DtePair(
-            distribution=distribution_from_scenario(scenario),
-            tau=tau0,
-            phi_tau=phi_tau(scenario),
-            species=scenario.species,
-        )
+        pair = _pair_for(scenario, distribution_from_scenario(scenario))
         # the fringe amplitude of the true two-pulse source at the
         # envelope center
         half = 0.5 * tau0 * scales.v_rel

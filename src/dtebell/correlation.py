@@ -133,7 +133,9 @@ class DtePair:
 def _check_probabilities(p: Mapping) -> None:
     """Refuse a probability table unless its cells sum to 1 and each lies
     in [0, 1], both to within 1e-9 of round-off; a NaN cell fails."""
-    total = sum(p.values())
+    total = 0.0  # a plain loop: sum() rounds differently from Python 3.12 on
+    for value in p.values():
+        total += value
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"probabilities sum to {total}, not 1")
     for key, value in p.items():
@@ -220,16 +222,15 @@ def correlate_quadrature(
 
     ``quadrature_error_estimate`` bounds the error of the returned
     probabilities: a quarter of the difference to the half-level pass,
-    rate-corrected when that alone misses P_TARGET, plus the truncated
-    tail mass and a rounding floor.  On the sinc^2 route the tail term
-    also carries the bound of _quadrature._tail_cut: each line integral
-    stops where its phase has no stationary point left, and that
-    non-stationary-phase bound on the dropped part (at most an eighth of
-    the envelope tail) is charged here.  The levels double from 1 to at
-    most _quadrature.MAX_LEVEL; the returned pass differs from its
-    half-level pass in every node count, and where a node cap or that
-    ceiling rules this out, QuadratureError is raised
-    (_quadrature._converge).
+    which is itself sized to converge, plus the truncated tail mass and a
+    rounding floor.  On the sinc^2 route the tail term also carries the
+    bound of _quadrature._tail_cut: each line integral stops where its
+    phase has no stationary point left, and that non-stationary-phase
+    bound on the dropped part (at most an eighth of the envelope tail)
+    is charged here.  The levels double from 1 to at most
+    _quadrature.MAX_LEVEL; the returned pass differs from its half-level
+    pass in every node count, and where a node cap or that ceiling rules
+    this out, QuadratureError is raised (_quadrature._converge).
     """
     compute, tail = _interference(pair, s1.ell, s2.ell)
     phase_ref = complex(math.cos(pair.phi_tau), -math.sin(pair.phi_tau))
@@ -238,7 +239,7 @@ def correlate_quadrature(
     def estimate_for(error):
         return 0.25 * error + 0.25 * tail + 1e-12
 
-    fine, estimate = _converge(compute, estimate_for, P_TARGET, rate=True)
+    fine, estimate = _converge(compute, estimate_for, P_TARGET)
     e_interference = float((phase_ref * fine).real)
     return _result_from_interference(e_interference, abs(fine), s1.theta, s2.theta, estimate)
 

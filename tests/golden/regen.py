@@ -109,6 +109,10 @@ CASES = {
     "huge_field_scales": ("scales", "cfg/huge_field.cfg"),
     "soft_trap_feasibility": ("feasibility", "cfg/soft_trap.cfg"),
     "long_pulse_feasibility": ("feasibility", "cfg/long_pulse.cfg"),
+    # a wide c.m. window (sigma_cm/p0 = 0.15): the sinc^2 centre call converges
+    # below the node cap
+    "stiff_trap_source_model": ("feasibility", "cfg/stiff_trap.cfg", "--steps", "2",
+                                "--source-model-check"),
 }
 
 # case name -> demo script under demos/

@@ -70,7 +70,7 @@ def pulse_phase(scenario):
 
 @pytest.fixture(scope="module")
 def pair(scenario):
-    return _pair_for(scenario)
+    return _pair_for(scenario, scales_from_scenario(scenario))
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +415,8 @@ def test_optimize_tau2_no_violation(scenario):
 def test_optimize_converges_on_cli_tau_path(tau):
     # as `bell --optimize --tau`: phi_tau follows tau
     document = load_config(None).replace("pulses", "separation_s", tau)
-    pair = _pair_for(document.to_scenario())
+    scenario = document.to_scenario()
+    pair = _pair_for(scenario, scales_from_scenario(scenario))
     result = optimize_settings(closed_form_correlator(pair), seed_settings(pair))
     assert result.converged
     assert result.sweeps <= 5

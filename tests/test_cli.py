@@ -279,6 +279,25 @@ class TestScan:
             assert abs(float(row["E"])) <= v + 1e-12
             assert float(row["tau_s"]) == float(row["axis_value"])
 
+    def test_tau008_quad_rows_run_levels_half_and_one(self, monkeypatch):
+        # its Gaussian windows sit on the node floor, whose half-level pass
+        # has converged: each row stops at level 1
+        import dtebell._quadrature as quad
+
+        levels = []
+        original = quad._gaussian_interference
+
+        def recording(*args):
+            levels.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(quad, "_gaussian_interference", recording)
+        cfg = os.path.join(os.path.dirname(__file__), "golden", "cfg", "tau008.cfg")
+        code, out, _ = invoke("scan", cfg, "--axis", "ell1", "--start", "425", "--stop", "431",
+                              "--steps", "3", "--method", "quad")
+        assert code == 0 and len(parse_csv(out)) == 3
+        assert levels == [0.5, 1.0] * 3
+
     def test_field_axis_errors_stay_in_rows(self):
         code, out, _ = invoke(
             "scan", "--axis", "field", "--start", "543150", "--stop", "543210",
@@ -457,6 +476,7 @@ class TestMonteCarlo:
         from dtebell.correlation import InterferometerSetting
         from dtebell.montecarlo import RunConfig, run
         from dtebell.bell import closed_form_correlator
+        from dtebell.scenario import scales_from_scenario
 
         code, out, _ = invoke(
             "montecarlo", "--events", "400", "--seed", "11",
@@ -465,7 +485,8 @@ class TestMonteCarlo:
         assert code == 0
         rows = parse_csv(out)
 
-        correlator = closed_form_correlator(_pair_for(load_config(None).to_scenario()))
+        scenario = load_config(None).to_scenario()
+        correlator = closed_form_correlator(_pair_for(scenario, scales_from_scenario(scenario)))
         chosen = ChshSettings(
             *(InterferometerSetting(ell=float(u) * 1e-6) for u in SETTINGS_UM)
         )
@@ -669,6 +690,8 @@ class TestFeasibility:
     def test_capped_normalization_exits_1(self, monkeypatch):
         import dtebell._quadrature as quad
 
+        # a 32-node window floor leaves the level-0.5 pass 16 nodes, ~1e-3 off
+        monkeypatch.setattr(quad, "MIN_NODES", 32)
         monkeypatch.setattr(quad, "MAX_LEVEL", 1.0)
         code, _, err = invoke(
             "feasibility", "--steps", "3", "--source-model-check"

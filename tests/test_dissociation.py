@@ -197,7 +197,7 @@ class TestLazyNormalization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the level-2 pass evaluates only the panels below the zero-phase cut
+        # each pass evaluates only the panels below the zero-phase cut
         assert peak < 8 * 2**20
 
     def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
@@ -230,7 +230,10 @@ class TestLazyNormalization:
 
         assert correlation.QuadratureError is quad.QuadratureError
         assert dtebell.QuadratureError is quad.QuadratureError
-        # levels 0.5 and 1 disagree by ~1e-3, so a cap at level 1 must raise
+        # with the former 32-node window floor the level-0.5 pass has 16
+        # nodes, so levels 0.5 and 1 disagree by ~1e-3 and a cap at level 1
+        # must raise
+        monkeypatch.setattr(quad, "MIN_NODES", 32)
         monkeypatch.setattr(quad, "MAX_LEVEL", 1.0)
         fresh = dis.distribution_from_scenario(scenario)
         with pytest.raises(quad.QuadratureError) as excinfo:
@@ -265,51 +268,72 @@ class TestZeroPhaseCut:
         assert abs(pref * (cut - full)) <= bound
 
 
+def _seeded_sources(seed, count):
+    """Source overrides in units of p0, drawn inside the model's domain.
+    Their c.m. windows span at most a few oscillation cycles, so that a
+    level-4 reference pass stays cheap; TestZeroPhaseCut's sigma_cm edge
+    holds the widest window."""
+    rng = np.random.default_rng(seed)
+    return {
+        f"seed{seed}_{i}": {
+            "delta_p": rng.uniform(0.07, 0.2),
+            "sigma_p_cm": rng.uniform(0.01, 0.1),
+            "p_bar": math.sqrt(rng.uniform(1.05, 25.0)),
+        }
+        for i in range(count)
+    }
+
+
+class TestNormalizationEstimate:
+    """Every normalization runs levels 0.5 and 1 only, and its estimate
+    bounds its distance to a level-4 pass."""
+
+    SOURCES = {**TestZeroPhaseCut.EDGES, **_seeded_sources(7, 5)}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_estimate_bounds_a_level_4_pass(self, dist, name, monkeypatch):
+        source = replace(dist, **{k: v * dist.p0 for k, v in self.SOURCES[name].items()})
+        levels = []
+        original = quad._pair_integral
+
+        def recording(*args):
+            levels.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(quad, "_pair_integral", recording)
+        normalization = source.normalization
+        assert levels == [0.5, 1.0]
+        pref = source.kappa * source.b**2 / math.pi
+        raw, _ = original(source, 0.0, 0.0, 0.0, 0.0, 4.0)
+        assert abs(normalization - 1.0 / (pref * raw.real)) <= source.norm_error_estimate
+
+
 class TestConverge:
     """The doubling loop on synthetic passes {level: value}."""
 
     @staticmethod
-    def run(values, target, rate, capped_from=math.inf):
+    def run(values, target, capped_from=math.inf):
         levels = []
 
         def compute(level):
             levels.append(level)
             return values[level], level >= capped_from
 
-        value, estimate = quad._converge(compute, lambda error: error, target, rate=rate)
+        value, estimate = quad._converge(compute, lambda error: error, target)
         return value, estimate, levels
 
-    # differences 1e-4, 1e-6, 1e-8: each doubling shrinks by rho = 1e-2
-    FAST = {0.25: 1.0 + 1.0101e-4, 0.5: 1.0 + 1.01e-6, 1.0: 1.0 + 1e-8, 2.0: 1.0}
-
-    def test_rate_stops_at_the_converged_pass(self):
-        value, estimate, levels = self.run(self.FAST, 5e-7, rate=True)
-        assert value == self.FAST[1.0] and levels == [0.5, 1.0, 0.25]
-        # 1e-6 * rho / (1 - rho), up to the rounding of the passes
-        assert estimate == pytest.approx(1e-6 / 99.0, rel=1e-6)
-        # the rate-corrected estimate still bounds the true error of L1
-        assert estimate >= self.FAST[1.0] - 1.0
+    # differences 1e-6, 1e-8: each doubling shrinks by 1e-2
+    FAST = {0.5: 1.0 + 1.01e-6, 1.0: 1.0 + 1e-8, 2.0: 1.0}
 
     def test_plain_difference_without_rate(self):
-        value, estimate, levels = self.run(self.FAST, 5e-7, rate=False)
+        value, estimate, levels = self.run(self.FAST, 5e-7)
         assert value == self.FAST[2.0] and levels == [0.5, 1.0, 2.0]
         assert estimate == pytest.approx(1e-8, rel=1e-6)
 
-    def test_no_quarter_pass_when_the_plain_difference_suffices(self):
-        value, estimate, levels = self.run(self.FAST, 2e-6, rate=True)
-        assert levels == [0.5, 1.0] and estimate == abs(self.FAST[1.0] - self.FAST[0.5])
-
-    def test_passes_that_do_not_contract_keep_the_plain_difference(self):
-        # differences 1e-6, 1e-6, 1e-9: rho = 1 at level 1, so it escalates
-        slow = {0.25: 1.0 - 1e-6, 0.5: 1.0, 1.0: 1.0 + 1e-6, 2.0: 1.0 + 1.001e-6}
-        value, estimate, levels = self.run(slow, 5e-10, rate=True)
-        assert value == slow[2.0] and levels == [0.5, 1.0, 0.25, 2.0]
-        # at level 2 the level-1 difference supplies rho = 1e-3
-        assert estimate == pytest.approx(1e-9 * 1e-3 / (1.0 - 1e-3), rel=1e-3)
-
     def test_capped_pass_is_never_rate_corrected(self):
+        # a capped pass that misses the target raises with the plain difference
         with pytest.raises(quad.QuadratureError) as excinfo:
-            self.run(self.FAST, 5e-7, rate=True, capped_from=1.0)
+            self.run(self.FAST, 5e-7, capped_from=1.0)
         assert excinfo.value.estimate == abs(self.FAST[1.0] - self.FAST[0.5])
 
     def test_capped_half_level_pass_raises(self):
@@ -318,18 +342,15 @@ class TestConverge:
         with pytest.raises(quad.QuadratureError):
             quad._converge(lambda level: (1.0, True), lambda error: error, 1e-6)
         with pytest.raises(quad.QuadratureError) as excinfo:
-            self.run(self.FAST, 5e-7, rate=True, capped_from=0.5)
+            self.run(self.FAST, 5e-7, capped_from=0.5)
         assert excinfo.value.estimate == math.inf
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_correction_never_raises_the_difference(self, error, previous):
-        assert 0.0 <= quad._rate_corrected(error, previous) <= error
 
 
 def _mantissa_half_examples(test):
-    """need * level = 2^k has mantissa 0.5, at the rate correction's quarter
-    level too: every power-of-two need up to 2^13, at levels 0.125 and
-    0.25.  A need of 4 at level 0.125 is half a node, which takes one."""
+    """need * level = 2^k has mantissa 0.5: every power-of-two need up to
+    2^13, at levels 0.125 and 0.25.  The doubling loop runs no level
+    below 0.5; these cover the rule itself.  A need of 4 at level 0.125
+    is half a node, which takes one."""
     for k in range(2, 14):
         test = example(2**k, 0.25, quad.NODE_CAP)(test)
         test = example(2**k, 0.125, quad.NODE_CAP)(test)

@@ -250,7 +250,7 @@ QUADRATURE_CONSTANTS = {
     "MAX_LEVEL",
 }
 QUADRATURE_DEFINITIONS = {
-    "QuadratureError", "_gauss_legendre", "_converge", "_rate_corrected", "_quadratic_span",
+    "QuadratureError", "_gauss_legendre", "_converge", "_quadratic_span",
     "_node_count", "_window_grid", "_window_integral", "_line_values", "_mean_tail", "_cm_window",
     "_tail_cut", "_pair_integral", "_raw_mass", "_internal_units", "_gaussian_interference", "_feshbach_interference",
     "_interference",
@@ -391,6 +391,17 @@ def test_probability_table_check_is_shared():
     calls = _sites(lambda node: isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "_check_probabilities")
     assert calls == [("correlation.py", "__post_init__"), ("montecarlo.py", "run")]
+
+
+def test_builtin_sum_adds_only_integer_tallies():
+    # sum() of floats rounds differently from Python 3.12 on, so float sums
+    # are plain left-to-right loops; sum() adds only montecarlo's int tallies
+    calls = _sites(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "sum")
+    assert calls == [
+        ("montecarlo.py", "__post_init__"), ("montecarlo.py", "__post_init__"),
+        ("montecarlo.py", "kept"), ("montecarlo.py", "run"),
+    ]
 
 
 def test_each_quadrature_rule_has_one_body():
