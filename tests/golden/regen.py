@@ -102,6 +102,9 @@ CASES = {
     "bell_optimize_huge_tau": ("bell", "--optimize", "--tau", "1e200"),
     "scan_tau_huge_closed": ("scan", "--axis", "tau", "--start", "1", "--stop", "1e200",
                              "--steps", "2"),
+    # the error cell holds commas, so the CSV writer quotes it (RFC 4180)
+    "scan_ell1_phase_overflow": ("scan", "--axis", "ell1", "--start", "1e160", "--stop",
+                                 "2e160", "--steps", "2"),
     "bell_settings_huge_ell": ("bell", "--settings", "1e160", "0", "0", "0"),
     "bell_settings_nan": ("bell", "--settings", "nan", *EXAMPLE_SETTINGS[1:]),
     # finite configs whose source momenta or scales leave the float range
