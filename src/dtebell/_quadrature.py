@@ -156,20 +156,24 @@ def _window_grid(mean, sigma, b, n: int):
     return x, weights
 
 
-def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None):
-    """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
-    over mean +- WINDOW_SIGMAS sigma.  The Gauss-Legendre rule needs
-    WINDOW_NODES_PER_RADIAN nodes per radian of phase range plus
-    ``extra_span`` (what ``weight`` adds), at least MIN_NODES; _node_count
-    sizes it at ``level``, clipped to NODE_CAP.  A call computes only
-    e^{i a x}, ``weight`` and one dot product with the cached
-    _window_grid's complex weights.
-    """
-    import numpy as np
-
+def _window_need(mean, sigma, a, b, extra_span=0.0) -> int:
+    """A window's node need at level 1: WINDOW_NODES_PER_RADIAN per radian
+    of the phase range a x - b x^2 over mean +- WINDOW_SIGMAS sigma, plus
+    ``extra_span`` (what a weight adds), at least MIN_NODES."""
     half = WINDOW_SIGMAS * sigma
     span = _quadratic_span(a, b, mean - half, mean + half) + extra_span
-    need = max(math.ceil(min(NODE_CAP, WINDOW_NODES_PER_RADIAN * span)), MIN_NODES)
+    return max(math.ceil(min(NODE_CAP, WINDOW_NODES_PER_RADIAN * span)), MIN_NODES)
+
+
+def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None, need=None):
+    """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
+    over mean +- WINDOW_SIGMAS sigma on the rule _node_count sizes from ``need``
+    (default: _window_need's) at ``level``.  A call computes only e^{i a x},
+    ``weight`` and one dot product with the cached _window_grid's weights."""
+    import numpy as np
+
+    if need is None:
+        need = _window_need(mean, sigma, a, b, extra_span)
     n, capped = _node_count(need, level)
     x, weights = _window_grid(mean, sigma, b, n)
     integrand = np.exp(x * (1j * a))
@@ -426,20 +430,12 @@ def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: fl
     return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
 
 
-def _gaussian_interference(scales, p_ref, m_int, sl_int, dl_int, level=1.0):
-    """Interference integral for the separable Gaussian pair of ``scales``
-    (c.m. mean 0, relative mean p0_rel), internal units (momenta in p_ref).
-
-    ``level`` scales every node count; returns (value, capped) where
-    capped means some factor's node count sits at NODE_CAP, so raising
-    the level further adds no nodes there.
-    """
-
-    def factor(mean_p, sigma_p, a, b):
-        return _window_integral(mean_p / p_ref, sigma_p / p_ref, a, b, level)
-
-    i_cm, cm_capped = factor(0.0, scales.sigma_p_cm, 0.5 * sl_int, 1.0 / (4.0 * m_int))
-    i_rel, rel_capped = factor(scales.p0_rel, scales.sigma_p_rel, dl_int, 1.0 / m_int)
+def _gaussian_interference(cm, rel, needs, level=1.0):
+    """(value, capped): one pass of the separable Gaussian pair's interference
+    integral, the product of its c.m. and relative window integrals, whose
+    (mean, sigma, a, b) are ``cm`` and ``rel`` and whose _window_need ``needs``."""
+    i_cm, cm_capped = _window_integral(*cm, level, need=needs[0])
+    i_rel, rel_capped = _window_integral(*rel, level, need=needs[1])
     return i_cm * i_rel, cm_capped or rel_capped
 
 
@@ -460,9 +456,12 @@ def _interference(pair, ell1: float, ell2: float):
     gaussian = isinstance(dist, TimescaleSummary)
     p_ref = dist.p0_rel if gaussian else dist.p0
     m_int, sl_int, dl_int = _internal_units(p_ref, pair.tau, pair.species.atom_mass, ell1, ell2)
-    if gaussian:
+    if gaussian:  # c.m. and relative windows (momenta in p0_rel), sized once for every pass
+        cm = (0.0, dist.sigma_p_cm / p_ref, 0.5 * sl_int, 1.0 / (4.0 * m_int))
+        rel = (dist.p0_rel / p_ref, dist.sigma_p_rel / p_ref, dl_int, 1.0 / m_int)
+        needs = _window_need(*cm), _window_need(*rel)
         return (
-            lambda level: _gaussian_interference(dist, p_ref, m_int, sl_int, dl_int, level),
+            lambda level: _gaussian_interference(cm, rel, needs, level),
             2.0 * math.erfc(WINDOW_SIGMAS / math.sqrt(2.0)),
         )
     return (

@@ -44,7 +44,6 @@ lower bound S_hat/(2*sqrt(2)) instead.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -154,37 +153,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _field(value) -> str:
+    """One CSV field as csv.writer writes it: _format_cell's text, quoted with
+    its quotes doubled where it holds a comma, quote or line break."""
+    text = _format_cell(value)
+    quoted = any(char in text for char in '",\r\n')
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
 def _write_csv(stream, columns, rows) -> None:
-    writer = csv.writer(stream)  # RFC 4180: CRLF line endings, quoting as needed
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(name)) for name in columns])
+    """The header, then each row of fields (_field) in column order, CRLF
+    line endings (RFC 4180); a row is written as it is drawn."""
+    for fields in itertools.chain((columns,), rows):
+        stream.write(",".join(fields) + "\r\n")
 
 
-def _row(document: ConfigDocument, source: str, **cells) -> dict:
-    """A RESULT_COLUMNS row echoing the document's tau and switch mode;
-    rows other than summaries also echo both analyzer angles."""
+def _row(document: ConfigDocument, source: str, **cells) -> list:
+    """The fields of a RESULT_COLUMNS row echoing the document's tau and switch
+    mode; rows other than summaries also echo both analyzer angles."""
     inter = document.values["interferometer"]
-    row = {
-        "source": source,
-        "tau_s": document.get("pulses", "separation_s"),
-        "switch_mode": inter["mode"],
-    }
-    if not source.endswith("_summary"):
-        row["theta1_deg"] = inter["theta1_deg"]
-        row["theta2_deg"] = inter["theta2_deg"]
-    row.update(cells)
-    return row
+    angles = () if source.endswith("_summary") else ("theta1_deg", "theta2_deg")
+    row = {"source": source, "tau_s": document.get("pulses", "separation_s"),
+           "switch_mode": inter["mode"], **{key: inter[key] for key in angles}, **cells}
+    return [_field(row.get(name)) for name in RESULT_COLUMNS]
 
 
-_P_CELLS = dict(zip(("P_pp", "P_pm", "P_mp", "P_mm"), OUTCOMES))
-
-
-def _correlation_cells(probability, e_value: float) -> dict:
-    """The P_pp ... E cells; ``probability(s1, s2)`` gives each P."""
-    cells = {name: probability(*outcome) for name, outcome in _P_CELLS.items()}
-    cells["E"] = e_value
-    return cells
+_P_COLUMNS = ("P_pp", "P_pm", "P_mp", "P_mm")  # the P of each of OUTCOMES
 
 
 # ------------------------------------------------------------------- scales
@@ -243,28 +237,38 @@ _SCAN_KEYS = {
 }
 
 
-def _scan_point(document: ConfigDocument, base: Optional[DtePair],
-                axis: str, value: float, method: str) -> dict:
-    """One grid point; computation errors land in the row's error cell."""
-    document = document.replace(*_SCAN_KEYS[axis], value)
-    inter = document.values["interferometer"]
-    row = _row(document, "scan", axis=axis, axis_value=value, ell1_um=inter["ell1_um"],
-               ell2_um=inter["ell2_um"], method=method)
+def _scan_rows(document: ConfigDocument, base: Optional[DtePair], axis: str,
+               method: str, grid):
+    """A scan's rows, each made as it is written; the fields that hold for
+    the whole scan are formatted once.  The ell axes correlate ``base``;
+    the tau and field axes rebuild the pair per row, and its failures
+    land in the row's error field."""
     route = correlate_closed_form if method == "closed" else correlate_quadrature
-    try:
-        pair = base
-        if pair is None:
-            scenario = document.to_scenario()
-            pair = _pair_for(scenario, scales_from_scenario(scenario))
-        s1 = InterferometerSetting(inter["ell1_um"] / 1e6, math.radians(inter["theta1_deg"]))
-        s2 = InterferometerSetting(inter["ell2_um"] / 1e6, math.radians(inter["theta2_deg"]))
-        result = route(pair, s1, s2)
-    except (ValidationError, QuadratureError) as exc:
-        row["error"] = str(exc).replace("\n", " ")
-        return row
-    row.update(_correlation_cells(result.probability, result.e_value))
-    row["V"] = result.visibility
-    return row
+    inter = document.values["interferometer"]
+    theta1, theta2 = (math.radians(inter[key]) for key in ("theta1_deg", "theta2_deg"))
+    template = _row(document, "scan", axis=axis, method=method,
+                    ell1_um=inter["ell1_um"], ell2_um=inter["ell2_um"])
+    # the column that echoes the grid value besides axis_value, if any
+    echo = {"ell1": "ell1_um", "ell2": "ell2_um", "tau": "tau_s"}.get(axis, "axis_value")
+    at, echo, p_pp, error = map(RESULT_COLUMNS.index, ("axis_value", echo, "P_pp", "error"))
+    for value in grid:
+        row = template.copy()
+        row[at] = row[echo] = repr(value)
+        ell1 = value if axis == "ell1" else inter["ell1_um"]
+        ell2 = value if axis == "ell2" else inter["ell2_um"]
+        try:
+            pair = base
+            if pair is None:
+                scenario = document.replace(*_SCAN_KEYS[axis], value).to_scenario()
+                pair = _pair_for(scenario, scales_from_scenario(scenario))
+            result = route(pair, InterferometerSetting(ell1 / 1e6, theta1),
+                           InterferometerSetting(ell2 / 1e6, theta2))
+        except (ValidationError, QuadratureError) as exc:
+            row[error] = _field(str(exc).replace("\n", " "))
+        else:  # P_pp ... P_mm, E, V: no float repr needs quoting
+            cells = (*map(result.p.get, OUTCOMES), result.e_value, result.visibility)
+            row[p_pp:p_pp + 6] = map(repr, cells)
+        yield row
 
 
 def cmd_scan(args, stdout, stderr) -> int:
@@ -281,8 +285,7 @@ def cmd_scan(args, stdout, stderr) -> int:
         base = _pair_for(scenario, scales_from_scenario(scenario))
     grid = _linspace(args.start, args.stop, args.steps)
     # each row is written as it is computed, so memory does not grow with --steps
-    rows = (_scan_point(document, base, args.axis, value, args.method) for value in grid)
-    _write_csv(stdout, RESULT_COLUMNS, rows)
+    _write_csv(stdout, RESULT_COLUMNS, _scan_rows(document, base, args.axis, args.method, grid))
     return 0
 
 
@@ -339,7 +342,8 @@ def cmd_bell(args, stdout, stderr) -> int:
     outcome = chsh_value(correlator, chosen)
     results = [correlator(x, y) for x, y, _sign in chosen.pairs()]
     rows = _pair_rows(document, "bell", um, (
-        {"method": "closed", **_correlation_cells(r.probability, r.e_value)} for r in results
+        {"method": "closed", "E": r.e_value, **dict(zip(_P_COLUMNS, map(r.p.get, OUTCOMES)))}
+        for r in results
     ))
     rows.append(
         _row(document, "bell_summary", method="optimize" if args.optimize else "settings",
@@ -385,8 +389,9 @@ def cmd_montecarlo(args, stdout, stderr) -> int:
                  "seed": config.seed}
     rows = _pair_rows(document, "montecarlo", um, (
         {"discarded": table.discarded[i], "stderr": estimate.e_stderr[i], **run_cells,
-         **_correlation_cells(lambda *outcome: table.count(i, outcome) / table.kept(i),
-                              estimate.e_values[i])}
+         "E": estimate.e_values[i],
+         **{name: table.count(i, outcome) / table.kept(i)
+            for name, outcome in zip(_P_COLUMNS, OUTCOMES)}}
         for i in range(4)
     ))
     rows.append(
@@ -424,19 +429,13 @@ def cmd_feasibility(args, stdout, stderr) -> int:
     scenario = document.to_scenario()
     scales = scales_from_scenario(scenario)
 
-    rows = []
+    rows = []  # FEASIBILITY_COLUMNS
     for tau in _linspace(args.start, args.stop, args.steps):
         report = feasible(scales, tau)
-        rows.append(
-            {
-                "tau_s": tau,
-                "dispersion_product": report.product,
-                "visibility": visibility(scales, tau),
-                "lambda_ratio": report.lambda_ratio,
-                "feasible": report.feasible,
-                "periods_above_threshold": periods_above_threshold(scales, tau),
-            }
-        )
+        rows.append(list(map(_field, (
+            tau, report.product, visibility(scales, tau), report.lambda_ratio,
+            report.feasible, periods_above_threshold(scales, tau),
+        ))))
     crossing = crossing_tau(scales)  # refused before the table is written
     _write_csv(stdout, FEASIBILITY_COLUMNS, rows)
 

@@ -191,14 +191,12 @@ def _result_from_interference(
     e_interference = min(1.0, max(-1.0, e_interference))
     amplitude = min(1.0, amplitude)
     combined = c_term + s_term * e_interference
-    p = {}
-    for s1, s2 in SIGN_PAIRS:
-        value = 0.25 * (1.0 + s1 * s2 * combined)
-        p[(s1, s2)] = min(1.0, max(0.0, value))
-    e_value = p[(1, 1)] - p[(1, -1)] - p[(-1, 1)] + p[(-1, -1)]
+    # P depends on s1 s2 only: equal signs (++, --) and opposite signs (+-, -+)
+    same = min(1.0, max(0.0, 0.25 * (1.0 + combined)))
+    opposite = min(1.0, max(0.0, 0.25 * (1.0 - combined)))
     return CorrelationResult(
-        p=p,
-        e_value=e_value,
+        p={(1, 1): same, (1, -1): opposite, (-1, 1): opposite, (-1, -1): same},
+        e_value=same - opposite - opposite + same,
         quadrature_error_estimate=estimate,
         visibility=abs(s_term) * amplitude,
     )

@@ -10,6 +10,9 @@ _quadrature._window_integral must match bit for bit.
 
 One quadrature pass at a chosen level, as probabilities: a finer
 reference for what correlate_quadrature returns.
+
+The rows of `dtebell scan`, rebuilt cell by cell from the correlate_*
+routes: the oracle of the CLI's scan emitter.
 """
 
 import math
@@ -22,7 +25,19 @@ from dtebell._quadrature import (
     _quadratic_span,
 )
 from dtebell.bell import ChshSettings
-from dtebell.correlation import CorrelationResult, InterferometerSetting, _result_from_interference
+from dtebell.cli import RESULT_COLUMNS, _format_cell
+from dtebell.correlation import (
+    SIGN_PAIRS,
+    CorrelationResult,
+    DtePair,
+    InterferometerSetting,
+    QuadratureError,
+    _result_from_interference,
+    correlate_closed_form,
+    correlate_quadrature,
+)
+from dtebell.dissociation import phi_tau
+from dtebell.scenario import ValidationError, scales_from_scenario
 
 
 def spin_correlation(x: InterferometerSetting, y: InterferometerSetting) -> CorrelationResult:
@@ -77,3 +92,52 @@ def quadrature_pass(pair, s1: InterferometerSetting, s2: InterferometerSetting, 
         float((phase_ref * value).real), abs(value), s1.theta, s2.theta, 0.0
     )
     return result, capped
+
+
+SCAN_KEYS = {
+    "ell1": ("interferometer", "ell1_um"),
+    "ell2": ("interferometer", "ell2_um"),
+    "tau": ("pulses", "separation_s"),
+    "field": ("pulses", "base_field_mG"),
+}
+
+
+def scan_rows(document, axis: str, method: str, grid) -> list:
+    """The cells of `dtebell scan`'s rows over ``grid``, rebuilt one grid
+    point at a time: the config document with the point set, its pair,
+    the correlate_* route's result, and every RESULT_COLUMNS cell
+    formatted by cli._format_cell.  A computation error fills the error
+    cell, its line breaks turned into spaces."""
+    route = correlate_closed_form if method == "closed" else correlate_quadrature
+    rows = []
+    for value in grid:
+        point = document.replace(*SCAN_KEYS[axis], value)
+        inter = point.values["interferometer"]
+        row = {
+            "source": "scan", "axis": axis, "axis_value": value,
+            "ell1_um": inter["ell1_um"], "ell2_um": inter["ell2_um"],
+            "tau_s": point.get("pulses", "separation_s"),
+            "theta1_deg": inter["theta1_deg"], "theta2_deg": inter["theta2_deg"],
+            "switch_mode": inter["mode"], "method": method,
+        }
+        try:
+            scenario = point.to_scenario()
+            pair = DtePair(
+                distribution=scales_from_scenario(scenario),
+                tau=scenario.pulses.pulse_separation,
+                phi_tau=phi_tau(scenario),
+                species=scenario.species,
+            )
+            result = route(
+                pair,
+                InterferometerSetting(inter["ell1_um"] / 1e6, math.radians(inter["theta1_deg"])),
+                InterferometerSetting(inter["ell2_um"] / 1e6, math.radians(inter["theta2_deg"])),
+            )
+        except (ValidationError, QuadratureError) as exc:
+            row["error"] = str(exc).replace("\n", " ")
+        else:
+            for name, outcome in zip(("P_pp", "P_pm", "P_mp", "P_mm"), SIGN_PAIRS):
+                row[name] = result.probability(*outcome)
+            row["E"], row["V"] = result.e_value, result.visibility
+        rows.append([_format_cell(row.get(name)) for name in RESULT_COLUMNS])
+    return rows

@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from dtebell.cli import (
     load_config,
     main,
 )
+from dtebell.bell import _linspace
+from dtebell.scenario import ConfigDocument
+from reference_models import scan_rows
 
 
 def invoke(*argv):
@@ -321,6 +325,75 @@ class TestScan:
             "--steps", "1",
         )
         assert code == 2 and "steps" in err
+
+    # (lowest start, highest stop) per axis of the seeded oracle grids: arm
+    # lengths around the bundled fringe centre, tau around 1 s, and fields
+    # above the dissociation threshold (~543180 mG)
+    ORACLE_RANGES = {
+        "ell1": (5300.0, 5400.0),
+        "ell2": (-5400.0, -5300.0),
+        "tau": (0.5, 2.0),
+        "field": (543185.0, 543260.0),
+    }
+
+    @staticmethod
+    def assert_rows_match_oracle(axis, method, start, stop, steps):
+        code, out, err = invoke("scan", "--axis", axis, "--start", repr(start), "--stop",
+                                repr(stop), "--steps", str(steps), "--method", method)
+        assert code == 0 and err == ""
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == list(RESULT_COLUMNS)
+        grid = _linspace(start, stop, steps)
+        assert rows == scan_rows(load_config(None), axis, method, grid)
+
+    @pytest.mark.parametrize("method", ["closed", "quad"])
+    @pytest.mark.parametrize("axis", ["ell1", "ell2", "tau", "field"])
+    def test_rows_match_the_rebuilt_oracle(self, axis, method):
+        rng = random.Random(f"scan-oracle-{axis}-{method}")
+        low, high = self.ORACLE_RANGES[axis]
+        for _ in range(3):
+            start, stop = sorted(rng.uniform(low, high) for _ in range(2))
+            if rng.random() < 0.5:
+                start, stop = stop, start
+            self.assert_rows_match_oracle(axis, method, start, stop, rng.randint(2, 7))
+
+    @pytest.mark.parametrize("axis, method, start, stop, steps", [
+        # the fringe phase overflows: tau^2 on the tau axis, ell1^2 on ell1
+        ("tau", "closed", 1.0, 1e200, 3),
+        ("tau", "quad", 1.0, 1e200, 3),
+        ("ell1", "closed", 1e160, 2e160, 2),
+        # the first pulse is below the dissociation threshold
+        ("field", "closed", 543150.0, 543210.0, 3),
+        ("field", "quad", 543150.0, 543210.0, 3),
+        # the quadrature ends at the node-count ceiling
+        ("ell1", "quad", 1e20, 2e20, 2),
+    ])
+    def test_error_rows_match_the_rebuilt_oracle(self, axis, method, start, stop, steps):
+        self.assert_rows_match_oracle(axis, method, start, stop, steps)
+
+    @pytest.mark.parametrize("axis, start, stop, copies", [
+        ("ell1", 5330.0, 5370.0, 0),
+        ("ell2", -5370.0, -5330.0, 0),
+        ("tau", 0.9, 1.1, 5),
+        ("field", 543190.0, 543210.0, 5),
+    ])
+    def test_document_is_copied_only_where_the_pair_moves(
+        self, monkeypatch, axis, start, stop, copies
+    ):
+        # an ell axis correlates one pair at the grid's lengths; the tau and
+        # field axes set their value in a copy of the document per row
+        calls = []
+        original = ConfigDocument.replace
+
+        def counting(document, *args):
+            calls.append(args)
+            return original(document, *args)
+
+        monkeypatch.setattr(ConfigDocument, "replace", counting)
+        code, out, _ = invoke("scan", "--axis", axis, "--start", repr(start), "--stop",
+                              repr(stop), "--steps", "5")
+        assert code == 0 and len(parse_csv(out)) == 5
+        assert len(calls) == copies
 
     def test_memory_does_not_grow_with_steps(self):
         """Each grid point and row is made as it is written: the traced
@@ -850,6 +923,22 @@ class TestRoundTrip:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             invoke("transmogrify")
+
+    def test_lines_are_csv_writers_lines(self):
+        """Every CSV line is the one csv.writer writes for the formatted
+        cells: quoted, quotes doubled, where a field holds a comma, a
+        quote or a line break."""
+        from dtebell.cli import _field, _format_cell, _write_csv
+
+        cells = ["plain", "", "a,b", 'say "hi"', "two\nlines", "cr\r", '",\r\n', "'", " lead",
+                 1.5, -0.0, float("nan"), True, None, 7]
+        columns = [f"c{i}" for i in range(len(cells))]
+        ours, theirs = io.StringIO(), io.StringIO()
+        _write_csv(ours, columns, [list(map(_field, cells))] * 2)
+        writer = csv.writer(theirs)
+        writer.writerow(columns)
+        writer.writerows([list(map(_format_cell, cells))] * 2)
+        assert ours.getvalue() == theirs.getvalue()
 
 
 # -------------------------------------------------------------- float range

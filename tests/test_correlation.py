@@ -1085,6 +1085,33 @@ def test_gaussian_estimate_describes_returned_pass(
     _assert_estimate_describes(res, reference, passes, tail)
 
 
+@pytest.mark.parametrize("nodes_per_radian, floor, levels", [(None, None, 2), (0.5, 8, 5)])
+def test_gaussian_call_sizes_its_windows_once(
+    scenario, scales, phi_tau, nodes_per_radian, floor, levels, monkeypatch
+):
+    # each window's phase span is found once per call, not once per pass:
+    # coarser windows make the doubling loop run up to level 8
+    import dtebell._quadrature as quad
+
+    if floor is not None:
+        monkeypatch.setattr(quad, "WINDOW_NODES_PER_RADIAN", nodes_per_radian)
+        monkeypatch.setattr(quad, "MIN_NODES", floor)
+    spans = []
+    original = quad._quadratic_span
+
+    def counting(*args):
+        spans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quad, "_quadratic_span", counting)
+    passes = _record_passes(monkeypatch, "_gaussian_interference")
+    pair = DtePair(distribution=scales, tau=1.0, phi_tau=phi_tau, species=scenario.species)
+    half = 0.5 * scales.v_rel
+    correlate_quadrature(pair, InterferometerSetting(half + 1e-6), InterferometerSetting(-half))
+    assert len(passes) == levels
+    assert len(spans) == 2
+
+
 def test_feshbach_vs_uniform_simpson(fesh, scenario):
     """Independent oracle for the panel scheme: uniform Simpson in r."""
     from scipy.integrate import simpson

@@ -251,7 +251,8 @@ QUADRATURE_CONSTANTS = {
 }
 QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_quadratic_span",
-    "_node_count", "_window_grid", "_window_integral", "_line_values", "_mean_tail", "_cm_window",
+    "_node_count", "_window_grid", "_window_need", "_window_integral", "_line_values", "_mean_tail",
+    "_cm_window",
     "_tail_cut", "_pair_integral", "_raw_mass", "_internal_units", "_gaussian_interference", "_feshbach_interference",
     "_interference",
 }
