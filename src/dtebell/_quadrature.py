@@ -430,7 +430,7 @@ def _internal_units(p_ref: float, tau: float, mass: float, ell1: float, ell2: fl
     return m_int, (ell1 + ell2) / length, (ell1 - ell2) / length
 
 
-def _gaussian_interference(cm, rel, needs, level=1.0):
+def _gaussian_interference(cm, rel, needs, level):
     """(value, capped): one pass of the separable Gaussian pair's interference
     integral, the product of its c.m. and relative window integrals, whose
     (mean, sigma, a, b) are ``cm`` and ``rel`` and whose _window_need ``needs``."""
