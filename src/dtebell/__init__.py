@@ -10,7 +10,9 @@ imported inside the functions that build arrays (quadrature, source
 model), so the closed-form routes and Monte Carlo, whose sampler is an
 in-package port of numpy's, run on the standard library alone.  The
 quadrature's Gauss-Legendre rules are a bundled table,
-data/gauss_legendre.npy.
+data/gauss_legendre.npy.  Nor does it load dataclasses or inspect: the
+frozen value records are made by one in-package decorator
+(scenario._record), which compiles only their __init__.
 """
 
 from .scenario import (

@@ -12,7 +12,6 @@ dispersion scales (TimescaleSummary) and tau alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .correlation import (
@@ -23,7 +22,7 @@ from .correlation import (
     correlate_closed_form,
     fringe_phase,
 )
-from .scenario import TimescaleSummary, ValidationError, _dispersion_product
+from .scenario import TimescaleSummary, ValidationError, _dispersion_product, _record
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -59,7 +58,7 @@ _DIRECTIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
                (0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0))
 
 
-@dataclass(frozen=True)
+@_record
 class ChshSettings:
     """The four interferometer settings of a CHSH run: a and a' on side 1,
     b and b' on side 2."""
@@ -89,7 +88,7 @@ class ChshSettings:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class BellOutcome:
     """CHSH verdict; construction enforces the quantum bound."""
 
@@ -115,7 +114,7 @@ class BellOutcome:
         return self.s_value - 2.0
 
 
-@dataclass(frozen=True)
+@_record
 class FeasibilityReport:
     """Dispersion-product inequality plus the short-wavelength guard.
 
@@ -144,8 +143,11 @@ class FeasibilityReport:
         return self.feasible
 
 
-@dataclass(frozen=True)
+@_record
 class OptimizationResult:
+    """optimize_settings' best settings, their signed S and verdict, and
+    whether its sweeps converged."""
+
     settings: ChshSettings
     s_value: float
     outcome: BellOutcome

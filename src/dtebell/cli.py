@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import re
@@ -208,6 +207,8 @@ def _scales_payload(document: ConfigDocument) -> dict:
 def cmd_scales(args, stdout, stderr) -> int:
     payload = _scales_payload(load_config(args.config))
     if args.json:
+        import json  # only this command writes JSON; the others start without it
+
         stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     for key, value in payload.items():

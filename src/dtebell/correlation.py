@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 from ._quadrature import QuadratureError, _converge, _interference
@@ -27,6 +26,7 @@ from .scenario import (
     ValidationError,
     _dispersion_factors,
     _dispersion_product,
+    _record,
     _require_positive,
     _theta_in_range,
 )
@@ -49,7 +49,7 @@ SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 P_TARGET = 1e-6
 
 
-@dataclass(frozen=True)
+@_record
 class InterferometerSetting:
     """One interferometer: arm-length variation and mirror angle."""
 
@@ -63,7 +63,7 @@ class InterferometerSetting:
             raise ValidationError(f"theta must lie in [0, pi/2], got {self.theta}")
 
 
-@dataclass(frozen=True)
+@_record
 class DtePair:
     """Dissociated atom pair ready for correlation analysis.
 
@@ -113,7 +113,7 @@ class DtePair:
         if margin < 10.0:
             warnings.warn(
                 f"wave-packet separation margin is only {margin:.1f}x",
-                stacklevel=3,  # past the dataclass __init__, to the caller
+                stacklevel=3,  # past the record's __init__, to the caller
             )
 
     def separation_margin(self) -> float:
@@ -143,7 +143,7 @@ def _check_probabilities(p: Mapping) -> None:
             raise ValidationError(f"P{key} = {value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@_record
 class CorrelationResult:
     """Four coincidence probabilities plus their correlation value.
 

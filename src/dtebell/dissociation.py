@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ._quadrature import _raw_mass
 from .scenario import (
@@ -26,6 +25,7 @@ from .scenario import (
     TimescaleSummary,
     ValidationError,
     _check_source_domain,
+    _record,
     _sigma_p_rel,
     _source_momenta,
     derive_scales,
@@ -53,7 +53,7 @@ PHASE_BUDGET = 0.05
 NORM_TARGET = 3e-7
 
 
-@dataclass(frozen=True)
+@_record
 class FeshbachDistribution:
     """Joint (p_cm, p_rel) distribution after two square pulses.
 
@@ -82,7 +82,7 @@ class FeshbachDistribution:
     @functools.cached_property
     def _normalized(self) -> tuple[float, float]:
         # (N, relative error estimate of N); cached_property writes the
-        # instance __dict__ directly, which a frozen dataclass allows
+        # instance __dict__ directly, past the frozen record's __setattr__
         raw, err = self._raw_integral()
         return 1.0 / raw, err / raw
 
@@ -230,7 +230,7 @@ def phi_tau(scenario: Scenario) -> float:
     ) / CONSTANTS.hbar + g.omega_guide * p.pulse_separation
 
 
-@dataclass(frozen=True)
+@_record
 class StabilityReport:
     """Shot-to-shot phase drift budget.
 

@@ -16,12 +16,18 @@ longer move with a numpy release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .bell import _TSIRELSON_TOL, TSIRELSON_BOUND, ChshSettings
 from .correlation import SIGN_PAIRS, CorrelationResult, _check_probabilities
-from .scenario import _MAX_EVENTS, _MAX_SEED, _MODES as MODES, ValidationError, _require_integer
+from .scenario import (
+    _MAX_EVENTS,
+    _MAX_SEED,
+    _MODES as MODES,
+    ValidationError,
+    _record,
+    _require_integer,
+)
 
 __all__ = [
     "MODES",
@@ -47,7 +53,7 @@ class InsufficientDataError(ValidationError):
     """A setting pair has no kept events to estimate a correlation from."""
 
 
-@dataclass(frozen=True)
+@_record
 class RunConfig:
     """One finite-statistics CHSH acquisition."""
 
@@ -70,7 +76,7 @@ class RunConfig:
             raise ValidationError("settings must be a ChshSettings")
 
 
-@dataclass(frozen=True)
+@_record
 class CountTable:
     """Tallies per setting pair, in CHSH order (a,b), (a,b'), (a',b), (a',b').
 
@@ -106,7 +112,7 @@ class CountTable:
         return self.counts[pair_index][OUTCOMES.index(outcome)]
 
 
-@dataclass(frozen=True)
+@_record
 class ChshEstimate:
     """CHSH point estimate with multinomial standard errors (Wilson-score
     at a pair whose E_hat is +-1; see estimate_chsh), and its verdict.

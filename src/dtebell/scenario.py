@@ -18,7 +18,6 @@ import configparser
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -79,7 +78,74 @@ def _theta_in_range(theta: float) -> bool:  # an analyzer angle, rad
     return 0.0 <= theta <= math.pi / 2.0
 
 
-@dataclass(frozen=True)
+# ------------------------------------------------ frozen value records
+
+
+def _record_values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self.__match_args__])
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _record_values(self) == _record_values(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """Make ``cls`` a frozen record of its annotated fields.
+
+    The same class as ``dataclasses.dataclass(frozen=True)`` makes of it,
+    for classes without a base record or ClassVar: an ``__init__`` taking
+    the fields in order (a class attribute is the field's default) and
+    calling ``__post_init__`` when the class has one; field-tuple equality
+    and hash; the dataclass repr; ``__match_args__``; and AttributeError on
+    assignment and deletion.  Only the ``__init__`` is compiled, once per
+    class; the other methods are shared.  Importing dataclasses would load
+    inspect and ast and compile six methods per class, about 20 ms of
+    every command's start-up.  Fields are written straight into the
+    instance ``__dict__``, where functools.cached_property writes too.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {f"_default_{name}": cls.__dict__[name] for name in names if name in cls.__dict__}
+    params = "".join(
+        f", {name}=_default_{name}" if name in cls.__dict__ else f", {name}" for name in names
+    )
+    body = "".join(f"    _dict[{name!r}] = {name}\n" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    namespace: dict = {}
+    exec(f"def __init__(self{params}):\n    _dict = self.__dict__\n{body}", defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    cls.__match_args__ = names
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+@_record
 class Constants:
     """CODATA 2018 values, SI.  Frozen so results are bit-reproducible."""
 
@@ -93,7 +159,7 @@ class Constants:
 CONSTANTS = Constants()
 
 
-@dataclass(frozen=True)
+@_record
 class Species:
     """Atomic species forming the diatomic molecule.
 
@@ -112,7 +178,7 @@ class Species:
         return 2.0 * self.atom_mass
 
 
-@dataclass(frozen=True)
+@_record
 class TrapGuide:
     """Harmonic trap holding the molecule plus the waveguide the atoms fly in.
 
@@ -134,11 +200,11 @@ class TrapGuide:
             warnings.warn(
                 "omega_trap is not small compared with omega_guide; "
                 "the longitudinal reduction is marginal",
-                stacklevel=3,  # past the dataclass __init__, to the caller
+                stacklevel=3,  # past the record's __init__, to the caller
             )
 
 
-@dataclass(frozen=True)
+@_record
 class Resonance:
     """Magnetic Feshbach resonance parameters.
 
@@ -165,7 +231,7 @@ class Resonance:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class PulseSequence:
     """Two identical square magnetic-field pulses.
 
@@ -190,7 +256,7 @@ class PulseSequence:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class Scenario:
     """Complete physical input set for one experimental configuration."""
 
@@ -200,7 +266,7 @@ class Scenario:
     pulses: PulseSequence
 
 
-@dataclass(frozen=True)
+@_record
 class TimescaleSummary:
     """Kinematic and dispersion scales derived from a scenario.
 
@@ -399,7 +465,7 @@ CONFIG_SCHEMA: Mapping[str, Mapping[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class ConfigDocument:
     """Validated lab-unit parameter document."""
 

@@ -13,6 +13,10 @@ reference for what correlate_quadrature returns.
 
 The rows of `dtebell scan`, rebuilt cell by cell from the correlate_*
 routes: the oracle of the CLI's scan emitter.
+
+The fields of a package record, and a copy with some of them changed:
+what dataclasses.fields and dataclasses.replace give, read from the
+record's ``__match_args__``.
 """
 
 import math
@@ -38,6 +42,16 @@ from dtebell.correlation import (
 )
 from dtebell.dissociation import phi_tau
 from dtebell.scenario import ValidationError, scales_from_scenario
+
+
+def record_fields(record) -> dict:
+    """Field name -> value of a package record, in field order."""
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
+def replace(record, **changes):
+    """A new record of the same class with ``changes``; __post_init__ runs."""
+    return type(record)(**{**record_fields(record), **changes})
 
 
 def spin_correlation(x: InterferometerSetting, y: InterferometerSetting) -> CorrelationResult:

@@ -12,7 +12,6 @@ budget report.
 import io
 import math
 import time
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -42,6 +41,7 @@ from dtebell.dissociation import (
 )
 from dtebell.montecarlo import RunConfig, estimate_chsh, run
 from dtebell.scenario import CONSTANTS, Scenario, derive_scales, scales_from_scenario
+from reference_models import replace
 
 SHIPPED_CFG = str(resources.files("dtebell").joinpath("data/paper-li6.cfg"))
 

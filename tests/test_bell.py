@@ -41,7 +41,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
-from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_correlator
+from reference_models import TEXTBOOK, angle_settings, replace, spin_correlation as spin_correlator
 
 # Frozen reference values (dispersion product and its consequences at
 # tau = 1 s, plus the optimizer's converged CHSH value).
@@ -394,11 +394,9 @@ def test_optimize_determinism(reference_correlator, seeded, optimized):
 
 
 def test_optimize_tau2_no_violation(scenario):
-    import dataclasses
-
-    scn2 = dataclasses.replace(
+    scn2 = replace(
         scenario,
-        pulses=dataclasses.replace(scenario.pulses, pulse_separation=2.0),
+        pulses=replace(scenario.pulses, pulse_separation=2.0),
     )
     scales2 = scales_from_scenario(scn2)
     pair2 = DtePair(distribution=scales2, tau=2.0, phi_tau=phi_tau(scn2), species=scn2.species)

@@ -203,7 +203,7 @@ def test_pair_margin_warning(scales, scenario, phi_tau):
 
 
 def test_constructor_warnings_point_at_the_caller(scales, scenario, phi_tau):
-    # not at the dataclass-generated __init__, which reports "<string>"
+    # not at the record's generated __init__, which reports "<string>"
     with pytest.warns(UserWarning) as caught:
         DtePair(distribution=scales, tau=0.05, phi_tau=phi_tau, species=scenario.species)
         TrapGuide(omega_trap=900.0, omega_guide=1000.0, trap_depth=1e-30)

@@ -1,6 +1,4 @@
-import dataclasses
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +17,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
+from reference_models import record_fields, replace
 
 # Frozen oracle values, recomputed independently before implementation.
 KAPPA_REF = 81.3098
@@ -421,7 +420,7 @@ def _correlator_scales(scn):
 class TestGaussianApproximation:
     def test_matches_scenario_scales(self, scenario, dist):
         # `scales` and `feasibility` read the correlators' widths, bit for bit
-        assert dataclasses.asdict(scales_from_scenario(scenario)) == dataclasses.asdict(
+        assert record_fields(scales_from_scenario(scenario)) == record_fields(
             _correlator_scales(scenario)
         )
 
@@ -435,7 +434,7 @@ class TestGaussianApproximation:
         scn = _with_pulses(
             scenario, pulse_duration=duration, pulse_height=height, base_field=base
         )
-        assert dataclasses.asdict(scales_from_scenario(scn)) == dataclasses.asdict(
+        assert record_fields(scales_from_scenario(scn)) == record_fields(
             _correlator_scales(scn)
         )
 

@@ -4,7 +4,6 @@ import math
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from dtebell.montecarlo import (
     run,
 )
 from dtebell.scenario import ValidationError, reference_scenario, scales_from_scenario
-from reference_models import TEXTBOOK, angle_settings, spin_correlation as spin_correlator
+from reference_models import TEXTBOOK, angle_settings, replace, spin_correlation as spin_correlator
 
 # Golden tallies pin the RNG contract: Philox keyed by (seed, pair), one
 # multinomial draw per pair, the BeamSplitter discard as its fifth cell.

@@ -148,19 +148,22 @@ CLOSED_COMMANDS = (
 )
 
 
-def _numpy_loaded_after(*commands):
+def _loaded_after(modules, *commands):
     """In one fresh interpreter: import dtebell, then dtebell.cli, then run each
-    command; return [step, exit code or None, numpy loaded] after every step."""
+    command; return [step, exit code or None, the ``modules`` loaded] after
+    every step.  The probe itself imports json only after the last step."""
     code = (
-        "import io, json, sys\n"
+        "import io, sys\n"
+        f"modules = {list(modules)!r}\n"
         "steps = []\n"
         "import dtebell\n"
-        "steps.append(['import dtebell', None, 'numpy' in sys.modules])\n"
+        "steps.append(['import dtebell', None, [m for m in modules if m in sys.modules]])\n"
         "from dtebell.cli import main\n"
-        "steps.append(['import dtebell.cli', None, 'numpy' in sys.modules])\n"
+        "steps.append(['import dtebell.cli', None, [m for m in modules if m in sys.modules]])\n"
         f"for argv in {[list(c) for c in commands]!r}:\n"
         "    rc = main(argv, stdout=io.StringIO(), stderr=io.StringIO())\n"
-        "    steps.append([' '.join(argv), rc, 'numpy' in sys.modules])\n"
+        "    steps.append([' '.join(argv), rc, [m for m in modules if m in sys.modules]])\n"
+        "import json\n"
         "print(json.dumps(steps))\n"
     )
     proc = run_python("-c", code)
@@ -169,7 +172,7 @@ def _numpy_loaded_after(*commands):
 
 
 def test_closed_routes_load_no_numpy():
-    steps = _numpy_loaded_after(*CLOSED_COMMANDS)
+    steps = _loaded_after(["numpy"], *CLOSED_COMMANDS)
     assert len(steps) == 2 + len(CLOSED_COMMANDS)
     assert [step for step in steps if step[1] not in (None, 0)] == []
     assert [step[0] for step in steps if step[2]] == []
@@ -182,8 +185,20 @@ QUAD_SCAN = ("scan", "--axis", "ell1", "--start", "5340", "--stop", "5360", "--s
 @pytest.mark.parametrize("argv", [QUAD_SCAN], ids=["scan_quad"])
 def test_array_routes_load_numpy(argv):
     # the probe itself sees numpy once a route builds arrays
-    *_, (_, rc, loaded) = _numpy_loaded_after(argv)
-    assert (rc, loaded) == (0, True)
+    *_, (_, rc, loaded) = _loaded_after(["numpy"], argv)
+    assert (rc, loaded) == (0, ["numpy"])
+
+
+def test_start_up_generates_no_code_and_only_scales_json_loads_json():
+    # dataclasses would load inspect, ast, dis and tokenize at every start;
+    # the package's records are built without it.  Modules stay loaded, so
+    # running scales --json last shows that no other command loads json.
+    last = ("scales", "--json")
+    steps = _loaded_after(["dataclasses", "inspect", "json"],
+                          *(c for c in CLOSED_COMMANDS if c != last), last)
+    assert len(steps) == 2 + len(CLOSED_COMMANDS)
+    assert [step for step in steps if step[1] not in (None, 0)] == []
+    assert [step for step in steps if step[2]] == [["scales --json", 0, ["json"]]]
 
 
 def _blas_after_quad_scan(preset):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -22,6 +21,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
+from reference_models import record_fields
 
 # Frozen oracle values for the bundled lithium-6 scenario, recomputed
 # independently from the CODATA constants with mpmath-checked arithmetic.
@@ -114,12 +114,12 @@ def test_reference_scenario_scales():
 
 
 def _leaves(value, path="scenario"):
-    """(path, value) for every non-dataclass field, depth first."""
-    if not dataclasses.is_dataclass(value):
+    """(path, value) for every field that is not a record, depth first."""
+    if not hasattr(value, "__match_args__"):
         return [(path, value)]
     leaves = []
-    for f in dataclasses.fields(value):
-        leaves += _leaves(getattr(value, f.name), f"{path}.{f.name}")
+    for name, field in record_fields(value).items():
+        leaves += _leaves(field, f"{path}.{name}")
     return leaves
 
 
