@@ -192,10 +192,12 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     NODE_CAP.  The (u, panel, node) tensor is summed U_ROWS_PER_BLOCK
     rows at a time.  Rows sum independently, so the bits do not change,
     except in a one-row block: a lone trailing row joins the block before it.
+    Each node bucket's blocks are evaluated in place in one set of work
+    arrays, so the blocks of a call fault in no fresh pages.
 
     With ``r_cut`` (from _tail_cut) the full kernel stops at r = r_cut:
-    panel edges are clipped there and panels wholly above it are not
-    evaluated.  Without it the line runs to the truncation edge r_hi(u).
+    only the panels below it are built, their edges clipped there.
+    Without it the line runs to the truncation edge r_hi(u).
     At zero phase (a = b = 0) a cut line adds the smooth mean of the
     kernel from r_cut to r_hi(u) (_mean_tail); only the oscillating
     remainder, which _tail_cut bounds, is left out.
@@ -203,14 +205,12 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     import numpy as np
 
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    edges = dist.rel_panel_edges(u)
+    edges = dist.rel_panel_edges(u, r_cut)
     result = np.zeros(len(u), dtype=complex)
     if r_cut is not None:
         if a_lin == 0.0 and b_quad == 0.0:
-            result += _mean_tail(dist, u, r_cut, edges[:, -1], level)
-        # edges ascend along each row, so the kept panels are a prefix
-        kept = int((edges[:, :-1] < r_cut).any(axis=0).sum())
-        edges = np.minimum(edges[:, : kept + 1], r_cut)
+            result += _mean_tail(dist, u, r_cut, level)
+        edges = np.minimum(edges, r_cut)
     lo_e, hi_e = edges[:, :-1], edges[:, 1:]
 
     def phase(r):
@@ -232,19 +232,40 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     starts = list(range(0, len(u), U_ROWS_PER_BLOCK))
     if len(starts) > 1 and len(u) - starts[-1] == 1:
         starts.pop()
-    for rows in map(slice, starts, starts[1:] + [len(u)]):
-        for size in np.unique(buckets):
-            sel = buckets == size
-            gl_x, gl_w = _gauss_legendre(int(size))
-            half = half_width[rows][:, sel][:, :, None]
-            r = mid[rows][:, sel][:, :, None] + half * gl_x
-            kern = dist._scaled_kernel(u[rows, None, None], r)
-            osc = 2.0 * np.exp(1j * phase(r))
-            result[rows] += ((kern * osc * gl_w).sum(axis=2) * half[:, :, 0]).sum(axis=1)
+    blocks = list(map(slice, starts, starts[1:] + [len(u)]))
+    u_col = u[:, None, None]
+    for size in sorted(set(buckets.tolist())):  # np.unique would load numpy.ma
+        sel = buckets == size
+        gl_x, gl_w = _gauss_legendre(size)
+        half_sel, mid_sel = half_width[:, sel, None], mid[:, sel, None]
+        # panel-major, as numpy lays out the boolean selection mid[:, sel]:
+        # each row's sum over panels then adds in the order that layout sets
+        shape = (half_sel.shape[1], max(b.stop - b.start for b in blocks), size)
+        r_buf, kern_buf, work_buf, osc_buf = (
+            np.empty(shape, dtype=kind).transpose(1, 0, 2) for kind in (float, float, float, complex)
+        )
+        for rows in blocks:
+            n = rows.stop - rows.start
+            r, osc = r_buf[:n], osc_buf[:n]
+            # r = mid + half x and the kernel and phase of r, operand for operand
+            np.multiply(half_sel[rows], gl_x, out=r)
+            np.add(mid_sel[rows], r, out=r)
+            kern = dist._scaled_kernel(u_col[rows], r, out=(kern_buf[:n], work_buf[:n]))
+            re, im = osc.real, osc.imag
+            np.multiply(r, b_quad, out=re)
+            re *= r
+            np.multiply(r, a_lin, out=im)
+            im -= re  # the phase a r - b r^2
+            re.fill(0.0)
+            np.exp(osc, out=osc)
+            osc *= 2.0
+            np.multiply(kern, osc, out=osc)
+            osc *= gl_w
+            result[rows] += (osc.sum(axis=2) * half_sel[rows, :, 0]).sum(axis=1)
     return result, any(capped for _, capped in counts)
 
 
-def _mean_tail(dist, u, r_lo, r_hi, level):
+def _mean_tail(dist, u, r_lo, level):
     """Per u, 2 * integral from r_lo to r_hi(u) of h = 1/(2 x^2 (x/kappa + b)^2),
     the mean of the scaled kernel sinc^2 x/(x/kappa + b)^2 = h (1 - cos 2x).
 
@@ -256,7 +277,7 @@ def _mean_tail(dist, u, r_lo, r_hi, level):
     """
     import numpy as np
 
-    ratio = np.maximum(r_hi, r_lo) / r_lo
+    ratio = np.maximum(dist.r_hi_at(u), r_lo) / r_lo
     n_panels = max(math.ceil(math.log2(float(ratio.max()))), 1)
     edges = r_lo * ratio[:, None] ** (np.arange(n_panels + 1) / n_panels)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -271,7 +292,8 @@ def _mean_tail(dist, u, r_lo, r_hi, level):
 def _cm_window(dist):
     """(u_hi, rows): the c.m. window c = p_cm/p0 in [-WINDOW_SIGMAS sigma,
     WINDOW_SIGMAS sigma] spans u = c^2/4 in [0, u_hi]; rows is the number
-    of Chebyshev rows in u per unit level.
+    of Chebyshev rows in u per unit level: the first-kind points at which
+    _pair_integral samples G and interpolates it exactly.
 
     G oscillates in u with period 2 pi / kappa.  Chebyshev interpolation
     needs about pi rows per cycle plus a constant (Trefethen 2013,
@@ -366,13 +388,41 @@ def _tail_cut(dist, a: float, b: float, level=1.0):
     return r_hi, target
 
 
+def _chebyshev_coefficients(values):
+    """Chebyshev coefficients of the degree n - 1 polynomial through the n
+    ``values`` at the first-kind points x_k = cos(pi (2k + 1)/(2n)): the
+    DCT-II sum c_j = (2/n) sum_k values_k T_j(x_k), c_0 halved (Trefethen
+    2013, Approximation Theory and Approximation Practice, ch. 3).  Each
+    T_j(x_k) = cos(pi m/(2n)) takes the exact integer m = j (2k + 1) mod 4n."""
+    import numpy as np
+
+    n = len(values)
+    j = np.arange(n)
+    basis = np.cos(np.outer(j, 2 * j + 1) % (4 * n) * (math.pi / (2 * n)))
+    coef = (basis * values).sum(axis=1) * (2.0 / n)
+    coef[0] *= 0.5
+    return coef
+
+
+def _chebyshev_values(coef, x):
+    """sum_j coef_j T_j(x) on the array x in [-1, 1], at least two
+    coefficients, by Clenshaw's recurrence in the form numpy's chebval uses."""
+    x2 = 2.0 * x
+    c0, c1 = coef[-2], coef[-1]
+    for c in coef[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     """(value, capped): integral of f_cm(c) e^{i(a_cm c - b_cm c^2)} G(c^2/4) dc.
 
     G is _line_values at phase a_rel r - b_rel r^2, cut where _tail_cut
     allows; momenta in p0, N = 1, no kappa b^2/pi prefactor.  G is
-    sampled at Chebyshev points in u and interpolated onto the c.m.
-    grid: a dozen line integrals, not one per c.m. node.
+    sampled at the first-kind Chebyshev points in u and carried onto the
+    c.m. grid by the exact interpolant through those samples
+    (_chebyshev_coefficients, _chebyshev_values): a dozen line integrals,
+    not one per c.m. node, and no least-squares fit.
     """
     import numpy as np
 
@@ -383,14 +433,10 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     u_nodes = 0.5 * u_hi + 0.5 * u_hi * np.cos(math.pi * (2.0 * k + 1.0) / (2.0 * n_u))
     r_cut, _ = _tail_cut(dist, a_rel, b_rel, level)
     g_vals, capped = _line_values(dist, u_nodes, a_rel, b_rel, level, r_cut)
-    cheb = np.polynomial.chebyshev
-    x_norm = (2.0 * u_nodes - u_hi) / u_hi
-    coef_re = cheb.chebfit(x_norm, g_vals.real, n_u - 1)
-    coef_im = cheb.chebfit(x_norm, g_vals.imag, n_u - 1)
+    coef = _chebyshev_coefficients(g_vals)
 
     def g_interp(c):
-        xc = (2.0 * (c * c / 4.0) - u_hi) / u_hi
-        return cheb.chebval(xc, coef_re) + 1j * cheb.chebval(xc, coef_im)
+        return _chebyshev_values(coef, (2.0 * (c * c / 4.0) - u_hi) / u_hi)
 
     value, hit = _window_integral(
         0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, dist.kappa * u_hi, g_interp

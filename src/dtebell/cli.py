@@ -32,7 +32,7 @@ byte-identical output; --seed overrides the config seed.
 
 main defaults OPENBLAS_NUM_THREADS to 1 when it runs before numpy is
 imported: the only BLAS calls are window dot products of at most NODE_CAP
-nodes and small Chebyshev fits, too small to share between threads, and
+nodes, too small to share between threads, no route calls LAPACK, and
 starting OpenBLAS's pool costs CPU in every command that loads numpy.
 
 V is the fringe amplitude of E at the row's settings on every route:

@@ -136,13 +136,21 @@ class FeshbachDistribution:
 
     # -- quadrature scaffolding --------------------------------------------
 
-    def rel_panel_edges(self, u):
+    def r_hi_at(self, u):
+        """Per c^2/4 in the array ``u``, the upper r of the truncated support."""
+        import numpy as np
+
+        return np.sqrt(1.0 - u + self.x_cut / self.kappa)
+
+    def rel_panel_edges(self, u, r_cut=None):
         """Panel edges in r > 0 aligned with the sinc zeros x = k*pi.
 
         ``u`` is an array of c^2/4 values; returns edges of shape
         (len(u), n_panels+1).  Panels clipped to zero width where the
-        corresponding zero lies below r = 0, so a single static panel
-        count serves every u.
+        corresponding zero lies below r = 0, so every row has the same
+        panels.  With ``r_cut`` only the panels that start below it in
+        some row are returned, with their edges: the prefix of the full
+        array, bit for bit, built without the edges past it.
         """
         import numpy as np
 
@@ -150,23 +158,55 @@ class FeshbachDistribution:
         kappa = self.kappa
         k_lo = math.floor(-kappa / math.pi) - 1
         k_hi = math.ceil(self.x_cut / math.pi)
+        if r_cut is not None:
+            # an edge grows with k and falls with u, and r = r_cut has
+            # x = kappa (u + r_cut^2 - 1) <= k_top pi - pi at every row
+            k_top = math.ceil((r_cut * r_cut - 1.0 + float(u.max())) * kappa / math.pi) + 1
+            k_hi = min(k_hi, k_top)
         k = np.arange(k_lo, k_hi + 1, dtype=float)
         arg = 1.0 - u[:, None] + (k[None, :] * math.pi) / kappa
         edges = np.sqrt(np.clip(arg, 0.0, None))
         # force exact domain ends
         lo = np.zeros((len(u), 1))
-        hi = np.sqrt(1.0 - u + self.x_cut / kappa)[:, None]
+        hi = self.r_hi_at(u)[:, None]
         edges = np.clip(edges, 0.0, hi)
-        return np.concatenate([lo, edges, hi], axis=1)
+        edges = np.concatenate([lo, edges, hi], axis=1)
+        if r_cut is None:
+            return edges
+        # edges ascend along each row, so the kept panels are a prefix
+        kept = int((edges[:, :-1] < r_cut).any(axis=0).sum())
+        return edges[:, : kept + 1]
 
-    def _scaled_kernel(self, u, r):
+    def _scaled_kernel(self, u, r, out=None):
+        """sinc^2(x) / (x/kappa + b)^2 at x = kappa (u + r^2 - 1), without the
+        c.m. profile and the kappa b^2/pi prefactor, written into out[0];
+        ``out`` is a pair of float arrays of the broadcast shape of (u, r),
+        out[1] scratch.  The sinc is np.sinc(x/pi)'s operations in np.sinc's
+        order, y = pi (x/pi), y = 0 made tiny, then sin(y)/y: its bits."""
         import numpy as np
 
-        # sinc^2(x) / (x/kappa + b)^2 in (u, r); the c.m. profile and the
-        # kappa b^2/pi prefactor are applied by the callers
-        x = self.kappa * (u + r * r - 1.0)
-        denom = u + r * r - 1.0 + self.b
-        return np.sinc(x / math.pi) ** 2 / (denom * denom)
+        if out is None:
+            shape = np.broadcast_shapes(np.shape(u), np.shape(r))
+            out = np.empty(shape), np.empty(shape)
+        kern, work = out
+        np.multiply(r, r, out=work)
+        np.add(u, work, out=work)
+        work -= 1.0
+        np.multiply(work, self.kappa, out=kern)
+        kern /= math.pi
+        kern *= math.pi
+        np.copyto(kern, 1e-20, where=kern == 0.0)
+        np.sin(kern, out=work)
+        np.divide(work, kern, out=kern)
+        kern *= kern
+        # the denominator again, u + r^2 - 1 + b, in the freed scratch
+        np.multiply(r, r, out=work)
+        np.add(u, work, out=work)
+        work -= 1.0
+        work += self.b
+        work *= work
+        kern /= work
+        return kern
 
     def _raw_integral(self):
         """Full 2D integral at N = 1 plus its error estimate.

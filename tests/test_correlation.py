@@ -7,13 +7,19 @@ the squared-sinc path) before being pinned here.
 
 import inspect
 import io
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, reject, seed, settings, strategies as st
+
+import dtebell
 
 from dtebell.correlation import (
     P_TARGET,
@@ -31,6 +37,8 @@ from dtebell.correlation import (
 from dtebell._quadrature import (
     MIN_NODES,
     NODE_CAP,
+    _chebyshev_coefficients,
+    _chebyshev_values,
     _gauss_legendre,
     _legendre_table,
     _internal_units,
@@ -484,10 +492,10 @@ def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, mo
         rows += len(u)
         return line_values(dist, u, *args)
 
-    def counting_kernel(dist, u, r):
+    def counting_kernel(dist, u, r, out=None):
         nonlocal panels
         panels += r.shape[0] * r.shape[1]
-        return scaled_kernel(dist, u, r)
+        return scaled_kernel(dist, u, r, out)
 
     monkeypatch.setattr(quad, "_line_values", counting_lines)
     monkeypatch.setattr(dis.FeshbachDistribution, "_scaled_kernel", counting_kernel)
@@ -750,15 +758,15 @@ def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
     """Bit-exact pin of the bundled source's sinc^2 numbers: the CLI
     prints them to six digits only, so no corpus case sees a last-ulp
     change in the c.m. window or the pair integral."""
-    assert fesh.normalization == 0.999503974453941
+    assert fesh.normalization == 0.9995039744539412
     assert fesh.norm_error_estimate == 1.2678399037947462e-07
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     res = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    assert res.visibility == 0.6505032744413163
-    assert res.e_value == 0.6373915533837362
+    assert res.visibility == 0.650503274441316
+    assert res.e_value == 0.637391553383736
 
 
 def _record_passes(monkeypatch, name):
@@ -811,6 +819,76 @@ def test_feshbach_off_centre_peak_memory(sinc2_level2):
     _, capped, peak = sinc2_level2[3]
     assert not capped
     assert peak < 16 * 2**20
+
+
+# one bundled centre call in a fresh interpreter, then five more: the minor
+# page faults of the five, and the elements of the call's largest block
+_CENTRE_CALL_FAULTS = """
+import json, resource
+from dtebell import dissociation as dis
+from dtebell.correlation import DtePair, InterferometerSetting, correlate_quadrature
+from dtebell.scenario import load_config, scales_from_scenario
+scenario = load_config().to_scenario()
+fesh = dis.distribution_from_scenario(scenario)
+ell = 0.5 * scales_from_scenario(scenario).v_rel
+pair = DtePair(distribution=fesh, tau=1.0, phi_tau=dis.phi_tau(scenario), species=scenario.species)
+settings = InterferometerSetting(ell=ell), InterferometerSetting(ell=-ell)
+largest = 0
+kernel = dis.FeshbachDistribution._scaled_kernel
+
+def sizing(self, u, r, *args, **kwargs):
+    global largest
+    largest = max(largest, r.size)
+    return kernel(self, u, r, *args, **kwargs)
+
+dis.FeshbachDistribution._scaled_kernel = sizing
+correlate_quadrature(pair, *settings)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    correlate_quadrature(pair, *settings)
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, largest]))
+"""
+
+
+def test_repeated_sinc2_calls_fault_in_few_pages():
+    """Each node bucket's blocks are evaluated in one set of work arrays,
+    so repeated centre calls on a fresh heap fault in far fewer pages than
+    their largest block has elements (fresh block temporaries, each above
+    malloc's mmap threshold, faulted about 8200 pages per call)."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dtebell.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _CENTRE_CALL_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults, largest = json.loads(proc.stdout)
+    assert largest == 2 * 231 * 64  # two u rows of the 64-node bucket's 231 panels
+    assert faults < largest / 4
+
+
+@pytest.mark.parametrize("n_u", [7, 8, 9, 18, 44, 73, 150])
+def test_chebyshev_interpolant_matches_numpys_fit(n_u):
+    """The exact interpolant at the first-kind points against numpy's
+    least-squares chebfit and chebval (a test oracle only), on seeded
+    complex samples of an oscillating G: it reproduces the samples, its
+    coefficients agree to a few ulps of max|G|, and its values on the
+    c.m. nodes of a window, x = 2 t^2 - 1 for the rule's nodes t, agree
+    to O(n) ulps, since both recurrences round once per term."""
+    cheb = np.polynomial.chebyshev
+    x = np.cos(math.pi * (2.0 * np.arange(n_u) + 1.0) / (2.0 * n_u))
+    gl_x, _ = _gauss_legendre(256)
+    x_cm = 2.0 * gl_x * gl_x - 1.0
+    for seed in range(3):
+        rng = np.random.default_rng([n_u, seed])
+        omega, pole, phase = rng.uniform(0.0, 0.25 * n_u), rng.uniform(1.5, 4.0), rng.uniform(0.0, 6.3)
+        g = rng.uniform(0.1, 10.0) * np.exp(1j * (omega * x + phase)) / (pole + x) ** 2
+        ulp = np.finfo(float).eps * np.abs(g).max()
+        coef = _chebyshev_coefficients(g)
+        oracle = cheb.chebfit(x, g.real, n_u - 1) + 1j * cheb.chebfit(x, g.imag, n_u - 1)
+        assert np.abs(_chebyshev_values(coef, x) - g).max() <= n_u * ulp
+        assert np.abs(coef - oracle).max() <= 32 * ulp
+        on_cm = cheb.chebval(x_cm, oracle.real) + 1j * cheb.chebval(x_cm, oracle.imag)
+        assert np.abs(_chebyshev_values(coef, x_cm) - on_cm).max() <= 2 * n_u * ulp
 
 
 def _sinc2_pair(**overrides):

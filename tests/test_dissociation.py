@@ -267,6 +267,64 @@ class TestZeroPhaseCut:
         assert abs(pref * (cut - full)) <= bound
 
 
+class TestPanelEdgesToTheCut:
+    """A cut line builds only the panels below its radius: the kept prefix
+    of the full edge array, bit for bit."""
+
+    @staticmethod
+    def _full_edges(d, u):
+        # the sinc zeros x = k pi in r, clipped to [0, r_hi(u)], between 0 and r_hi(u)
+        k = np.arange(math.floor(-d.kappa / math.pi) - 1, math.ceil(d.x_cut / math.pi) + 1,
+                      dtype=float)
+        hi = np.sqrt(1.0 - u + d.x_cut / d.kappa)[:, None]
+        edges = np.clip(np.sqrt(np.clip(1.0 - u[:, None] + (k * math.pi) / d.kappa, 0.0, None)),
+                        0.0, hi)
+        return np.concatenate([np.zeros((len(u), 1)), edges, hi], axis=1)
+
+    @staticmethod
+    def _centre_phase(d, scenario):
+        ell = 0.5 * scales_from_scenario(scenario).v_rel
+        m_int, _, dl_int = quad._internal_units(
+            d.p0, scenario.pulses.pulse_separation, scenario.species.atom_mass, ell, -ell
+        )
+        return dl_int, 1.0 / m_int
+
+    # every TestZeroPhaseCut source at zero phase, and the bundled one at
+    # the fringe-centre phase of its pair
+    @pytest.mark.parametrize(
+        "edge, phase", [(edge, "zero") for edge in sorted(TestZeroPhaseCut.EDGES)]
+        + [("bundled", "centre")],
+    )
+    def test_cut_edges_are_the_kept_prefix(self, dist, scenario, edge, phase):
+        source = replace(dist, **{k: v * dist.p0 for k, v in TestZeroPhaseCut.EDGES[edge].items()})
+        a, b = (0.0, 0.0) if phase == "zero" else self._centre_phase(source, scenario)
+        u_hi, rows = quad._cm_window(source)
+        for level in (0.5, 1.0):
+            n_u = math.ceil(rows * level)
+            u = 0.5 * u_hi + 0.5 * u_hi * np.cos(math.pi * (2.0 * np.arange(n_u) + 1.0) / (2.0 * n_u))
+            full = source.rel_panel_edges(u)
+            assert full.tobytes() == self._full_edges(source, u).tobytes()
+            r_cut, _ = quad._tail_cut(source, a, b, level)
+            assert r_cut is not None
+            kept = int((full[:, :-1] < r_cut).any(axis=0).sum())
+            assert kept < full.shape[1] - 1
+            assert source.rel_panel_edges(u, r_cut).tobytes() == full[:, : kept + 1].tobytes()
+
+    def test_scaled_kernel_in_place_is_np_sinc_bit_for_bit(self, dist):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, 3e-3, (3, 1, 1))
+        r = rng.uniform(0.0, 4.0, (3, 40, 16))
+        r[0, 0, 0], u[0] = 1.0, 0.0  # x = 0 exactly: sinc(0) = 1
+        x = dist.kappa * (u + r * r - 1.0)
+        denom = u + r * r - 1.0 + dist.b
+        expected = np.sinc(x / math.pi) ** 2 / (denom * denom)
+        assert dist._scaled_kernel(u, r).tobytes() == expected.tobytes()
+        # into panel-major work arrays, as _line_values passes them
+        work = [np.empty((40, 3, 16)).transpose(1, 0, 2) for _ in range(2)]
+        assert dist._scaled_kernel(u, r, out=work).tobytes() == expected.tobytes()
+        assert dist._scaled_kernel(u, r)[0, 0, 0] == 1.0 / dist.b**2
+
+
 def _seeded_sources(seed, count):
     """Source overrides in units of p0, drawn inside the model's domain.
     Their c.m. windows span at most a few oscillation cycles, so that a

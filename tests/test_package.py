@@ -201,6 +201,22 @@ def test_start_up_generates_no_code_and_only_scales_json_loads_json():
     assert [step for step in steps if step[2]] == [["scales --json", 0, ["json"]]]
 
 
+def test_source_model_check_loads_neither_numpy_polynomial_nor_numpy_ma():
+    # the Chebyshev interpolant is in-package; np.unique would load numpy.ma
+    *_, last = _loaded_after(["numpy", "numpy.polynomial", "numpy.ma"],
+                             ("feasibility", "--source-model-check"))
+    assert last == ["feasibility --source-model-check", 0, ["numpy"]]
+
+
+def test_package_source_never_names_numpy_polynomial_or_linalg():
+    # no route calls LAPACK; numpy.polynomial serves only as a test oracle
+    names = re.compile(r"\b(?:numpy|np)\.(?:polynomial|linalg)\b")
+    offenders = [
+        f"{name}: {match}" for name, text in _package_texts() for match in names.findall(text)
+    ]
+    assert offenders == []
+
+
 def _blas_after_quad_scan(preset):
     """In a fresh interpreter with OPENBLAS_NUM_THREADS unset (None) or set
     to ``preset``, run QUAD_SCAN through cli.main; return [exit code, numpy
@@ -268,15 +284,20 @@ QUADRATURE_DEFINITIONS = {
     "QuadratureError", "_gauss_legendre", "_converge", "_quadratic_span",
     "_node_count", "_window_grid", "_window_need", "_window_integral", "_line_values", "_mean_tail",
     "_cm_window",
-    "_tail_cut", "_pair_integral", "_raw_mass", "_internal_units", "_gaussian_interference", "_feshbach_interference",
+    "_tail_cut", "_chebyshev_coefficients", "_chebyshev_values", "_pair_integral", "_raw_mass", "_internal_units", "_gaussian_interference", "_feshbach_interference",
     "_interference",
 }
 
 
-def _package_trees():
+def _package_texts():
     for path in sorted(glob.glob(os.path.join(SRC, "dtebell", "*.py"))):
         with open(path, encoding="utf-8") as handle:
-            yield os.path.basename(path), ast.parse(handle.read(), filename=path)
+            yield os.path.basename(path), handle.read()
+
+
+def _package_trees():
+    for name, text in _package_texts():
+        yield name, ast.parse(text, filename=name)
 
 
 def _defined_names(tree):
