@@ -19,8 +19,6 @@ from importlib import resources
 
 from .scenario import CONSTANTS, TimescaleSummary, _require_positive
 
-# c^2/4 rows per block of the sinc^2 line tensor (see _line_values)
-U_ROWS_PER_BLOCK = 2
 # c.m. window half-width in sigmas; a window integral's node floor, and
 # its nodes per radian of phase range: Gauss-Legendre resolves about 0.5
 # (Hale & Trefethen 2008, SIAM J. Numer. Anal. 46, 930), so both passes of
@@ -165,15 +163,13 @@ def _window_need(mean, sigma, a, b, extra_span=0.0) -> int:
     return max(math.ceil(min(NODE_CAP, WINDOW_NODES_PER_RADIAN * span)), MIN_NODES)
 
 
-def _window_integral(mean, sigma, a, b, level, extra_span=0.0, weight=None, need=None):
+def _window_integral(mean, sigma, a, b, level, need, weight=None):
     """(value, capped): integral of N(x; mean, sigma) e^{i(a x - b x^2)} weight(x)
-    over mean +- WINDOW_SIGMAS sigma on the rule _node_count sizes from ``need``
-    (default: _window_need's) at ``level``.  A call computes only e^{i a x},
+    over mean +- WINDOW_SIGMAS sigma on the rule _node_count sizes from
+    ``need`` (_window_need's) at ``level``.  A call computes only e^{i a x},
     ``weight`` and one dot product with the cached _window_grid's weights."""
     import numpy as np
 
-    if need is None:
-        need = _window_need(mean, sigma, a, b, extra_span)
     n, capped = _node_count(need, level)
     x, weights = _window_grid(mean, sigma, b, n)
     integrand = np.exp(x * (1j * a))
@@ -189,11 +185,9 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
     the mirror particle-label branch onto the detector frame.  Panels follow
     the sinc zeros; node counts (_node_count) follow each panel's worst
     phase excursion over all rows, and capped means some panel is at
-    NODE_CAP.  The (u, panel, node) tensor is summed U_ROWS_PER_BLOCK
-    rows at a time.  Rows sum independently, so the bits do not change,
-    except in a one-row block: a lone trailing row joins the block before it.
-    Each node bucket's blocks are evaluated in place in one set of work
-    arrays, so the blocks of a call fault in no fresh pages.
+    NODE_CAP.  Each node bucket's (panel, node) work arrays are allocated
+    once and reused for every u row, one row at a time, so the rows of a
+    call fault in no fresh pages.
 
     With ``r_cut`` (from _tail_cut) the full kernel stops at r = r_cut:
     only the panels below it are built, their edges clipped there.
@@ -229,29 +223,19 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
 
     half_width = 0.5 * (hi_e - lo_e)
     mid = 0.5 * (lo_e + hi_e)
-    starts = list(range(0, len(u), U_ROWS_PER_BLOCK))
-    if len(starts) > 1 and len(u) - starts[-1] == 1:
-        starts.pop()
-    blocks = list(map(slice, starts, starts[1:] + [len(u)]))
-    u_col = u[:, None, None]
     for size in sorted(set(buckets.tolist())):  # np.unique would load numpy.ma
         sel = buckets == size
         gl_x, gl_w = _gauss_legendre(size)
-        half_sel, mid_sel = half_width[:, sel, None], mid[:, sel, None]
-        # panel-major, as numpy lays out the boolean selection mid[:, sel]:
-        # each row's sum over panels then adds in the order that layout sets
-        shape = (half_sel.shape[1], max(b.stop - b.start for b in blocks), size)
-        r_buf, kern_buf, work_buf, osc_buf = (
-            np.empty(shape, dtype=kind).transpose(1, 0, 2) for kind in (float, float, float, complex)
-        )
-        for rows in blocks:
-            n = rows.stop - rows.start
-            r, osc = r_buf[:n], osc_buf[:n]
-            # r = mid + half x and the kernel and phase of r, operand for operand
-            np.multiply(half_sel[rows], gl_x, out=r)
-            np.add(mid_sel[rows], r, out=r)
-            kern = dist._scaled_kernel(u_col[rows], r, out=(kern_buf[:n], work_buf[:n]))
-            re, im = osc.real, osc.imag
+        shape = (int(sel.sum()), size)
+        r, kern, work = np.empty(shape), np.empty(shape), np.empty(shape)
+        osc = np.empty(shape, dtype=complex)
+        re, im = osc.real, osc.imag
+        for row in range(len(u)):
+            half = half_width[row, sel]
+            # r = mid + half x and the kernel and phase of r
+            np.multiply(half[:, None], gl_x, out=r)
+            np.add(mid[row, sel][:, None], r, out=r)
+            dist._scaled_kernel(u[row], r, out=(kern, work))
             np.multiply(r, b_quad, out=re)
             re *= r
             np.multiply(r, a_lin, out=im)
@@ -261,7 +245,7 @@ def _line_values(dist, u, a_lin: float, b_quad: float, level=1.0, r_cut=None):
             osc *= 2.0
             np.multiply(kern, osc, out=osc)
             osc *= gl_w
-            result[rows] += (osc.sum(axis=2) * half_sel[rows, :, 0]).sum(axis=1)
+            result[row] += (osc.sum(axis=1) * half).sum()
     return result, any(capped for _, capped in counts)
 
 
@@ -438,9 +422,9 @@ def _pair_integral(dist, a_cm, b_cm, a_rel, b_rel, level=1.0):
     def g_interp(c):
         return _chebyshev_values(coef, (2.0 * (c * c / 4.0) - u_hi) / u_hi)
 
-    value, hit = _window_integral(
-        0.0, dist.sigma_p_cm / dist.p0, a_cm, b_cm, level, dist.kappa * u_hi, g_interp
-    )
+    sigma = dist.sigma_p_cm / dist.p0
+    need = _window_need(0.0, sigma, a_cm, b_cm, dist.kappa * u_hi)
+    value, hit = _window_integral(0.0, sigma, a_cm, b_cm, level, need, g_interp)
     return value, capped or hit
 
 
@@ -480,8 +464,8 @@ def _gaussian_interference(cm, rel, needs, level):
     """(value, capped): one pass of the separable Gaussian pair's interference
     integral, the product of its c.m. and relative window integrals, whose
     (mean, sigma, a, b) are ``cm`` and ``rel`` and whose _window_need ``needs``."""
-    i_cm, cm_capped = _window_integral(*cm, level, need=needs[0])
-    i_rel, rel_capped = _window_integral(*rel, level, need=needs[1])
+    i_cm, cm_capped = _window_integral(*cm, level, needs[0])
+    i_rel, rel_capped = _window_integral(*rel, level, needs[1])
     return i_cm * i_rel, cm_capped or rel_capped
 
 

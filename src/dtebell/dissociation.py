@@ -81,10 +81,14 @@ class FeshbachDistribution:
 
     @functools.cached_property
     def _normalized(self) -> tuple[float, float]:
-        # (N, relative error estimate of N); cached_property writes the
-        # instance __dict__ directly, past the frozen record's __setattr__
-        raw, err = self._raw_integral()
-        return 1.0 / raw, err / raw
+        """(N, relative error estimate of N) from the source's integral at
+        N = 1, _quadrature._raw_mass: the zero-phase pair integral, whose
+        estimate charges its pass difference and its tail cut; the
+        truncated tail beyond r_hi (tail_bound) is added here.
+        cached_property writes the instance __dict__ directly, past the
+        frozen record's __setattr__."""
+        raw, err = _raw_mass(self, NORM_TARGET)
+        return 1.0 / raw, (err + self.tail_bound() * raw) / raw
 
     @property
     def normalization(self) -> float:
@@ -181,8 +185,8 @@ class FeshbachDistribution:
         """sinc^2(x) / (x/kappa + b)^2 at x = kappa (u + r^2 - 1), without the
         c.m. profile and the kappa b^2/pi prefactor, written into out[0];
         ``out`` is a pair of float arrays of the broadcast shape of (u, r),
-        out[1] scratch.  The sinc is np.sinc(x/pi)'s operations in np.sinc's
-        order, y = pi (x/pi), y = 0 made tiny, then sin(y)/y: its bits."""
+        out[1] scratch.  The sinc is sin(x)/x with x = 0 made tiny, so
+        sinc(0) = 1."""
         import numpy as np
 
         if out is None:
@@ -193,8 +197,6 @@ class FeshbachDistribution:
         np.add(u, work, out=work)
         work -= 1.0
         np.multiply(work, self.kappa, out=kern)
-        kern /= math.pi
-        kern *= math.pi
         np.copyto(kern, 1e-20, where=kern == 0.0)
         np.sin(kern, out=work)
         np.divide(work, kern, out=kern)
@@ -207,19 +209,6 @@ class FeshbachDistribution:
         work *= work
         kern /= work
         return kern
-
-    def _raw_integral(self):
-        """Full 2D integral at N = 1 plus its error estimate.
-
-        The zero-phase case of the interference integral (_quadrature._raw_mass):
-        the same line values and c.m. quadrature, run through the same
-        doubling loop.  Each line stops at the zero-phase tail cut and
-        adds the kernel's smooth mean past it; the estimate charges the
-        bound on the oscillating remainder left out, and the truncated
-        tail beyond r_hi.
-        """
-        raw, err = _raw_mass(self, NORM_TARGET)
-        return raw, err + self.tail_bound() * raw
 
     # -- public evaluation --------------------------------------------------
 

@@ -8,6 +8,10 @@ Monte Carlo machinery.  A spin setting is an InterferometerSetting whose
 An uncached Gaussian window integral: the oracle the cached
 _quadrature._window_integral must match bit for bit.
 
+The sinc^2 line values as one (u, panel, node) tensor per node bucket:
+the oracle the row-at-a-time _quadrature._line_values must match bit for
+bit.
+
 One quadrature pass at a chosen level, as probabilities: a finer
 reference for what correlate_quadrature returns.
 
@@ -26,6 +30,7 @@ from dtebell._quadrature import (
     WINDOW_SIGMAS,
     _gauss_legendre,
     _interference,
+    _node_count,
     _quadratic_span,
 )
 from dtebell.bell import ChshSettings
@@ -93,6 +98,46 @@ def uncached_window_integral(mean, sigma, a, b, level, floor, cap, extra_span=0.
     if weight is not None:
         integrand = integrand * weight(x)
     return complex(np.dot(weights, integrand)), bool(capped)
+
+
+def line_values_one_block(dist, u, a_lin: float, b_quad: float, level: float):
+    """_quadrature._line_values without a tail cut, each node bucket's
+    rows in one (u, panel, node) tensor: the same node counts, from each
+    panel's phase excursion over all rows, and the same operations."""
+    import numpy as np
+
+    edges = dist.rel_panel_edges(u)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+
+    def phase(r):
+        return a_lin * r - b_quad * r * r
+
+    # _quadratic_span per panel and row: the phase at both edges and at
+    # the vertex where it lies inside
+    values = [phase(lo), phase(hi)]
+    if b_quad != 0.0:
+        vertex = a_lin / (2.0 * b_quad)
+        values.append(np.where((lo < vertex) & (vertex < hi), phase(vertex), values[0]))
+    excursion = (np.max(values, axis=0) - np.min(values, axis=0)).max(axis=0)
+    buckets = np.array([_node_count(need, level)[0] for need in np.ceil(0.7 * excursion) + 12])
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    result = np.zeros(len(u), dtype=complex)
+    for size in sorted(set(buckets.tolist())):
+        sel = buckets == size
+        gl_x, gl_w = _gauss_legendre(size)
+        half_sel = np.ascontiguousarray(half[:, sel])
+        r = half_sel[:, :, None] * gl_x
+        r += mid[:, sel, None]
+        kern = dist._scaled_kernel(u[:, None, None], r)
+        phase = r * a_lin
+        r *= b_quad * r  # r is not read again
+        phase -= r
+        osc = np.exp(phase * 1j)
+        osc *= 2.0
+        osc *= kern
+        osc *= gl_w
+        result += (osc.sum(axis=2) * half_sel).sum(axis=1)
+    return result
 
 
 def quadrature_pass(pair, s1: InterferometerSetting, s2: InterferometerSetting, level: float):

@@ -45,6 +45,7 @@ from dtebell._quadrature import (
     _tail_cut,
     _window_grid,
     _window_integral,
+    _window_need,
 )
 from dtebell.cli import main as cli_main
 from dtebell.dissociation import distribution_from_scenario
@@ -494,7 +495,7 @@ def test_sinc2_cut_keeps_few_panels(fesh, scenario, scales, phi_tau, eighths, mo
 
     def counting_kernel(dist, u, r, out=None):
         nonlocal panels
-        panels += r.shape[0] * r.shape[1]
+        panels += r.shape[0]  # one u row's (panel, node) array
         return scaled_kernel(dist, u, r, out)
 
     monkeypatch.setattr(quad, "_line_values", counting_lines)
@@ -759,14 +760,14 @@ def test_sinc2_last_digits(fesh, scenario, scales, phi_tau):
     prints them to six digits only, so no corpus case sees a last-ulp
     change in the c.m. window or the pair integral."""
     assert fesh.normalization == 0.9995039744539412
-    assert fesh.norm_error_estimate == 1.2678399037947462e-07
+    assert fesh.norm_error_estimate == 1.2678399015754016e-07
     ell1, ell2 = center_lengths(scales, 1.0)
     pair = DtePair(distribution=fesh, tau=1.0, phi_tau=phi_tau, species=scenario.species)
     res = correlate_quadrature(
         pair, InterferometerSetting(ell=ell1), InterferometerSetting(ell=ell2)
     )
-    assert res.visibility == 0.650503274441316
-    assert res.e_value == 0.637391553383736
+    assert res.visibility == 0.6505032744413163
+    assert res.e_value == 0.6373915533837362
 
 
 def _record_passes(monkeypatch, name):
@@ -814,15 +815,15 @@ def sinc2_level2(fesh, scenario, scales, phi_tau):
 
 
 def test_feshbach_off_centre_peak_memory(sinc2_level2):
-    """A level-2 sinc^2 pass 3/8 of a fringe off centre: its (u, panel,
-    node) tensor must stay blocked."""
+    """A level-2 sinc^2 pass 3/8 of a fringe off centre: its line
+    integrals must stay one u row at a time."""
     _, capped, peak = sinc2_level2[3]
     assert not capped
     assert peak < 16 * 2**20
 
 
 # one bundled centre call in a fresh interpreter, then five more: the minor
-# page faults of the five, and the elements of the call's largest block
+# page faults of the five, and the elements of the call's largest row array
 _CENTRE_CALL_FAULTS = """
 import json, resource
 from dtebell import dissociation as dis
@@ -851,10 +852,10 @@ print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, l
 
 
 def test_repeated_sinc2_calls_fault_in_few_pages():
-    """Each node bucket's blocks are evaluated in one set of work arrays,
+    """Each node bucket's u rows are evaluated in one set of work arrays,
     so repeated centre calls on a fresh heap fault in far fewer pages than
-    their largest block has elements (fresh block temporaries, each above
-    malloc's mmap threshold, faulted about 8200 pages per call)."""
+    their largest row array has elements (fresh block temporaries, each
+    above malloc's mmap threshold, faulted about 8200 pages per call)."""
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dtebell.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -862,7 +863,7 @@ def test_repeated_sinc2_calls_fault_in_few_pages():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     faults, largest = json.loads(proc.stdout)
-    assert largest == 2 * 231 * 64  # two u rows of the 64-node bucket's 231 panels
+    assert largest == 231 * 64  # one u row of the 64-node bucket's 231 panels
     assert faults < largest / 4
 
 
@@ -1081,7 +1082,8 @@ def test_cached_window_matches_uncached_bit_for_bit(keys, calls, rng):
         key, a, level, extra_span = calls[i]
         mean, sigma, b = keys[key]
         weight = _window_weight if rng.random() < 0.5 else None
-        value, capped = _window_integral(mean, sigma, a, b, level, extra_span, weight)
+        need = _window_need(mean, sigma, a, b, extra_span)
+        value, capped = _window_integral(mean, sigma, a, b, level, need, weight)
         expected, expected_capped = uncached_window_integral(
             mean, sigma, a, b, level, MIN_NODES, NODE_CAP, extra_span, weight
         )

@@ -17,7 +17,7 @@ from dtebell.scenario import (
     reference_scenario,
     scales_from_scenario,
 )
-from reference_models import record_fields, replace
+from reference_models import line_values_one_block, record_fields, replace
 
 # Frozen oracle values, recomputed independently before implementation.
 KAPPA_REF = 81.3098
@@ -155,13 +155,13 @@ class TestLazyNormalization:
     @pytest.fixture
     def raw_calls(self, monkeypatch):
         calls = []
-        original = dis.FeshbachDistribution._raw_integral
+        original = dis._raw_mass
 
-        def counting(self, *args, **kwargs):
-            calls.append(self)
-            return original(self, *args, **kwargs)
+        def counting(dist, *args, **kwargs):
+            calls.append(dist)
+            return original(dist, *args, **kwargs)
 
-        monkeypatch.setattr(dis.FeshbachDistribution, "_raw_integral", counting)
+        monkeypatch.setattr(dis, "_raw_mass", counting)
         return calls
 
     def test_gaussian_route_never_normalizes(self, scenario, raw_calls):
@@ -199,25 +199,23 @@ class TestLazyNormalization:
         # each pass evaluates only the panels below the zero-phase cut
         assert peak < 8 * 2**20
 
-    def test_blocked_rel_integral_matches_one_pass(self, dist, monkeypatch):
-        # zero phase: the line values the normalization integrates
+    def test_blocked_rel_integral_matches_one_pass(self, dist):
+        # zero phase, the line values the normalization integrates: the
+        # rows one at a time match them all in one block
         u = np.linspace(0.0, 3e-3, 11)
-        blocked, _ = quad._line_values(dist, u, 0.0, 0.0)
-        monkeypatch.setattr(quad, "U_ROWS_PER_BLOCK", len(u))
-        np.testing.assert_array_equal(blocked, quad._line_values(dist, u, 0.0, 0.0)[0])
+        one_block = line_values_one_block(dist, u, 0.0, 0.0, 1.0)
+        np.testing.assert_array_equal(quad._line_values(dist, u, 0.0, 0.0)[0], one_block)
 
     @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_u", [6, 7, 12, 24])
-    def test_blocked_interference_matches_one_block(self, dist, monkeypatch, n_u, level):
+    def test_blocked_interference_matches_one_block(self, dist, n_u, level):
         # a tenth of the bundled fringe-centre phase a r - b r^2 still mixes
-        # node buckets of 8 to 256 at a tenth of the cost; n_u = 7 ends
-        # on a lone row, which must join the block before it
+        # node buckets of 8 to 256 at a tenth of the cost; the rows one at
+        # a time match them all in one (u, panel, node) block
         u = np.linspace(0.0, 3e-3, n_u)
         a_lin, b_quad = 542.3, 271.0
-        blocked, _ = quad._line_values(dist, u, a_lin, b_quad, level)
-        monkeypatch.setattr(quad, "U_ROWS_PER_BLOCK", n_u)
-        one_block, _ = quad._line_values(dist, u, a_lin, b_quad, level)
-        np.testing.assert_array_equal(blocked, one_block)
+        by_row, _ = quad._line_values(dist, u, a_lin, b_quad, level)
+        np.testing.assert_array_equal(by_row, line_values_one_block(dist, u, a_lin, b_quad, level))
 
     def test_normalization_matches_reference(self, dist):
         # value of the former 48 -> 96 row outer Gauss-Legendre scheme
@@ -317,11 +315,14 @@ class TestPanelEdgesToTheCut:
         r[0, 0, 0], u[0] = 1.0, 0.0  # x = 0 exactly: sinc(0) = 1
         x = dist.kappa * (u + r * r - 1.0)
         denom = u + r * r - 1.0 + dist.b
-        expected = np.sinc(x / math.pi) ** 2 / (denom * denom)
+        with np.errstate(invalid="ignore"):
+            expected = (np.sin(x) / x) ** 2 / (denom * denom)
+        expected[0, 0, 0] = 1.0 / dist.b**2
         assert dist._scaled_kernel(u, r).tobytes() == expected.tobytes()
-        # into panel-major work arrays, as _line_values passes them
-        work = [np.empty((40, 3, 16)).transpose(1, 0, 2) for _ in range(2)]
-        assert dist._scaled_kernel(u, r, out=work).tobytes() == expected.tobytes()
+        # one u row into (panel, node) work arrays, as _line_values passes them
+        work = np.empty((40, 16)), np.empty((40, 16))
+        row = dist._scaled_kernel(u[1, 0, 0], r[1], out=work)
+        assert row.tobytes() == expected[1].tobytes()
         assert dist._scaled_kernel(u, r)[0, 0, 0] == 1.0 / dist.b**2
 
 

@@ -277,7 +277,7 @@ def test_package_modules_import_no_numpy_or_scipy_at_top_level():
 
 
 QUADRATURE_CONSTANTS = {
-    "U_ROWS_PER_BLOCK", "WINDOW_SIGMAS", "MIN_NODES", "WINDOW_NODES_PER_RADIAN", "NODE_CAP",
+    "WINDOW_SIGMAS", "MIN_NODES", "WINDOW_NODES_PER_RADIAN", "NODE_CAP",
     "MAX_LEVEL",
 }
 QUADRATURE_DEFINITIONS = {
@@ -448,8 +448,11 @@ def test_each_quadrature_rule_has_one_body():
     assert {"isinstance", "numpy", "np"}.isdisjoint(quad._node_count.__code__.co_names)
     # one cap for every rule, read at call time: no cap parameter anywhere
     assert "cap" not in inspect.signature(quad._node_count).parameters
-    # a window reads its node bounds from MIN_NODES and NODE_CAP
-    assert {"floor", "cap"}.isdisjoint(inspect.signature(quad._window_integral).parameters)
+    # a window reads its node bounds from MIN_NODES and NODE_CAP, and its
+    # need from the caller: one signature, no default need
+    assert list(inspect.signature(quad._window_integral).parameters) == [
+        "mean", "sigma", "a", "b", "level", "need", "weight",
+    ]
     # one cache over the Gauss-Legendre table, one over the window grids
     cached = {name for name, value in vars(quad).items() if hasattr(value, "cache_info")}
     assert cached == {"_legendre_table", "_window_grid"}

@@ -190,15 +190,16 @@ def test_records_without_post_init_never_call_one(monkeypatch):
 def test_normalization_is_computed_once(monkeypatch):
     calls = []
 
-    def raw_integral(self):
-        calls.append(self)
+    def raw_mass(dist, target):
+        calls.append(dist)
         return 2.0, 1e-9
 
-    monkeypatch.setattr(dissociation.FeshbachDistribution, "_raw_integral", raw_integral)
+    monkeypatch.setattr(dissociation, "_raw_mass", raw_mass)
     source = distribution_from_scenario(load_config(None).to_scenario())
     assert calls == []
-    assert (source.normalization, source.norm_error_estimate) == (0.5, 5e-10)
-    assert (source.normalization, source.norm_error_estimate) == (0.5, 5e-10)
+    expected = (0.5, (1e-9 + source.tail_bound() * 2.0) / 2.0)
+    assert (source.normalization, source.norm_error_estimate) == expected
+    assert (source.normalization, source.norm_error_estimate) == expected
     assert calls == [source]
     assert "_normalized" in vars(source)
     assert source == distribution_from_scenario(load_config(None).to_scenario())
